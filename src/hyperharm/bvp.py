@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import solid_angle, sphere_quadrature
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
+from .orthopoly import _values_on
 from .polyalg import ExactPolynomial
 
 __all__ = [
@@ -65,12 +66,7 @@ class BoundaryData:
     def values_at(self, points: np.ndarray) -> np.ndarray:
         if self.polynomial is not None:
             return self.polynomial.evaluate_array(points)
-        try:
-            vals = np.asarray(self.func(points), dtype=float)
-            if vals.shape != (points.shape[0],):
-                raise ValueError
-        except Exception:
-            vals = np.array([float(self.func(row)) for row in points])
+        vals = _values_on(self.func, points)
         if not np.all(np.isfinite(vals)):
             raise ValueError("boundary data is not finite at a quadrature node")
         return vals
@@ -105,14 +101,16 @@ class BvpSolution:
 
 
 def _project_once(f: BoundaryData, n_max: int, quad_degree: int):
+    """Coefficients, bases, and the rule's value of the squared norm of f."""
     rule = sphere_quadrature(f.p, quad_degree)
-    weighted = rule.weights * f.values_at(rule.nodes)
+    vals = f.values_at(rule.nodes)
+    weighted = rule.weights * vals
     bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
     coeffs = tuple(
         tuple(float(v) for v in basis.evaluate_members(rule.nodes).T @ weighted)
         for basis in bases
     )
-    return coeffs, bases
+    return coeffs, bases, float(np.sum(weighted * vals))
 
 
 def project_boundary(
@@ -131,7 +129,7 @@ def project_boundary(
                 f"quadrature degree {quad_degree} cannot integrate the "
                 f"products exactly; need at least {required}"
             )
-        coeffs, bases = _project_once(f, n_max, quad_degree)
+        coeffs, bases, _ = _project_once(f, n_max, quad_degree)
         projection_error = 0.0
         norm_rule = sphere_quadrature(f.p, 2 * max(deg, 0))
         vals = f.values_at(norm_rule.nodes)
@@ -139,9 +137,9 @@ def project_boundary(
     else:
         if quad_degree is None:
             quad_degree = DEFAULT_CALLABLE_DEGREE
-        coeffs, bases = _project_once(f, n_max, quad_degree)
+        coeffs, bases, f_norm_sq = _project_once(f, n_max, quad_degree)
         # the next distinct product rule serves as the accuracy report
-        refined, _ = _project_once(f, n_max, quad_degree + 2)
+        refined, _, _ = _project_once(f, n_max, quad_degree + 2)
         projection_error = max(
             (
                 abs(a - b)
@@ -150,9 +148,6 @@ def project_boundary(
             ),
             default=0.0,
         )
-        rule = sphere_quadrature(f.p, quad_degree)
-        vals = f.values_at(rule.nodes)
-        f_norm_sq = float(np.sum(rule.weights * vals * vals))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if coeff_sq_sum > f_norm_sq + 1e-8:
         raise RuntimeError(

@@ -193,6 +193,13 @@ def _boundary_from_description(p: int, desc: dict) -> bvp_mod.BoundaryData:
 def _cmd_solve(args) -> int:
     with open(args.problem) as fh:
         problem = json.load(fh)
+    if not isinstance(problem, dict):
+        raise ValueError("the problem must be a JSON object")
+    eval_points = problem["eval_points"]
+    if not isinstance(eval_points, list) or not all(
+        isinstance(point, list) for point in eval_points
+    ):
+        raise ValueError("eval_points must be a list of coordinate lists")
     p = int(problem["p"])
     n_max = int(problem["n_max"])
     f = _boundary_from_description(p, problem["boundary"])
@@ -203,7 +210,7 @@ def _cmd_solve(args) -> int:
         quad_degree = 64
     sol = bvp_mod.project_boundary(f, n_max)
     rows = []
-    for point in problem["eval_points"]:
+    for point in eval_points:
         x = np.asarray(point, dtype=float)
         a = bvp_mod.series_eval(sol, x)
         b = bvp_mod.poisson_eval(f, x, quad_degree=quad_degree)
@@ -342,12 +349,9 @@ def _check_harmonicity(args):
     for p in ps:
         for n in range(n_top + 1):
             for member in harmonic_basis_raw(p, n):
-                lap = member.laplacian()
-                if lap.terms:
-                    worst = max(worst, float(max(abs(c) for c in lap.terms.values())))
+                worst = max(worst, float(member.laplacian().max_abs_coeff()))
             lap = legendre_harmonic(p, n).laplacian()
-            if lap.terms:
-                worst = max(worst, float(max(abs(c) for c in lap.terms.values())))
+            worst = max(worst, float(lap.max_abs_coeff()))
     return ps, range(n_top + 1), worst, tol
 
 
@@ -469,8 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="Dirichlet problem from a JSON description")
     sp.add_argument("--problem", required=True, help="path to the problem JSON file")
     sp.add_argument("--degree", type=int, help="kernel quadrature degree override")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", help="also write the output to this file")
+    common(sp)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("verify", help="run named identity checks")
@@ -481,8 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, help="random sample count")
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     sp.add_argument("--tol", type=float, help="tolerance override")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", help="also write the output to this file")
+    common(sp)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

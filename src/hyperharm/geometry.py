@@ -208,16 +208,6 @@ def line_element_coeffs(pt: SphericalPoint) -> tuple:
     return tuple(out)
 
 
-def _batched_values(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == (nodes.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(row)) for row in nodes])
-
-
 class QuadratureRule:
     """Nodes and positive weights, exact for polynomials up to exact_degree.
 
@@ -262,11 +252,7 @@ class QuadratureRule:
         return len(self.weights)
 
     def integrate(self, f) -> float:
-        if self.p is None:
-            vals = orthopoly._values_on(f, self.nodes)
-        else:
-            vals = _batched_values(f, self.nodes)
-        return float(np.sum(self.weights * vals))
+        return float(np.sum(self.weights * orthopoly._values_on(f, self.nodes)))
 
     def to_json(self) -> str:
         return json.dumps(

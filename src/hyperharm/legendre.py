@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import PiRational, solid_angle, solid_angle_exact
-from .orthopoly import Poly1D, Weight, gauss_rule, _values_on
+from .orthopoly import Poly1D, Weight, _falling, _values_on, gauss_rule
 
 __all__ = [
     "LegendreTable",
@@ -107,13 +107,6 @@ def legendre_eval(p: int, n: int, t):
     for k in range(1, n):
         prev, cur = cur, ((2 * k + p - 2) * t * cur - k * prev) / (k + p - 2)
     return float(cur) if scalar else cur
-
-
-def _falling(q, j: int):
-    out = Fraction(1)
-    for i in range(j):
-        out = out * (q - i)
-    return out
 
 
 @lru_cache(maxsize=None)

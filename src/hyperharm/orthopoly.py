@@ -242,13 +242,16 @@ def gauss_rule(w: Weight, m: int):
 
 
 def _values_on(f, nodes: np.ndarray) -> np.ndarray:
-    if isinstance(f, Poly1D):
-        return f(nodes)
+    """f at every node (an entry or a row of `nodes`), batched when f allows.
+
+    A TypeError or ValueError from the call on the whole array, or a result
+    without one value per node, means f takes one point at a time.
+    """
     try:
         vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == nodes.shape:
+        if vals.shape == (len(nodes),):
             return vals
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(f(t)) for t in nodes])
 

@@ -1,11 +1,11 @@
-"""Exact multivariate polynomials over the rationals.
+"""Multivariate polynomials: one sparse core, exact or float coefficients.
 
-The Laplacian, the Euler operator, and the homogeneity and harmonicity
-predicates run in Fraction arithmetic, so algebraic identities are decided
-exactly instead of within a floating tolerance.  Rotation is the one
-deliberately inexact operation: orthogonal matrices generally have
-irrational entries, so rotated polynomials carry float coefficients and
-live in :class:`FloatPolynomial`.
+:class:`ExactPolynomial` (Fraction coefficients) decides the Laplacian, the
+Euler operator, and homogeneity and harmonicity exactly instead of within
+a floating tolerance.  :class:`FloatPolynomial` shares the core's ring,
+Laplacian and evaluation code with float coefficients.  Rotation is the
+one deliberately inexact operation: orthogonal matrices generally have
+irrational entries, so rotated polynomials are always FloatPolynomials.
 """
 
 from __future__ import annotations
@@ -74,11 +74,38 @@ def _validated_terms(nvars, terms, coerce):
     return {k: out[k] for k in sorted(out)}
 
 
-class ExactPolynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+def _format_terms(terms, fmt) -> str:
+    if not terms:
+        return "0"
+    parts = []
+    for a, c in terms.items():
+        monos = "*".join(
+            f"x{i + 1}" if ai == 1 else f"x{i + 1}^{ai}"
+            for i, ai in enumerate(a)
+            if ai
+        )
+        if not monos:
+            parts.append(fmt(c))
+        elif c == 1:
+            parts.append(monos)
+        elif c == -1:
+            parts.append(f"-{monos}")
+        else:
+            parts.append(f"{fmt(c)}*{monos}")
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
+class _Polynomial:
+    """Sparse multivariate polynomial; subclasses fix the coefficient kind.
 
     Terms map exponent multi-indices (tuples of length `nvars`) to nonzero
-    rational coefficients.  Instances are treated as immutable.
+    coefficients, each passed through the subclass's `_coerce`; `_scalar`
+    converts the scalars that `constant`, `+` and `-` accept.  Results of
+    operations have the type of the left operand.  Instances are treated
+    as immutable.
     """
 
     __slots__ = ("nvars", "terms", "_float_cache")
@@ -86,28 +113,18 @@ class ExactPolynomial:
     def __init__(self, nvars: int, terms=None):
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(
-            self, "terms", _validated_terms(self.nvars, terms or {}, _as_fraction)
+            self, "terms", _validated_terms(self.nvars, terms or {}, self._coerce)
         )
         object.__setattr__(self, "_float_cache", None)
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int) -> "ExactPolynomial":
+    def zero(cls, nvars: int):
         return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "ExactPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def monomial(cls, nvars: int, alpha, c=1) -> "ExactPolynomial":
-        return cls(nvars, {tuple(alpha): Fraction(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "ExactPolynomial":
-        alpha = [0] * nvars
-        alpha[i] = 1
-        return cls(nvars, {tuple(alpha): Fraction(1)})
+    def constant(cls, nvars: int, c):
+        return cls(nvars, {(0,) * nvars: cls._scalar(c)})
 
     # -- ring operations ----------------------------------------------
     def _check_same_space(self, other):
@@ -115,40 +132,42 @@ class ExactPolynomial:
             raise ValueError("polynomials live in different variable counts")
 
     def __add__(self, other):
-        if isinstance(other, ExactPolynomial):
+        if isinstance(other, _Polynomial):
             self._check_same_space(other)
+            zero = self._coerce(0)
             terms = dict(self.terms)
             for a, c in other.terms.items():
-                terms[a] = terms.get(a, Fraction(0)) + c
-            return ExactPolynomial(self.nvars, terms)
-        return self + ExactPolynomial.constant(self.nvars, other)
+                terms[a] = terms.get(a, zero) + c
+            return type(self)(self.nvars, terms)
+        return self + self.constant(self.nvars, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPolynomial(self.nvars, {a: -c for a, c in self.terms.items()})
+        return type(self)(self.nvars, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ExactPolynomial) else -Fraction(other))
+        return self + (-other if isinstance(other, _Polynomial) else -self._scalar(other))
 
     def __mul__(self, other):
-        if isinstance(other, ExactPolynomial):
+        if isinstance(other, _Polynomial):
             self._check_same_space(other)
+            zero = self._coerce(0)
             terms: dict = {}
             for a, ca in self.terms.items():
                 for b, cb in other.terms.items():
                     key = tuple(x + y for x, y in zip(a, b))
-                    terms[key] = terms.get(key, Fraction(0)) + ca * cb
-            return ExactPolynomial(self.nvars, terms)
-        c = _as_fraction(other)
-        return ExactPolynomial(self.nvars, {a: v * c for a, v in self.terms.items()})
+                    terms[key] = terms.get(key, zero) + ca * cb
+            return type(self)(self.nvars, terms)
+        c = self._coerce(other)
+        return type(self)(self.nvars, {a: v * c for a, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = ExactPolynomial.constant(self.nvars, 1)
+        out = self.constant(self.nvars, 1)
         base = self
         while k:
             if k & 1:
@@ -159,7 +178,7 @@ class ExactPolynomial:
 
     def __eq__(self, other):
         return (
-            isinstance(other, ExactPolynomial)
+            isinstance(other, type(self))
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -168,52 +187,27 @@ class ExactPolynomial:
         return hash((self.nvars, tuple(self.terms.items())))
 
     # -- queries --------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(a) for a in self.terms), default=-1)
 
-    def is_homogeneous(self):
-        """The common total degree of all terms, or None; zero polynomial -> 0."""
-        degs = {sum(a) for a in self.terms}
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_harmonic(self) -> bool:
-        return self.laplacian().is_zero()
+    def max_abs_coeff(self):
+        return max((abs(c) for c in self.terms.values()), default=self._coerce(0))
 
     # -- calculus --------------------------------------------------------
-    def partial(self, i: int) -> "ExactPolynomial":
-        terms = {}
-        for a, c in self.terms.items():
-            if a[i]:
-                key = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                terms[key] = terms.get(key, Fraction(0)) + c * a[i]
-        return ExactPolynomial(self.nvars, terms)
-
-    def laplacian(self) -> "ExactPolynomial":
+    def laplacian(self):
+        zero = self._coerce(0)
         terms: dict = {}
         for a, c in self.terms.items():
             for i, ai in enumerate(a):
                 if ai >= 2:
                     key = a[:i] + (ai - 2,) + a[i + 1 :]
-                    terms[key] = terms.get(key, Fraction(0)) + c * ai * (ai - 1)
-        return ExactPolynomial(self.nvars, terms)
-
-    def euler_apply(self) -> "ExactPolynomial":
-        """Apply sum_i x_i d/dx_i; equals n*q exactly for homogeneous q of degree n."""
-        return ExactPolynomial(
-            self.nvars, {a: c * sum(a) for a, c in self.terms.items()}
-        )
+                    terms[key] = terms.get(key, zero) + c * ai * (ai - 1)
+        return type(self)(self.nvars, terms)
 
     # -- evaluation ------------------------------------------------------
     def evaluate(self, x):
-        """Evaluate at one point; exact when the coordinates are rational."""
+        """Evaluate at one point in the arithmetic of the coefficients and x."""
         if len(x) != self.nvars:
             raise ValueError("point dimension does not match nvars")
         total = 0
@@ -250,9 +244,83 @@ class ExactPolynomial:
     def rotate(self, matrix) -> "FloatPolynomial":
         """Substitute x -> Rx; returns a float-coefficient polynomial."""
         r = check_orthogonal(matrix)
-        if r.shape[0] != self.nvars:
+        n = self.nvars
+        if r.shape[0] != n:
             raise ValueError("rotation matrix dimension does not match nvars")
-        return _substitute_linear(self.terms, r, self.nvars)
+        # linear forms (Rx)_i = sum_j R[i, j] x_j, with power tables built on demand
+        forms = [
+            FloatPolynomial(
+                n, {tuple(int(m == j) for m in range(n)): r[i, j] for j in range(n)}
+            )
+            for i in range(n)
+        ]
+        powers = [[FloatPolynomial.constant(n, 1)] for _ in range(n)]
+        out = FloatPolynomial.zero(n)
+        for alpha, c in self.terms.items():
+            term = FloatPolynomial.constant(n, c)
+            for i, ai in enumerate(alpha):
+                while len(powers[i]) <= ai:
+                    powers[i].append(powers[i][-1] * forms[i])
+                if ai:
+                    term = term * powers[i][ai]
+            out = out + term
+        return out
+
+    def __str__(self):
+        return _format_terms(self.terms, self._format)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.nvars}, {self})"
+
+
+class ExactPolynomial(_Polynomial):
+    """Polynomial with Fraction coefficients; float coefficients are rejected."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_as_fraction)
+    _scalar = Fraction
+    _format = str
+
+    @classmethod
+    def monomial(cls, nvars: int, alpha, c=1) -> "ExactPolynomial":
+        return cls(nvars, {tuple(alpha): Fraction(c)})
+
+    @classmethod
+    def variable(cls, nvars: int, i: int) -> "ExactPolynomial":
+        alpha = [0] * nvars
+        alpha[i] = 1
+        return cls(nvars, {tuple(alpha): Fraction(1)})
+
+    # -- queries --------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self):
+        """The common total degree of all terms, or None; zero polynomial -> 0."""
+        degs = {sum(a) for a in self.terms}
+        if not degs:
+            return 0
+        if len(degs) == 1:
+            return degs.pop()
+        return None
+
+    def is_harmonic(self) -> bool:
+        return self.laplacian().is_zero()
+
+    # -- calculus --------------------------------------------------------
+    def partial(self, i: int) -> "ExactPolynomial":
+        terms = {}
+        for a, c in self.terms.items():
+            if a[i]:
+                key = a[:i] + (a[i] - 1,) + a[i + 1 :]
+                terms[key] = terms.get(key, Fraction(0)) + c * a[i]
+        return ExactPolynomial(self.nvars, terms)
+
+    def euler_apply(self) -> "ExactPolynomial":
+        """Apply sum_i x_i d/dx_i; equals n*q exactly for homogeneous q of degree n."""
+        return ExactPolynomial(
+            self.nvars, {a: c * sum(a) for a, c in self.terms.items()}
+        )
 
     # -- conversion and io ------------------------------------------
     def to_float(self) -> "FloatPolynomial":
@@ -271,10 +339,11 @@ class ExactPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPolynomial":
-        terms = {
-            tuple(t["alpha"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
+        terms = {}
+        for i, t in enumerate(data["terms"]):
+            if int(t["den"]) == 0:
+                raise ValueError(f"term {i} has denominator 0")
+            terms[tuple(t["alpha"])] = Fraction(int(t["num"]), int(t["den"]))
         return cls(int(data["nvars"]), terms)
 
     def to_json(self) -> str:
@@ -284,160 +353,16 @@ class ExactPolynomial:
     def from_json(cls, text: str) -> "ExactPolynomial":
         return cls.from_json_dict(json.loads(text))
 
-    def __str__(self):
-        return _format_terms(self.terms, lambda c: str(c))
 
-    def __repr__(self):
-        return f"ExactPolynomial({self.nvars}, {self})"
+class FloatPolynomial(_Polynomial):
+    """Polynomial with float coefficients, in the same term layout."""
 
+    __slots__ = ()
+    _coerce = _scalar = float
 
-def _format_terms(terms, fmt) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for a, c in terms.items():
-        monos = "*".join(
-            f"x{i + 1}" if ai == 1 else f"x{i + 1}^{ai}"
-            for i, ai in enumerate(a)
-            if ai
-        )
-        if not monos:
-            parts.append(fmt(c))
-        elif c == 1:
-            parts.append(monos)
-        elif c == -1:
-            parts.append(f"-{monos}")
-        else:
-            parts.append(f"{fmt(c)}*{monos}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
-
-
-class FloatPolynomial:
-    """Float-coefficient counterpart of ExactPolynomial (same term layout)."""
-
-    __slots__ = ("nvars", "terms", "_float_cache")
-
-    def __init__(self, nvars: int, terms=None):
-        object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(
-            self, "terms", _validated_terms(self.nvars, terms or {}, float)
-        )
-        object.__setattr__(self, "_float_cache", None)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "FloatPolynomial":
-        return cls(nvars, {})
-
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials live in different variable counts")
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, 0.0) + c
-        return FloatPolynomial(self.nvars, terms)
-
-    def __mul__(self, scalar):
-        c = float(scalar)
-        return FloatPolynomial(self.nvars, {a: v * c for a, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * -1.0
-
-    def degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=-1)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def laplacian(self) -> "FloatPolynomial":
-        terms: dict = {}
-        for a, c in self.terms.items():
-            for i, ai in enumerate(a):
-                if ai >= 2:
-                    key = a[:i] + (ai - 2,) + a[i + 1 :]
-                    terms[key] = terms.get(key, 0.0) + c * ai * (ai - 1)
-        return FloatPolynomial(self.nvars, terms)
+    @staticmethod
+    def _format(c) -> str:
+        return format(c, ".17g")
 
     def evaluate(self, x) -> float:
-        if len(x) != self.nvars:
-            raise ValueError("point dimension does not match nvars")
-        total = 0.0
-        for a, c in self.terms.items():
-            v = c
-            for xi, ai in zip(x, a):
-                if ai:
-                    v *= float(xi) ** ai
-            total += v
-        return total
-
-    def _float_arrays(self):
-        cache = self._float_cache
-        if cache is None:
-            exps = np.array(sorted(self.terms), dtype=np.int64).reshape(
-                len(self.terms), self.nvars
-            )
-            coeffs = np.array([self.terms[tuple(e)] for e in exps])
-            cache = (exps, coeffs)
-            object.__setattr__(self, "_float_cache", cache)
-        return cache
-
-    def evaluate_array(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.nvars:
-            raise ValueError("point dimension does not match nvars")
-        if not self.terms:
-            return np.zeros(pts.shape[0])
-        exps, coeffs = self._float_arrays()
-        return (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
-
-    def rotate(self, matrix) -> "FloatPolynomial":
-        r = check_orthogonal(matrix)
-        if r.shape[0] != self.nvars:
-            raise ValueError("rotation matrix dimension does not match nvars")
-        return _substitute_linear(self.terms, r, self.nvars)
-
-    def __str__(self):
-        return _format_terms(self.terms, lambda c: format(c, ".17g"))
-
-    def __repr__(self):
-        return f"FloatPolynomial({self.nvars}, {self})"
-
-
-def _poly_mul_float(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _substitute_linear(terms, r: np.ndarray, nvars: int) -> FloatPolynomial:
-    """Expand q(Rx) in float arithmetic given q's terms and the matrix R."""
-    unit = (0,) * nvars
-    # linear forms (Rx)_i = sum_j R[i, j] x_j, with power tables built on demand
-    basis = []
-    for i in range(nvars):
-        form = {}
-        for j in range(nvars):
-            if r[i, j] != 0.0:
-                key = tuple(1 if m == j else 0 for m in range(nvars))
-                form[key] = r[i, j]
-        basis.append(form)
-    powers: list[list[dict]] = [[{unit: 1.0}] for _ in range(nvars)]
-    out: dict = {}
-    for alpha, c in terms.items():
-        term = {unit: float(c)}
-        for i, ai in enumerate(alpha):
-            while len(powers[i]) <= ai:
-                powers[i].append(_poly_mul_float(powers[i][-1], basis[i]))
-            if ai:
-                term = _poly_mul_float(term, powers[i][ai])
-        for key, v in term.items():
-            out[key] = out.get(key, 0.0) + v
-    return FloatPolynomial(nvars, out)
+        return float(super().evaluate([float(xi) for xi in x]))

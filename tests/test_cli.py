@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperharm
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
 
@@ -172,3 +176,58 @@ def test_json_format_for_verify(capsys):
     doc = json.loads(out)
     assert doc[0]["check"] == "quadrature"
     assert doc[0]["pass"] is True
+
+
+def _run_module(*argv):
+    """Run ``python -m hyperharm`` in a fresh interpreter on this source tree."""
+    src = str(Path(hyperharm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "hyperharm", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+
+
+def test_python_dash_m_entry_point():
+    proc = _run_module("count", "--p", "3", "--n", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1] == "3,2,6,5"
+
+
+COORDINATE = {"type": "builtin", "name": "coordinate"}
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {
+                    "type": "polynomial",
+                    "terms": [
+                        {"alpha": [0, 0, 0], "num": 1, "den": 1},
+                        {"alpha": [1, 0, 0], "num": 1, "den": 0},
+                    ],
+                },
+                "eval_points": [[0.1, 0.0, 0.0]],
+            },
+            "term 1",
+        ),
+        ([{"p": 3, "n_max": 2, "boundary": COORDINATE}], "JSON object"),
+        ({"p": 3, "n_max": 2, "boundary": COORDINATE, "eval_points": 5}, "eval_points"),
+    ],
+    ids=["zero-denominator", "top-level-array", "scalar-eval-points"],
+)
+def test_malformed_problem_is_an_input_error(tmp_path, problem, message):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    proc = _run_module("solve", "--problem", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -232,3 +232,41 @@ def test_parseval_non_polynomial_stays_bounded():
 def test_recurrence_dataclass_shape():
     rc = RecurrenceCoeffs(A=(1.0,), B=(0.0,), C=(0.0,))
     assert rc.A == (1.0,)
+
+
+def test_scalar_only_callables_fall_back_per_node():
+    from hyperharm.bvp import BoundaryData
+    from hyperharm.geometry import sphere_quadrature, zonal_integral
+
+    # float(t) and math.exp(x[0]) raise TypeError on a whole node array
+    line = gauss_rule(LEGENDRE, 5)
+    assert line.integrate(lambda t: float(t) ** 2) == pytest.approx(2 / 3, rel=1e-14)
+    assert zonal_integral(3, lambda t: float(t) ** 2) == pytest.approx(
+        4 * math.pi / 3, rel=1e-14
+    )
+    sphere = sphere_quadrature(3, 6)
+    assert sphere.integrate(lambda x: math.exp(x[0])) == pytest.approx(
+        sphere.integrate(lambda x: np.exp(x[:, 0])), rel=1e-14
+    )
+    values = BoundaryData.from_callable(3, lambda x: math.exp(x[0])).values_at(
+        sphere.nodes
+    )
+    assert np.allclose(values, np.exp(sphere.nodes[:, 0]), rtol=1e-15, atol=0)
+
+    # any other error from the batch call propagates instead of retrying per node
+    calls = []
+
+    def fails(x):
+        calls.append(x)
+        raise ZeroDivisionError("batch failure")
+
+    for evaluate in (
+        lambda: line.integrate(fails),
+        lambda: sphere.integrate(fails),
+        lambda: zonal_integral(3, fails),
+        lambda: BoundaryData.from_callable(3, fails).values_at(sphere.nodes),
+    ):
+        calls.clear()
+        with pytest.raises(ZeroDivisionError):
+            evaluate()
+        assert len(calls) == 1

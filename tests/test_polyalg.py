@@ -165,3 +165,24 @@ def test_str_forms_are_readable():
     q = ExactPolynomial(2, {(2, 0): Fraction(3, 2), (0, 1): Fraction(-1)})
     assert str(q) == "-x2 + 3/2*x1^2"
     assert str(ExactPolynomial.zero(2)) == "0"
+
+
+def test_exact_and_float_kinds_share_one_core():
+    q = ExactPolynomial(
+        3, {(2, 0, 1): Fraction(1, 3), (0, 1, 0): Fraction(-2), (1, 1, 1): Fraction(5, 7)}
+    )
+    f = q.to_float()
+    pts = np.random.default_rng(20260817).normal(size=(25, 3))
+    assert np.array_equal(q.evaluate_array(pts), f.evaluate_array(pts))
+    assert repr(f).startswith("FloatPolynomial(")
+    assert repr(q).startswith("ExactPolynomial(")
+    with pytest.raises(TypeError):
+        ExactPolynomial(2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        q * 0.5
+    # value semantics the float kind gets from the shared core
+    assert f == q.to_float() and hash(f) == hash(q.to_float())
+    assert f != q
+    assert (f + 1).terms[(0, 0, 0)] == 1.0
+    assert f * f == f**2
+    assert q.max_abs_coeff() == Fraction(2)
