@@ -150,7 +150,7 @@ def project_boundary(
         )
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if coeff_sq_sum > f_norm_sq + 1e-8:
-        raise RuntimeError(
+        raise ValueError(
             "projection coefficients violate the norm bound; "
             "quadrature degree is too low for this boundary data"
         )
@@ -166,24 +166,25 @@ def project_boundary(
     )
 
 
-def series_eval(sol: BvpSolution, x) -> float:
-    """Value of the series solution at an interior point.
+def series_eval(sol: BvpSolution, x):
+    """Value of the series solution at points of the closed unit ball.
 
-    Each basis member is a homogeneous polynomial, so evaluating it off the
+    x of shape (p,) returns a float; shape (m, p) returns an array.  Each
+    basis member is a homogeneous polynomial, so evaluating it off the
     sphere supplies the |x|^n damping automatically, and x = 0 survives as
     the constant term alone.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (sol.p,):
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.ndim != 2 or pts.shape[1] != sol.p:
         raise ValueError("point dimension does not match the solution")
-    if np.linalg.norm(x) > 1 + 1e-12:
+    if np.any(np.linalg.norm(pts, axis=1) > 1 + 1e-12):
         raise ValueError("series solution is defined on the closed unit ball")
-    pt = x[None, :]
-    total = 0.0
+    total = np.zeros(pts.shape[0])
     for basis, row in zip(sol.bases, sol.coeffs):
-        vals = basis.evaluate_members(pt)[0]
-        total += float(np.dot(row, vals))
-    return total
+        total += basis.evaluate_members(pts) @ np.asarray(row)
+    return float(total[0]) if single else total
 
 
 def green_function(p: int, x, x0) -> float:

@@ -210,11 +210,13 @@ def _cmd_solve(args) -> int:
         quad_degree = 64
     sol = bvp_mod.project_boundary(f, n_max)
     rows = []
-    for point in eval_points:
-        x = np.asarray(point, dtype=float)
-        a = bvp_mod.series_eval(sol, x)
-        b = bvp_mod.poisson_eval(f, x, quad_degree=quad_degree)
-        rows.append([*(float(v) for v in x), a, b, abs(a - b)])
+    if eval_points:
+        pts = np.array(eval_points, dtype=float)
+        series = bvp_mod.series_eval(sol, pts).tolist()
+        kernel = bvp_mod.poisson_eval(f, pts, quad_degree=quad_degree).tolist()
+        rows = [
+            [*x, a, b, abs(a - b)] for x, a, b in zip(pts.tolist(), series, kernel)
+        ]
     header = [f"x{i + 1}" for i in range(p)] + [
         "series_value",
         "poisson_value",
@@ -370,12 +372,15 @@ def _check_bvp(args):
         ]
         for f in data:
             sol = bvp_mod.project_boundary(f, n_max=4)
+            pts = []
             for _ in range(10):
                 x = rng.normal(size=p)
                 x *= 0.8 * rng.random() / np.linalg.norm(x)
-                a = bvp_mod.series_eval(sol, x)
-                b = bvp_mod.poisson_eval(f, x, quad_degree=64)
-                worst = max(worst, abs(a - b))
+                pts.append(x)
+            pts = np.array(pts)
+            a = bvp_mod.series_eval(sol, pts)
+            b = bvp_mod.poisson_eval(f, pts, quad_degree=64)
+            worst = max(worst, float(np.max(np.abs(a - b))))
         for _ in range(5):
             xb = rng.normal(size=p)
             xb /= np.linalg.norm(xb)

@@ -14,13 +14,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, monomial_sphere_integral, solid_angle
-from .polyalg import ExactPolynomial, FloatPolynomial
+from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials
 
 __all__ = [
     "HarmonicBasis",
@@ -228,18 +228,32 @@ def exact_rank(gram) -> int:
     return _rank_exact_fractions(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicBasis:
-    """Orthonormal degree-n spherical harmonics with their exact ancestry."""
+    """Orthonormal degree-n spherical harmonics with their exact ancestry.
+
+    Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
+    float matrix over one list of K monomials, shared by all N members.
+    """
 
     p: int
     n: int
-    members: tuple
+    exponents: np.ndarray
+    coeffs: np.ndarray
     gram_exact: tuple
 
+    @cached_property
+    def members(self) -> tuple:
+        """One FloatPolynomial per member, from the matrix's nonzero entries."""
+        monos = [tuple(int(a) for a in alpha) for alpha in self.exponents]
+        return tuple(
+            FloatPolynomial(self.p, {alpha: c for alpha, c in zip(monos, row) if c})
+            for row in self.coeffs
+        )
+
     def evaluate_members(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.column_stack([m.evaluate_array(pts) for m in self.members])
+        """Member values at (m, p) points (or one (p,) point) as an (m, N) array."""
+        return evaluate_monomials(points, self.exponents, self.coeffs)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -298,18 +312,13 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
         for alpha, c in m.terms.items():
             raw_mat[i, index[alpha]] = float(c)
     member_mat = coeff @ raw_mat
-    members = tuple(
-        FloatPolynomial(
-            p,
-            {
-                alpha: member_mat[i, k]
-                for k, alpha in enumerate(monos)
-                if member_mat[i, k]
-            },
-        )
-        for i in range(size)
+    exponents = np.array(monos, dtype=np.int64).reshape(len(monos), p)
+    # the basis is cached and shared by every caller
+    exponents.flags.writeable = False
+    member_mat.flags.writeable = False
+    return HarmonicBasis(
+        p=p, n=n, exponents=exponents, coeffs=member_mat, gram_exact=gram
     )
-    return HarmonicBasis(p=p, n=n, members=members, gram_exact=gram)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

@@ -6,6 +6,10 @@ a floating tolerance.  :class:`FloatPolynomial` shares the core's ring,
 Laplacian and evaluation code with float coefficients.  Rotation is the
 one deliberately inexact operation: orthogonal matrices generally have
 irrational entries, so rotated polynomials are always FloatPolynomials.
+
+:func:`evaluate_monomials` is the package's one float evaluator for
+coefficients over a monomial list: a single polynomial's terms and a whole
+basis's coefficient matrix both go through it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,16 @@ __all__ = [
     "ExactPolynomial",
     "FloatPolynomial",
     "check_orthogonal",
+    "evaluate_monomials",
+    "monomial_table",
     "random_orthogonal",
 ]
 
 ORTHOGONALITY_TOL = 1e-12
+
+# entries per row chunk in evaluate_monomials (2 MB of float64), so that no
+# temporary grows with the number of points
+CHUNK_ELEMENTS = 1 << 18
 
 
 def _as_fraction(value) -> Fraction:
@@ -53,6 +63,56 @@ def random_orthogonal(p: int, seed: int = 0) -> np.ndarray:
     # fix the QR sign ambiguity so the result is a deterministic function of the seed
     q = q * np.sign(np.diag(r))
     return q
+
+
+def monomial_table(points, exponents) -> np.ndarray:
+    """Values x^alpha at each row x of `points` (m, p), one column per row
+    alpha of `exponents` (K, p): an (m, K) array.
+
+    Built from per-coordinate power tables by repeated multiplication, so
+    no `pow` is taken; callers with many points should go through
+    :func:`evaluate_monomials`, which bounds the table's size.
+    """
+    pts = np.asarray(points, dtype=float)
+    exps = np.asarray(exponents, dtype=np.int64)
+    table = np.ones((pts.shape[0], exps.shape[0]))
+    for i in range(exps.shape[1]):
+        top = int(exps[:, i].max(initial=0))
+        if not top:
+            continue
+        x = pts[:, i]
+        powers = np.empty((pts.shape[0], top + 1))
+        powers[:, 0] = 1.0
+        powers[:, 1] = x
+        for k in range(2, top + 1):
+            np.multiply(powers[:, k - 1], x, out=powers[:, k])
+        table *= powers[:, exps[:, i]]
+    return table
+
+
+def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
+    """sum_k coeffs[..., k] x^exponents[k] at each row x of `points`.
+
+    `points` is (m, p) or a single (p,) point, `exponents` is (K, p) and
+    `coeffs` is (K,) for one polynomial or (N, K) for N of them; the result
+    is (m,) or (m, N).  Points are taken in row chunks of about
+    CHUNK_ELEMENTS table entries, so memory beyond the result stays bounded
+    however many points there are.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    exps = np.asarray(exponents, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != exps.shape[1]:
+        raise ValueError(
+            f"points of dimension {pts.shape[-1]} for monomials in {exps.shape[1]} variables"
+        )
+    width = max(exps.shape[0], int(exps.max(initial=0)) + 1)
+    rows = max(1, CHUNK_ELEMENTS // width)
+    out = np.empty((pts.shape[0],) + coeffs.shape[:-1])
+    for start in range(0, pts.shape[0], rows):
+        chunk = pts[start : start + rows]
+        out[start : start + rows] = monomial_table(chunk, exps) @ coeffs.T
+    return out
 
 
 def _validated_terms(nvars, terms, coerce):
@@ -232,13 +292,7 @@ class _Polynomial:
 
     def evaluate_array(self, points) -> np.ndarray:
         """Vectorized float evaluation at an (m, nvars) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.nvars:
-            raise ValueError("point dimension does not match nvars")
-        if not self.terms:
-            return np.zeros(pts.shape[0])
-        exps, coeffs = self._float_arrays()
-        return (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+        return evaluate_monomials(points, *self._float_arrays())
 
     # -- rotations ---------------------------------------------------
     def rotate(self, matrix) -> "FloatPolynomial":

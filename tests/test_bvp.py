@@ -250,3 +250,29 @@ def test_generating_function_consistency_report():
     r_grid = (0.1, 0.3, 0.5)
     for p in (3, 4):
         assert generating_function_consistency(p, t_grid, r_grid, 60) <= 1e-10
+
+
+def test_series_batch_matches_single_points():
+    f = builtin_boundary(3, "exponential")
+    sol = project_boundary(f, 5)
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(30, 3))
+    pts *= (rng.random(30) / np.linalg.norm(pts, axis=1))[:, None]
+    pts[0] = 0.0
+    pts[1] = [0.6, 0.0, 0.8]
+    batch = series_eval(sol, pts)
+    assert batch.shape == (30,)
+    single = [series_eval(sol, x) for x in pts]
+    assert all(isinstance(v, float) for v in single)
+    assert np.max(np.abs(batch - single)) <= 1e-14
+    assert series_eval(sol, pts[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        series_eval(sol, np.vstack([pts, [[0.0, 1.2, 0.0]]]))
+    with pytest.raises(ValueError):
+        series_eval(sol, pts[:, :2])
+
+
+def test_projection_norm_bound_violation_is_an_input_error():
+    # degree-60 harmonics cannot be resolved by the default degree-40 rule
+    with pytest.raises(ValueError, match="norm bound"):
+        project_boundary(builtin_boundary(2, "exponential"), 60)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import hyperharm
+from hyperharm.bvp import BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
+from hyperharm.polyalg import ExactPolynomial
 
 
 def _out(capsys):
@@ -231,3 +233,49 @@ def test_malformed_problem_is_an_input_error(tmp_path, problem, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_norm_bound_violation_is_an_input_error(tmp_path):
+    problem = {
+        "p": 2,
+        "n_max": 60,
+        "boundary": {"type": "builtin", "name": "exponential"},
+        "eval_points": [[0.1, 0.2]],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    proc = _run_module("solve", "--problem", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "norm bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_solve_columns_match_single_point_solvers(tmp_path, capsys):
+    terms = [
+        {"alpha": [1, 1, 0], "num": 3, "den": 4},
+        {"alpha": [0, 0, 2], "num": -1, "den": 2},
+        {"alpha": [0, 1, 0], "num": 5, "den": 8},
+    ]
+    points = np.random.default_rng(51).uniform(-0.5, 0.5, size=(7, 3)).tolist()
+    problem = {
+        "p": 3,
+        "n_max": 3,
+        "boundary": {"type": "polynomial", "terms": terms},
+        "eval_points": points,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert run(["solve", "--problem", str(path), "--degree", "30", "--format", "json"]) == 0
+    doc = json.loads(_out(capsys)[0])
+    f = BoundaryData.from_polynomial(ExactPolynomial.from_json_dict({"nvars": 3, "terms": terms}))
+    sol = project_boundary(f, 3)
+    series_col = doc["header"].index("series_value")
+    kernel_col = doc["header"].index("poisson_value")
+    assert len(doc["rows"]) == len(points)
+    for row, x in zip(doc["rows"], np.array(points)):
+        # the batched kernel sweep does the same arithmetic per point
+        assert row[kernel_col] == poisson_eval(f, x, quad_degree=30)
+        assert abs(row[series_col] - series_eval(sol, x)) <= 1e-14
+    path.write_text(json.dumps(dict(problem, eval_points=[])))
+    assert run(["solve", "--problem", str(path), "--format", "json"]) == 0
+    assert json.loads(_out(capsys)[0])["rows"] == []

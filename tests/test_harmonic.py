@@ -16,7 +16,7 @@ from hyperharm.harmonic import (
     orthonormalize,
 )
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import random_orthogonal
+from hyperharm.polyalg import CHUNK_ELEMENTS, random_orthogonal
 
 
 def test_homogeneous_count_matches_enumeration():
@@ -164,3 +164,50 @@ def test_exact_rank_oracles():
     assert exact_rank(((entry(1), entry(2)), (entry(2), entry(4)))) == 1
     assert exact_rank(((entry(1), entry(0)), (entry(0), entry(1)))) == 2
     assert exact_rank(((entry(0),),)) == 0
+
+
+def _pow_reference(basis, pts):
+    """Per-member evaluation with pow, one sparse polynomial at a time."""
+    cols = []
+    for member in basis.members:
+        exps = np.array(list(member.terms), dtype=np.int64).reshape(-1, basis.p)
+        coeffs = np.array(list(member.terms.values()))
+        cols.append((pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs)
+    return np.column_stack(cols)
+
+
+def _assert_matrix_evaluation_matches(basis, pts):
+    got = basis.evaluate_members(pts)
+    tol = 1e-13 * np.max(np.abs(basis.coeffs))
+    per_member = np.column_stack([m.evaluate_array(pts) for m in basis.members])
+    assert got.shape == (len(pts), len(basis.members))
+    assert np.max(np.abs(got - per_member)) <= tol, (basis.p, basis.n)
+    assert np.max(np.abs(got - _pow_reference(basis, pts))) <= tol, (basis.p, basis.n)
+
+
+def test_matrix_evaluation_matches_per_member_evaluation():
+    rng = np.random.default_rng(31)
+    cases = [(p, n) for p in range(2, 7) for n in range(7)] + [(6, 8)]
+    for p, n in cases:
+        basis = orthonormalize(p, n)
+        assert basis.coeffs.shape == (count_harmonic(p, n), len(basis.exponents))
+        assert not basis.coeffs.flags.writeable and not basis.exponents.flags.writeable
+        sphere = rng.normal(size=(25, p))
+        sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+        interior = sphere * rng.random(25)[:, None]
+        _assert_matrix_evaluation_matches(basis, sphere)
+        _assert_matrix_evaluation_matches(basis, interior)
+        x = interior[0]
+        single = basis.evaluate_members(x)
+        assert single.shape == (1, len(basis.members))
+        direct = [m.evaluate(x) for m in basis.members]
+        assert np.max(np.abs(single[0] - direct)) <= 1e-13 * np.max(np.abs(basis.coeffs))
+
+
+def test_matrix_evaluation_across_a_chunk_boundary():
+    basis = orthonormalize(4, 6)
+    # a basis's table is K monomials wide, and K > n, so a chunk has this many rows
+    rows = CHUNK_ELEMENTS // len(basis.exponents)
+    pts = np.random.default_rng(32).normal(size=(rows + 1, 4))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    _assert_matrix_evaluation_matches(basis, pts)

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperharm import polyalg
 from hyperharm.polyalg import (
     ExactPolynomial,
     FloatPolynomial,
     check_orthogonal,
+    evaluate_monomials,
+    monomial_table,
     random_orthogonal,
 )
 
@@ -186,3 +189,43 @@ def test_exact_and_float_kinds_share_one_core():
     assert (f + 1).terms[(0, 0, 0)] == 1.0
     assert f * f == f**2
     assert q.max_abs_coeff() == Fraction(2)
+
+
+def test_monomial_table_matches_powers():
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(30, 4))
+    exps = np.array([[0, 0, 0, 0], [3, 0, 1, 0], [0, 7, 0, 2], [1, 1, 1, 1], [0, 0, 12, 0]])
+    want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2)
+    got = monomial_table(pts, exps)
+    assert got.shape == (30, 5)
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-14
+    assert monomial_table(pts, np.zeros((0, 4), dtype=int)).shape == (30, 0)
+
+
+def test_evaluate_monomials_shapes_and_chunks():
+    rng = np.random.default_rng(8)
+    exps = np.array([[2, 0, 1], [0, 1, 0], [1, 1, 1]])
+    coeffs = np.array([[0.5, -2.0, 1.25], [1.0, 0.0, -3.0]])
+    # one row past the first chunk boundary: the width is max(K, top exponent + 1)
+    rows = polyalg.CHUNK_ELEMENTS // 3 + 1
+    pts = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs.T
+    got = evaluate_monomials(pts, exps, coeffs)
+    assert got.shape == (rows, 2)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    one = evaluate_monomials(pts[-1], exps, coeffs[0])
+    assert one.shape == (1,) and abs(one[0] - want[-1, 0]) <= 1e-14
+    assert evaluate_monomials(pts[:0], exps, coeffs).shape == (0, 2)
+    with pytest.raises(ValueError):
+        evaluate_monomials(pts[:, :2], exps, coeffs)
+
+
+def test_array_evaluation_across_a_chunk_boundary():
+    terms = {(1, 1, 1, 0, 0): 9, (0, 2, 0, 0, 0): -13, (0, 0, 0, 0, 1): 11}
+    q = ExactPolynomial(5, {a: Fraction(k, 16) for a, k in terms.items()})
+    rows = polyalg.CHUNK_ELEMENTS // 3 + 1
+    pts = np.random.default_rng(9).normal(size=(rows, 5))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    exps, coeffs = q._float_arrays()
+    want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+    assert np.max(np.abs(q.evaluate_array(pts) - want)) <= 1e-15
