@@ -17,9 +17,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import legendre as _legendre
-from .geometry import PiRational, gamma_half, monomial_sphere_integral, solid_angle
+from .geometry import PiRational, gamma_half, solid_angle
 from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials
 
 __all__ = [
@@ -89,21 +90,11 @@ def harmonic_basis_raw(p: int, n: int) -> tuple:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return (ExactPolynomial.constant(p, 1),)
-    members = [
-        _assemble(p, n, n, seed) for seed in _monomials(p - 1, n)
-    ]
-    if n >= 1:
-        members += [
-            _assemble(p, n, n - 1, seed) for seed in _monomials(p - 1, n - 1)
-        ]
+    members = [_assemble(p, n, n, seed) for seed in _monomials(p - 1, n)]
+    members += [_assemble(p, n, n - 1, seed) for seed in _monomials(p - 1, n - 1)]
     if len(members) != count_harmonic(p, n):
         raise RuntimeError("seed enumeration does not match the dimension count")
     return tuple(members)
-
-
-def _parity_class(poly: ExactPolynomial) -> tuple:
-    alpha = next(iter(poly.terms))
-    return tuple(a % 2 for a in alpha)
 
 
 def _double_factorial_table(top: int) -> np.ndarray:
@@ -117,23 +108,24 @@ def _double_factorial_table(top: int) -> np.ndarray:
     return table
 
 
-def _gram_exact(raw, p: int) -> tuple:
-    """Exact Gram matrix of raw members under the sphere inner product.
+def _gram_blocks(raw, p: int):
+    """Exact Gram matrix of raw members under the sphere inner product, by block.
 
     Every monomial integral of total degree 2n over the sphere is a shared
     pi-power constant times an integer product of double factorials, so the
-    Gram reduces to integer matrix products taken inside parity classes
-    (cross-class entries vanish because some exponent sum is odd).
+    Gram reduces to integer matrix products taken inside parity classes;
+    members of different classes are exactly orthogonal because some
+    exponent sum is odd.  Yields, per class, the member indices, the class's
+    sorted monomials, the members' float coefficient rows over them, and the
+    exact Gram block as a tuple of PiRational rows.
     """
-    size = len(raw)
     n = raw[0].degree()
     common = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
     dfact = _double_factorial_table(2 * n)
-    zero = PiRational(Fraction(0))
-    gram = [[zero] * size for _ in range(size)]
     classes: dict = {}
     for idx, member in enumerate(raw):
-        classes.setdefault(_parity_class(member), []).append(idx)
+        parity = tuple(a % 2 for a in next(iter(member.terms)))
+        classes.setdefault(parity, []).append(idx)
     for indices in classes.values():
         monos = sorted({a for i in indices for a in raw[i].terms})
         index = {a: k for k, a in enumerate(monos)}
@@ -151,12 +143,13 @@ def _gram_exact(raw, p: int) -> tuple:
             denoms.append(scale)
         b = np.array(coeff_rows, dtype=object)
         s = b @ kernel @ b.T
-        for a, i in enumerate(indices):
-            for a2, j in enumerate(indices[a:], start=a):
-                entry = common * Fraction(int(s[a, a2]), denoms[a] * denoms[a2])
-                gram[i][j] = entry
-                gram[j][i] = entry
-    return tuple(tuple(row) for row in gram)
+        block = tuple(
+            tuple(common * Fraction(int(v), da * db) for v, db in zip(srow, denoms))
+            for srow, da in zip(s, denoms)
+        )
+        # int / int is correctly rounded, so these equal float(c) exactly
+        rows = np.array([[v / d for v in row] for row, d in zip(coeff_rows, denoms)])
+        yield tuple(indices), monos, rows, block
 
 
 RANK_PRIMES = (2147483647, 2147483629, 2147483587)
@@ -234,13 +227,25 @@ class HarmonicBasis:
 
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
     float matrix over one list of K monomials, shared by all N members.
+    The raw members' exact Gram matrix is kept as parity-class blocks, one
+    (member indices, PiRational block) pair per class.
     """
 
     p: int
     n: int
     exponents: np.ndarray
     coeffs: np.ndarray
-    gram_exact: tuple
+    gram_blocks: tuple
+
+    @property
+    def gram_exact(self) -> tuple:
+        """Dense exact Gram matrix of the raw members, assembled from the blocks."""
+        gram = [[PiRational(Fraction(0))] * len(self.coeffs) for _ in self.coeffs]
+        for indices, block in self.gram_blocks:
+            for i, row in zip(indices, block):
+                for j, entry in zip(indices, row):
+                    gram[i][j] = entry
+        return tuple(tuple(row) for row in gram)
 
     @cached_property
     def members(self) -> tuple:
@@ -256,69 +261,47 @@ class HarmonicBasis:
         return evaluate_monomials(points, self.exponents, self.coeffs)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "n": self.n,
-                "members": [
-                    {
-                        "terms": [
-                            {"alpha": list(a), "coeff": c}
-                            for a, c in m.terms.items()
-                        ]
-                    }
-                    for m in self.members
-                ],
-                "gram": [
-                    [
-                        {
-                            "num": e.coeff.numerator,
-                            "den": e.coeff.denominator,
-                            "pi_half": e.pi_half,
-                        }
-                        for e in row
-                    ]
-                    for row in self.gram_exact
-                ],
-            }
-        )
+        members = [
+            {"terms": [{"alpha": list(a), "coeff": c} for a, c in m.terms.items()]}
+            for m in self.members
+        ]
+        gram = [
+            [{"num": e.coeff.numerator, "den": e.coeff.denominator, "pi_half": e.pi_half}
+             for e in row]
+            for row in self.gram_exact
+        ]
+        return json.dumps({"p": self.p, "n": self.n, "members": members, "gram": gram})
 
 
 @lru_cache(maxsize=None)
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
-    """Orthonormal basis of degree-n spherical harmonics on S^{p-1}."""
+    """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
+
+    Each parity block is certified nonsingular in exact arithmetic, then
+    orthonormalized by its float Cholesky factor: member rows L^-1 B are the
+    Gram-Schmidt of the block's raw members, taken in index order.
+    """
     raw = harmonic_basis_raw(p, n)
-    gram = _gram_exact(raw, p)
-    size = len(raw)
-    if exact_rank(gram) != size:
-        raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
-    g = np.array([[float(entry) for entry in row] for row in gram])
-    scale = 1.0 / np.sqrt(np.diag(g))
-    coeff = np.diag(scale)
-    for i in range(size):
-        v = coeff[i]
-        for _ in range(2):
-            if i:
-                proj = coeff[:i] @ (g @ v)
-                v = v - proj @ coeff[:i]
-        norm_sq = float(v @ g @ v)
-        if not (norm_sq > 0 and math.isfinite(norm_sq)):
-            raise RuntimeError("orthonormalization collapsed; basis builder is broken")
-        coeff[i] = v / math.sqrt(norm_sq)
-    monos = sorted({a for m in raw for a in m.terms})
-    index = {a: k for k, a in enumerate(monos)}
-    raw_mat = np.zeros((size, len(monos)))
-    for i, m in enumerate(raw):
-        for alpha, c in m.terms.items():
-            raw_mat[i, index[alpha]] = float(c)
-    member_mat = coeff @ raw_mat
+    blocks = tuple(_gram_blocks(raw, p))
+    monos = sorted(a for _, class_monos, _, _ in blocks for a in class_monos)
+    column = {a: k for k, a in enumerate(monos)}
+    coeffs = np.zeros((len(raw), len(monos)))
+    for indices, class_monos, rows, block in blocks:
+        if exact_rank(block) != len(indices):
+            raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
+        g = np.array([[float(entry) for entry in row] for row in block])
+        try:
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("orthonormalization collapsed; basis builder is broken") from None
+        cols = [column[a] for a in class_monos]
+        coeffs[np.ix_(indices, cols)] = solve_triangular(chol, rows, lower=True)
     exponents = np.array(monos, dtype=np.int64).reshape(len(monos), p)
     # the basis is cached and shared by every caller
     exponents.flags.writeable = False
-    member_mat.flags.writeable = False
-    return HarmonicBasis(
-        p=p, n=n, exponents=exponents, coeffs=member_mat, gram_exact=gram
-    )
+    coeffs.flags.writeable = False
+    gram_blocks = tuple((indices, block) for indices, _, _, block in blocks)
+    return HarmonicBasis(p, n, exponents, coeffs, gram_blocks)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

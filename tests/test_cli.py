@@ -146,14 +146,16 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_determinism_across_runs(tmp_path, capsys):
-    argv = ["verify", "addition", "--p", "4", "--n", "3", "--samples", "40"]
-    texts = []
-    for seed in ("7", "7", "8"):
+    def output(argv, seed):
         assert run(argv + ["--seed", seed]) == 0
         out, _ = _out(capsys)
-        texts.append(out)
-    assert texts[0] == texts[1]
-    assert texts[0] != texts[2]
+        return out
+
+    addition = ["verify", "addition", "--p", "4", "--n", "3", "--samples", "40"]
+    assert output(addition, "7") == output(addition, "7")
+    # the addition residual is rounding noise about 0, which two seeds may
+    # round alike; the bvp residual is a discretisation error at seeded points
+    assert output(["verify", "bvp"], "7") != output(["verify", "bvp"], "8")
 
 
 def test_console_script_is_installed():

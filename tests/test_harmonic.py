@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hyperharm.geometry import PiRational, sphere_quadrature
+from hyperharm.geometry import PiRational, monomial_sphere_integral, sphere_quadrature
 from hyperharm.harmonic import (
     addition_theorem_eval,
     count_harmonic,
@@ -74,6 +74,47 @@ def test_orthonormality_under_surface_measure():
             gram = vals.T @ (rule.weights[:, None] * vals)
             eye = np.eye(len(basis.members))
             assert np.max(np.abs(gram - eye)) <= 1e-10, (p, n)
+
+
+def _parities(poly):
+    return {tuple(a % 2 for a in alpha) for alpha in poly.terms}
+
+
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in (2, 3, 4) for n in range(0, 5)] + [(5, 3)]
+)
+def test_exact_gram_matches_monomial_integrals(p, n):
+    raw = harmonic_basis_raw(p, n)
+    gram = orthonormalize(p, n).gram_exact
+    integrals = {}
+    for i, u in enumerate(raw):
+        for j, v in enumerate(raw):
+            expected = PiRational(Fraction(0))
+            for alpha, c in u.terms.items():
+                for beta, d in v.terms.items():
+                    gamma = tuple(a + b for a, b in zip(alpha, beta))
+                    if gamma not in integrals:
+                        integrals[gamma] = monomial_sphere_integral(gamma)
+                    expected = expected + integrals[gamma] * (c * d)
+            entry = gram[i][j]
+            assert type(entry) is PiRational
+            assert entry == expected, (i, j)
+            if _parities(u) != _parities(v):
+                assert entry.coeff == 0, (i, j)
+
+
+def test_orthonormality_and_parity_in_dimensions_five_and_six():
+    for p in (5, 6):
+        for n in range(0, 7):
+            basis = orthonormalize(p, n)
+            rule = sphere_quadrature(p, 2 * n)
+            vals = basis.evaluate_members(rule.nodes)
+            gram = vals.T @ (rule.weights[:, None] * vals)
+            eye = np.eye(len(basis.coeffs))
+            assert np.max(np.abs(gram - eye)) <= 1e-12, (p, n)
+            for row in basis.coeffs:
+                parities = basis.exponents[np.nonzero(row)[0]] % 2
+                assert len(np.unique(parities, axis=0)) == 1, (p, n)
 
 
 def test_orthonormalize_is_cached():
