@@ -4,8 +4,10 @@ The degree-n basis is built from the observation that a harmonic
 homogeneous polynomial is determined by its two lowest slices in the
 last coordinate: seeds run over monomials in the first p-1 variables and
 the remaining slices follow from a two-step downward recursion, all in
-rational arithmetic.  Gram matrices on the sphere are therefore exact,
-and only the final orthonormalization happens in floating point.
+rational arithmetic.  Gram matrices on the sphere are therefore exact:
+integer parity-class blocks under one pi-power scale per degree, their
+rank certified modulo one prime with an exact rational fallback.  Only
+the final orthonormalization happens in floating point.
 """
 
 from __future__ import annotations
@@ -97,74 +99,52 @@ def harmonic_basis_raw(p: int, n: int) -> tuple:
     return tuple(members)
 
 
-def _double_factorial_table(top: int) -> np.ndarray:
-    # table[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of
-    # its 2-power and sqrt(pi) factors; int64 overflows past (33)!!
-    dtype = np.int64 if top <= 34 else object
-    table = np.zeros(top + 1, dtype=dtype)
-    table[0] = 1
-    for m in range(2, top + 1, 2):
-        table[m] = table[m - 2] * (m - 1)
-    return table
+def _integer_rows(rows) -> tuple:
+    """Rational rows as integer rows and the least common denominator of each."""
+    denoms = tuple(math.lcm(*(c.denominator for c in row)) for row in rows)
+    ints = [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(rows, denoms)]
+    return ints, denoms
 
 
-def _gram_blocks(raw, p: int):
+def _gram_blocks(raw):
     """Exact Gram matrix of raw members under the sphere inner product, by block.
 
-    Every monomial integral of total degree 2n over the sphere is a shared
-    pi-power constant times an integer product of double factorials, so the
+    Every monomial integral of total degree 2n over the sphere is one shared
+    pi-power scale times an integer product of double factorials, so the
     Gram reduces to integer matrix products taken inside parity classes;
     members of different classes are exactly orthogonal because some
     exponent sum is odd.  Yields, per class, the member indices, the class's
-    sorted monomials, the members' float coefficient rows over them, and the
-    exact Gram block as a tuple of PiRational rows.
+    sorted monomials, the members' float coefficient rows over them, the
+    row denominators d and the integer matrix s: block entry (a, b) is the
+    scale times s[a][b] / (d[a] d[b]).
     """
     n = raw[0].degree()
-    common = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
-    dfact = _double_factorial_table(2 * n)
+    # dfact[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of its
+    # 2-power and sqrt(pi) factors; odd m never occur in a Gram entry
+    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
     classes: dict = {}
     for idx, member in enumerate(raw):
         parity = tuple(a % 2 for a in next(iter(member.terms)))
         classes.setdefault(parity, []).append(idx)
     for indices in classes.values():
         monos = sorted({a for i in indices for a in raw[i].terms})
-        index = {a: k for k, a in enumerate(monos)}
         exps = np.array(monos, dtype=np.int64)
-        kernel_np = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
-        kernel = np.array(kernel_np.tolist(), dtype=object)
-        coeff_rows = []
-        denoms = []
-        for i in indices:
-            scale = math.lcm(*(c.denominator for c in raw[i].terms.values()))
-            row = [0] * len(monos)
-            for alpha, c in raw[i].terms.items():
-                row[index[alpha]] = c.numerator * (scale // c.denominator)
-            coeff_rows.append(row)
-            denoms.append(scale)
-        b = np.array(coeff_rows, dtype=object)
-        s = b @ kernel @ b.T
-        block = tuple(
-            tuple(common * Fraction(int(v), da * db) for v, db in zip(srow, denoms))
-            for srow, da in zip(s, denoms)
-        )
+        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
+        ints, denoms = _integer_rows([[raw[i].terms.get(a, 0) for a in monos] for i in indices])
+        b = np.array(ints, dtype=object)
+        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
         # int / int is correctly rounded, so these equal float(c) exactly
-        rows = np.array([[v / d for v in row] for row, d in zip(coeff_rows, denoms)])
-        yield tuple(indices), monos, rows, block
+        rows = np.array([[v / d for v in row] for row, d in zip(ints, denoms)])
+        yield tuple(indices), monos, rows, denoms, s
 
 
-RANK_PRIMES = (2147483647, 2147483629, 2147483587)
+RANK_PRIME = 2147483647
 
 
-def _rank_mod_prime(rows, q: int):
-    """Rank of a rational matrix over GF(q); None if q divides a denominator."""
-    mat = np.empty((len(rows), len(rows[0])), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, frac in enumerate(row):
-            den = frac.denominator % q
-            if den == 0:
-                return None
-            mat[r, c] = frac.numerator % q * pow(den, q - 2, q) % q
+def _rank_mod_prime(rows, q: int) -> int:
+    """Rank over GF(q) of a rational matrix, each row first scaled to integers."""
     # products stay below 2^62 because q < 2^31, so int64 never overflows
+    mat = (np.array(_integer_rows(rows)[0], dtype=object) % q).astype(np.int64)
     rank = 0
     n_rows, n_cols = mat.shape
     for col in range(n_cols):
@@ -203,22 +183,24 @@ def _rank_exact_fractions(rows) -> int:
     return rank
 
 
-def exact_rank(gram) -> int:
-    """Rank of an exact Gram matrix, certified without floating point.
+def exact_rank(matrix) -> int:
+    """Rank of an exact matrix, certified without floating point.
 
-    A full modular rank already certifies full rational rank; the exact
-    elimination fallback only runs when every modular attempt comes back
-    deficient, which for these matrices means genuinely singular.
+    Entries are ints, Fractions or PiRationals, and every nonzero entry must
+    carry the same power of pi (ValueError otherwise), which factors out.
+    Reduction mod a prime never raises the rank, so a full rank modulo
+    RANK_PRIME certifies full rational rank; only a deficient one falls
+    through to exact rational elimination.
     """
-    rows = [[entry.coeff for entry in row] for row in gram]
+    rows = [[getattr(e, "coeff", e) for e in row] for row in matrix]
+    if len({getattr(e, "pi_half", 0) for row in matrix for e in row if e != 0}) > 1:
+        raise ValueError("exact_rank needs every nonzero entry to carry one pi power")
     if not rows:
         return 0
-    full = min(len(rows), len(rows[0]))
-    for q in RANK_PRIMES:
-        modular = _rank_mod_prime(rows, q)
-        if modular is not None and modular == full:
-            return modular
-    return _rank_exact_fractions(rows)
+    modular = _rank_mod_prime(rows, RANK_PRIME)
+    if modular == min(len(rows), len(rows[0])):
+        return modular
+    return _rank_exact_fractions([[Fraction(v) for v in row] for row in rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,24 +209,26 @@ class HarmonicBasis:
 
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
     float matrix over one list of K monomials, shared by all N members.
-    The raw members' exact Gram matrix is kept as parity-class blocks, one
-    (member indices, PiRational block) pair per class.
+    The raw members' exact Gram matrix is the PiRational ``gram_scale`` times
+    parity-class blocks (member indices, row denominators d, integer matrix
+    s): block entry (a, b) is gram_scale * s[a][b] / (d[a] d[b]).
     """
 
     p: int
     n: int
     exponents: np.ndarray
     coeffs: np.ndarray
+    gram_scale: PiRational
     gram_blocks: tuple
 
     @property
     def gram_exact(self) -> tuple:
         """Dense exact Gram matrix of the raw members, assembled from the blocks."""
         gram = [[PiRational(Fraction(0))] * len(self.coeffs) for _ in self.coeffs]
-        for indices, block in self.gram_blocks:
-            for i, row in zip(indices, block):
-                for j, entry in zip(indices, row):
-                    gram[i][j] = entry
+        for indices, denoms, block in self.gram_blocks:
+            for i, da, row in zip(indices, denoms, block):
+                for j, db, v in zip(indices, denoms, row):
+                    gram[i][j] = self.gram_scale * Fraction(v, da * db)
         return tuple(tuple(row) for row in gram)
 
     @cached_property
@@ -282,14 +266,21 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     Gram-Schmidt of the block's raw members, taken in index order.
     """
     raw = harmonic_basis_raw(p, n)
-    blocks = tuple(_gram_blocks(raw, p))
-    monos = sorted(a for _, class_monos, _, _ in blocks for a in class_monos)
+    # each degree-2n monomial integral over the sphere is this times an integer
+    scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
+    num, den = scale.coeff.numerator, scale.coeff.denominator
+    pi_power = math.pi ** (scale.pi_half / 2)
+    blocks = tuple(_gram_blocks(raw))
+    monos = sorted(a for _, class_monos, _, _, _ in blocks for a in class_monos)
     column = {a: k for k, a in enumerate(monos)}
     coeffs = np.zeros((len(raw), len(monos)))
-    for indices, class_monos, rows, block in blocks:
-        if exact_rank(block) != len(indices):
+    for indices, class_monos, rows, denoms, s in blocks:
+        if exact_rank(s) != len(indices):
             raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
-        g = np.array([[float(entry) for entry in row] for row in block])
+        # int / int is correctly rounded: each entry is float() of its exact entry
+        g = pi_power * np.array(
+            [[num * v / (den * da * db) for v, db in zip(row, denoms)] for row, da in zip(s, denoms)]
+        )
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -300,8 +291,8 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     # the basis is cached and shared by every caller
     exponents.flags.writeable = False
     coeffs.flags.writeable = False
-    gram_blocks = tuple((indices, block) for indices, _, _, block in blocks)
-    return HarmonicBasis(p, n, exponents, coeffs, gram_blocks)
+    gram_blocks = tuple((indices, denoms, s) for indices, _, _, denoms, s in blocks)
+    return HarmonicBasis(p, n, exponents, coeffs, scale, gram_blocks)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import oracles
 from hyperharm.geometry import PiRational, monomial_sphere_integral, sphere_quadrature
 from hyperharm.harmonic import (
+    RANK_PRIME,
     addition_theorem_eval,
     count_harmonic,
     count_homogeneous,
@@ -205,6 +207,52 @@ def test_exact_rank_oracles():
     assert exact_rank(((entry(1), entry(2)), (entry(2), entry(4)))) == 1
     assert exact_rank(((entry(1), entry(0)), (entry(0), entry(1)))) == 2
     assert exact_rank(((entry(0),),)) == 0
+
+
+def test_exact_rank_rejects_mixed_pi_powers():
+    one, pi = PiRational(Fraction(1)), PiRational(Fraction(1), 2)
+    # det = 1 - pi^2 is not 0, so ranking the coefficients alone would be wrong
+    with pytest.raises(ValueError):
+        exact_rank(((one, pi), (pi, one)))
+    with pytest.raises(ValueError):
+        exact_rank(((1, pi), (pi, 1)))
+    # exact zeros carry no pi power, whatever power they were built with
+    zero = PiRational(Fraction(0), 3)
+    assert exact_rank(((pi, zero), (0, pi))) == 2
+    assert exact_rank(((pi, 0), (PiRational(Fraction(0)), 2 * pi))) == 2
+
+
+def test_exact_rank_falls_back_to_exact_elimination():
+    q = RANK_PRIME
+    # rank 1 modulo q but 2 over Q
+    assert exact_rank(((q, 0), (0, 1))) == 2
+    assert exact_rank(((Fraction(1, q), 0), (0, 1))) == 2
+    assert exact_rank(((q, 2 * q), (3 * q, 6 * q))) == 1
+    singular = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    regular = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    for matrix, rank in ((singular, 2), (regular, 3)):
+        as_fractions = tuple(tuple(Fraction(v, 7) for v in row) for row in matrix)
+        as_pi = tuple(tuple(PiRational(Fraction(v, 3), 5) for v in row) for row in matrix)
+        assert exact_rank(matrix) == exact_rank(as_fractions) == exact_rank(as_pi) == rank
+
+
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in (2, 3, 4, 5) for n in range(0, 6)] + [(6, 4)]
+)
+def test_float_stage_consumes_the_rounded_exact_gram(p, n):
+    # each block of coeffs is L^-1 B for the Cholesky factor L of the
+    # correctly rounded exact Gram block, bit for bit
+    raw = harmonic_basis_raw(p, n)
+    basis = orthonormalize(p, n)
+    gram = basis.gram_exact
+    column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
+    for indices, _, _ in basis.gram_blocks:
+        monos = sorted({a for i in indices for a in raw[i].terms})
+        rows = np.array([[float(raw[i].terms.get(a, 0)) for a in monos] for i in indices])
+        block = np.array([[float(gram[i][j]) for j in indices] for i in indices])
+        expected = solve_triangular(np.linalg.cholesky(block), rows, lower=True)
+        got = basis.coeffs[np.ix_(indices, [column[a] for a in monos])]
+        assert np.array_equal(got, expected), (p, n, indices)
 
 
 def _pow_reference(basis, pts):
