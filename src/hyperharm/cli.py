@@ -181,6 +181,8 @@ def _cmd_funk_hecke(args) -> int:
 
 
 def _boundary_from_description(p: int, desc: dict) -> bvp_mod.BoundaryData:
+    if not isinstance(desc, dict):
+        raise ValueError("boundary must be a JSON object")
     kind = desc.get("type")
     if kind == "polynomial":
         poly = ExactPolynomial.from_json_dict({"nvars": p, "terms": desc["terms"]})
@@ -196,18 +198,15 @@ def _cmd_solve(args) -> int:
     if not isinstance(problem, dict):
         raise ValueError("the problem must be a JSON object")
     eval_points = problem["eval_points"]
-    if not isinstance(eval_points, list) or not all(
-        isinstance(point, list) for point in eval_points
-    ):
+    if not isinstance(eval_points, list) or not all(isinstance(x, list) for x in eval_points):
         raise ValueError("eval_points must be a list of coordinate lists")
-    p = int(problem["p"])
-    n_max = int(problem["n_max"])
+    for key in ("p", "n_max"):
+        if type(problem[key]) is not int:
+            raise ValueError(f"{key} must be an integer")
+    p, n_max = problem["p"], problem["n_max"]
     f = _boundary_from_description(p, problem["boundary"])
-    quad_degree = problem.get("quad_degree")
-    if args.degree is not None:
-        quad_degree = args.degree
-    if quad_degree is None:
-        quad_degree = 64
+    quad_degree = args.degree if args.degree is not None else problem.get("quad_degree")
+    quad_degree = 64 if quad_degree is None else quad_degree
     sol = bvp_mod.project_boundary(f, n_max)
     rows = []
     if eval_points:
@@ -482,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("verify", help="run named identity checks")
-    sp.add_argument("checks", nargs="*", help=f"names: {', '.join(sorted(VERIFY_CHECKS))}")
+    names = ", ".join(sorted(VERIFY_CHECKS))
+    sp.add_argument("checks", nargs="*", help=f"names: {names}; with none, no check runs, exit 0")
     sp.add_argument("--p", type=int, help="restrict to one dimension")
     sp.add_argument("--n", type=int, help="maximum degree for sampled checks")
     sp.add_argument("--n-max", type=int, dest="n_max", help="maximum degree for swept checks")

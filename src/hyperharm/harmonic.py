@@ -3,11 +3,11 @@
 The degree-n basis is built from the observation that a harmonic
 homogeneous polynomial is determined by its two lowest slices in the
 last coordinate: seeds run over monomials in the first p-1 variables and
-the remaining slices follow from a two-step downward recursion, all in
-rational arithmetic.  Gram matrices on the sphere are therefore exact:
-integer parity-class blocks under one pi-power scale per degree, their
-rank certified modulo one prime with an exact rational fallback.  Only
-the final orthonormalization happens in floating point.
+each member is a closed form in its seed, one integer row over one
+factorial.  Gram matrices on the sphere are therefore exact: integer
+parity-class blocks under one pi-power scale per degree, their rank
+certified modulo one prime with an exact rational fallback.  Only the
+final orthonormalization happens in floating point.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -69,34 +70,69 @@ def _monomials(q: int, d: int):
             yield (first,) + rest
 
 
-def _assemble(p: int, n: int, start_deg: int, seed: tuple) -> ExactPolynomial:
-    h = ExactPolynomial.monomial(p, seed + (0,))
-    total = ExactPolynomial.zero(p)
-    j = n - start_deg
-    while not h.is_zero():
-        lifted = {
-            alpha[:-1] + (j,): c for alpha, c in h.terms.items()
-        }
-        total = total + ExactPolynomial(p, lifted)
-        h = h.laplacian() * Fraction(-1, (j + 2) * (j + 1))
-        j += 2
-    return total
+def _raw_rows(p: int, n: int):
+    """Raw degree-n members in basis order: (parity class, integer terms, denominator).
+
+    A seed alpha of degree n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives the
+    member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha with L the
+    Laplacian in x_1..x_{p-1}: L^k x^alpha is sum_{|beta|=k} (k!/beta!)
+    prod_i alpha_i!/(alpha_i-2beta_i)! x^(alpha-2beta).  Its parity class is
+    (alpha mod 2) + (j0,), and its terms share the denominator (j0+2K)!/j0!
+    with K = |alpha| // 2.
+    """
+    dim = count_harmonic(p, n)  # validates p and n before any seed is enumerated
+    seeds = [(j0, alpha) for j0 in (0, 1)[: n + 1] for alpha in _monomials(p - 1, n - j0)]
+    if len(seeds) != dim:
+        raise RuntimeError("seed enumeration does not match the dimension count")
+    for j0, alpha in seeds:
+        half, top = (n - j0) // 2, n - (n - j0) % 2  # K and j0 + 2K
+        terms = {}
+        for beta in product(*(range(a // 2 + 1) for a in alpha)):
+            k = sum(beta)
+            c = math.perm(top, 2 * (half - k)) * math.factorial(k) // math.prod(map(math.factorial, beta))
+            c *= math.prod(math.perm(a, 2 * b) for a, b in zip(alpha, beta))
+            terms[tuple(a - 2 * b for a, b in zip(alpha, beta)) + (j0 + 2 * k,)] = (-1) ** k * c
+        yield tuple(a % 2 for a in alpha) + (j0,), terms, math.perm(top, 2 * half)
 
 
 @lru_cache(maxsize=None)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
     """Exactly harmonic, linearly independent spanning set of degree n."""
-    if p < 2:
-        raise ValueError("dimension must be at least 2")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return (ExactPolynomial.constant(p, 1),)
-    members = [_assemble(p, n, n, seed) for seed in _monomials(p - 1, n)]
-    members += [_assemble(p, n, n - 1, seed) for seed in _monomials(p - 1, n - 1)]
-    if len(members) != count_harmonic(p, n):
-        raise RuntimeError("seed enumeration does not match the dimension count")
-    return tuple(members)
+    rows = _raw_rows(p, n)
+    return tuple(ExactPolynomial(p, {a: Fraction(c, d) for a, c in t.items()}) for _, t, d in rows)
+
+
+def _gram_blocks(p: int, n: int):
+    """Exact Gram matrix of the raw members under the sphere inner product, by block.
+
+    Every monomial integral of total degree 2n over the sphere is one shared
+    pi-power scale times an integer product of double factorials, so the
+    Gram reduces to integer matrix products taken inside parity classes;
+    members of different classes are exactly orthogonal because some
+    exponent sum is odd.  Yields, per class in the order of its first member,
+    the member indices, the class's sorted monomials, the members' float
+    coefficient rows over them, the row denominators d and the integer
+    matrix s: block entry (a, b) is the scale times s[a][b] / (d[a] d[b]).
+    """
+    # dfact[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of its
+    # 2-power and sqrt(pi) factors; odd m never occur in a Gram entry
+    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
+    classes: dict = {}
+    for idx, (parity, terms, denom) in enumerate(_raw_rows(p, n)):
+        classes.setdefault(parity, []).append((idx, terms, denom))
+    for members in classes.values():
+        indices, member_terms, denoms = zip(*members)
+        monos = sorted({a for terms in member_terms for a in terms})
+        exps = np.array(monos, dtype=np.int64)
+        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
+        b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
+        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
+        # int / int is correctly rounded: each is float() of its exact coefficient
+        rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
+        yield indices, monos, rows, denoms, s
+
+
+RANK_PRIME = 2147483647
 
 
 def _integer_rows(rows) -> tuple:
@@ -104,41 +140,6 @@ def _integer_rows(rows) -> tuple:
     denoms = tuple(math.lcm(*(c.denominator for c in row)) for row in rows)
     ints = [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(rows, denoms)]
     return ints, denoms
-
-
-def _gram_blocks(raw):
-    """Exact Gram matrix of raw members under the sphere inner product, by block.
-
-    Every monomial integral of total degree 2n over the sphere is one shared
-    pi-power scale times an integer product of double factorials, so the
-    Gram reduces to integer matrix products taken inside parity classes;
-    members of different classes are exactly orthogonal because some
-    exponent sum is odd.  Yields, per class, the member indices, the class's
-    sorted monomials, the members' float coefficient rows over them, the
-    row denominators d and the integer matrix s: block entry (a, b) is the
-    scale times s[a][b] / (d[a] d[b]).
-    """
-    n = raw[0].degree()
-    # dfact[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of its
-    # 2-power and sqrt(pi) factors; odd m never occur in a Gram entry
-    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
-    classes: dict = {}
-    for idx, member in enumerate(raw):
-        parity = tuple(a % 2 for a in next(iter(member.terms)))
-        classes.setdefault(parity, []).append(idx)
-    for indices in classes.values():
-        monos = sorted({a for i in indices for a in raw[i].terms})
-        exps = np.array(monos, dtype=np.int64)
-        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
-        ints, denoms = _integer_rows([[raw[i].terms.get(a, 0) for a in monos] for i in indices])
-        b = np.array(ints, dtype=object)
-        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
-        # int / int is correctly rounded, so these equal float(c) exactly
-        rows = np.array([[v / d for v in row] for row, d in zip(ints, denoms)])
-        yield tuple(indices), monos, rows, denoms, s
-
-
-RANK_PRIME = 2147483647
 
 
 def _rank_mod_prime(rows, q: int) -> int:
@@ -265,15 +266,14 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     orthonormalized by its float Cholesky factor: member rows L^-1 B are the
     Gram-Schmidt of the block's raw members, taken in index order.
     """
-    raw = harmonic_basis_raw(p, n)
+    blocks = tuple(_gram_blocks(p, n))
     # each degree-2n monomial integral over the sphere is this times an integer
     scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
     num, den = scale.coeff.numerator, scale.coeff.denominator
     pi_power = math.pi ** (scale.pi_half / 2)
-    blocks = tuple(_gram_blocks(raw))
     monos = sorted(a for _, class_monos, _, _, _ in blocks for a in class_monos)
     column = {a: k for k, a in enumerate(monos)}
-    coeffs = np.zeros((len(raw), len(monos)))
+    coeffs = np.zeros((count_harmonic(p, n), len(monos)))
     for indices, class_monos, rows, denoms, s in blocks:
         if exact_rank(s) != len(indices):
             raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
@@ -291,8 +291,7 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     # the basis is cached and shared by every caller
     exponents.flags.writeable = False
     coeffs.flags.writeable = False
-    gram_blocks = tuple((indices, denoms, s) for indices, _, _, denoms, s in blocks)
-    return HarmonicBasis(p, n, exponents, coeffs, scale, gram_blocks)
+    return HarmonicBasis(p, n, exponents, coeffs, scale, tuple((i, d, s) for i, _, _, d, s in blocks))
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

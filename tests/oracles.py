@@ -1,16 +1,20 @@
 """Independent oracles shared by the test modules.
 
 Everything here is computed from first principles: classical textbook
-recurrences in Fraction arithmetic, brute-force enumeration, and exact
-binomial expansions.  None of it touches the package's own construction
-paths, so agreement is evidence rather than tautology.
+recurrences in Fraction arithmetic, brute-force enumeration, exact
+binomial expansions, and the raw harmonic basis by its defining slice
+recursion on the exact polynomial algebra.  None of it touches the
+package's own construction paths, so agreement is evidence rather than
+tautology.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
+
+from hyperharm.polyalg import ExactPolynomial
 
 
 def chebyshev_rows(n_max):
@@ -45,6 +49,25 @@ def classical_legendre_rows(n_max):
 def monomial_count(p, n):
     """Number of degree-n monomials in p variables, by enumeration."""
     return sum(1 for _ in combinations_with_replacement(range(p), n))
+
+
+def slice_recursion_basis(p, n):
+    """Raw harmonic basis of degree n by the two-step slice recursion in x_p.
+
+    Seeds x^alpha x_p^j0 with |alpha| = n - j0 run over j0 = 0 then 1, each in
+    ascending lex order of alpha; the slice h at x_p^j is followed by
+    -L h / ((j+2)(j+1)) at x_p^(j+2), L the Laplacian, until it vanishes.
+    """
+    members = []
+    for j0 in range(min(n, 1) + 1):
+        for alpha in sorted(a for a in product(range(n + 1), repeat=p - 1) if sum(a) == n - j0):
+            h, j, total = ExactPolynomial.monomial(p, alpha + (0,)), j0, ExactPolynomial.zero(p)
+            while not h.is_zero():
+                total = total + ExactPolynomial(p, {a[:-1] + (j,): c for a, c in h.terms.items()})
+                h = h.laplacian() * Fraction(-1, (j + 2) * (j + 1))
+                j += 2
+            members.append(total)
+    return members
 
 
 def weighted_moment_exact(k, a, b):

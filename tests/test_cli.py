@@ -203,6 +203,7 @@ def test_python_dash_m_entry_point():
 
 
 COORDINATE = {"type": "builtin", "name": "coordinate"}
+ONE_POINT = [[0.1, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -225,8 +226,18 @@ COORDINATE = {"type": "builtin", "name": "coordinate"}
         ),
         ([{"p": 3, "n_max": 2, "boundary": COORDINATE}], "JSON object"),
         ({"p": 3, "n_max": 2, "boundary": COORDINATE, "eval_points": 5}, "eval_points"),
+        ({"p": [3], "n_max": 2, "boundary": COORDINATE, "eval_points": ONE_POINT}, "p must"),
+        ({"p": 3, "n_max": [2], "boundary": COORDINATE, "eval_points": ONE_POINT}, "n_max must"),
+        ({"p": 3, "n_max": 2, "boundary": 5, "eval_points": ONE_POINT}, "boundary must"),
     ],
-    ids=["zero-denominator", "top-level-array", "scalar-eval-points"],
+    ids=[
+        "zero-denominator",
+        "top-level-array",
+        "scalar-eval-points",
+        "list-p",
+        "list-n-max",
+        "scalar-boundary",
+    ],
 )
 def test_malformed_problem_is_an_input_error(tmp_path, problem, message):
     path = tmp_path / "problem.json"
