@@ -1,9 +1,13 @@
 """Dirichlet problem for the Laplacian on the unit ball.
 
 Two independent solution routes are implemented: the spherical-harmonic
-series with coefficients from boundary projection, and the image-charge
-kernel integral.  They share no machinery beyond quadrature, so their
-agreement is a meaningful end-to-end check.
+series with coefficients from boundary projection on the product rule, and
+the kernel integral.  The kernel is zonal about x0 / |x0|, so its integral
+runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in
+t = <xi, x0 / |x0|> times a rule on S^{p-2} (`poisson_eval`).  The kernel
+route uses no harmonic basis, so the two routes share no machinery beyond
+quadrature building blocks and their agreement is a meaningful end-to-end
+check.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import orthopoly
 from .geometry import solid_angle, sphere_quadrature
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
@@ -32,6 +37,12 @@ __all__ = [
 ]
 
 DEFAULT_CALLABLE_DEGREE = 40
+# kernel rule: error target relative to the kernel's peak, a cap on the t
+# nodes (one Gauss rule of 2048 nodes takes ~0.7 s), and the boundary points
+# per data call, which bounds memory for callable data on fine slice rules
+KERNEL_TOL = 1e-15
+MAX_T_NODES = 2048
+KERNEL_CHUNK_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -211,28 +222,111 @@ def green_function(p: int, x, x0) -> float:
     return scale * (rho ** (2 - p) - (r0 * rho_image) ** (2 - p))
 
 
-def poisson_eval(f: BoundaryData, x0, quad_degree: int = DEFAULT_CALLABLE_DEGREE):
-    """Kernel-integral solution at interior points.
+def _slice_rule(p: int, degree: int):
+    """Nodes in R^{p-1} and weights of a degree-`degree` rule on S^{p-2} (S^0 is +-1)."""
+    if p == 2:
+        return np.array([[-1.0], [1.0]]), np.ones(2)
+    rule = sphere_quadrature(p - 1, degree)
+    return rule.nodes, rule.weights
+
+
+def _t_rule(p: int, r: float, degree: int):
+    """Gauss-Gegenbauer rule in t = <xi, u> for the kernel about a point at radius r.
+
+    The kernel's pole t* = (1 + r^2) / (2r) sets the Bernstein ellipse 1/r,
+    so m nodes leave an error of order r^(2m).  m brings it under KERNEL_TOL
+    times the kernel's peak (1 + r) / (1 - r)^(p-1), adds (degree + 2) // 2
+    nodes for the data's polynomial part, is rounded up to a multiple of 8
+    (few distinct rules to cache) and is capped at MAX_T_NODES, which only
+    points within about 0.01 of the sphere reach.
+    """
+    m = (degree + 2) // 2
+    if r > 0.0:
+        m += math.ceil(
+            math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r))
+        )
+    m = min(-(-m // 8) * 8, MAX_T_NODES)
+    half = Fraction(p - 3, 2)
+    return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
+
+
+def _complement_frame(u: np.ndarray) -> np.ndarray:
+    """First p-1 columns of the Householder H with H e_p = u: a basis of u's complement.
+
+    H = I - 2 v v^T / v^T v with v = e_p - u; 1 - u_p is formed as
+    |u_head|^2 / (1 + u_p) when u_p > 0 to avoid cancellation.
+    """
+    p = len(u)
+    head = u[:-1]
+    head_sq = float(head @ head)
+    if head_sq == 0.0:
+        return np.eye(p)[:, :-1]
+    last = head_sq / (1.0 + u[-1]) if u[-1] > 0.0 else 1.0 - u[-1]
+    v = np.append(-head, last)
+    return np.eye(p)[:, :-1] - (2.0 / float(v @ v)) * np.outer(v, v[:-1])
+
+
+def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
+    """Kernel-integral solution at interior points, on a pole-aligned rule.
 
     x0 of shape (p,) returns a float; shape (m, p) returns an array.  The
-    batch form shares one boundary-value sweep across all points, which is
-    the dominant cost on fine rules.
+    Poisson kernel (1 - r^2) / (1 + r^2 - 2rt)^(p/2) depends on a boundary
+    point xi only through t = <xi, u>, r = |x0|, u = x0 / r (u = e_p at
+    r = 0).  The sphere is sliced about u with the measure identity
+    dsigma_{p-1} = (1 - t^2)^((p-3)/2) dt dsigma_{p-2}: a Gauss-Gegenbauer
+    rule in t (see `_t_rule`) times a degree-d rule on S^{p-2} placed in
+    u's complement by `_complement_frame`, with nodes
+    xi = t u + sqrt(1 - t^2) H [eta; 0].  The kernel is evaluated once per
+    t node.
+
+    For polynomial data d is the data's degree, so the S^{p-2} rule is
+    exact for every t; quad_degree, if given, must be at least that degree
+    and is otherwise unused.  For callable data d is quad_degree, by
+    default DEFAULT_CALLABLE_DEGREE.  Each point's rule depends only on
+    that point, so a batch equals one call per point, bit for bit.
     """
+    deg = f.degree
+    if quad_degree is not None and quad_degree < 0:
+        raise ValueError("quadrature degree must be nonnegative")
+    if deg is not None:
+        if quad_degree is not None and quad_degree < deg:
+            raise ValueError(
+                f"quadrature degree {quad_degree} is below the boundary "
+                f"data's degree {deg}"
+            )
+        degree = max(deg, 0)
+    else:
+        degree = DEFAULT_CALLABLE_DEGREE if quad_degree is None else quad_degree
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     pts = x0[None, :] if single else x0
-    if pts.ndim != 2 or pts.shape[1] != f.p:
+    p = f.p
+    if pts.ndim != 2 or pts.shape[1] != p:
         raise ValueError("point dimension does not match the boundary data")
-    r0_sq = np.einsum("ij,ij->i", pts, pts)
-    if np.any(r0_sq >= 1):
+    radii = [math.hypot(*x) for x in pts]
+    if any(not r < 1.0 for r in radii):
         raise ValueError("kernel integral is defined for interior points only")
-    rule = sphere_quadrature(f.p, quad_degree)
-    weighted = rule.weights * f.values_at(rule.nodes)
+    eta, eta_weights = _slice_rule(p, degree)
+    rows_per_chunk = max(1, KERNEL_CHUNK_NODES // len(eta_weights))
+    pole = np.eye(p)[-1]
     out = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        kernel = (1.0 - r0_sq[i]) / (1.0 + r0_sq[i] - 2.0 * rule.nodes @ x) ** (f.p / 2.0)
-        out[i] = np.dot(weighted, kernel)
-    out /= solid_angle(f.p)
+    for i, (x, r) in enumerate(zip(pts, radii)):
+        u = x / r if r > 0.0 else pole
+        # the S^{p-2} nodes as unit vectors orthogonal to u
+        ring = eta @ _complement_frame(u).T
+        t_rule = _t_rule(p, r, degree)
+        t = t_rule.nodes
+        # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
+        dist_sq = (1.0 - r) ** 2 + 2.0 * r * (1.0 - t)
+        kernel = (1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0)
+        ring_sums = np.empty(len(t))
+        for start in range(0, len(t), rows_per_chunk):
+            tc = t[start : start + rows_per_chunk, None, None]
+            nodes = tc * u + np.sqrt(1.0 - tc * tc) * ring
+            vals = f.values_at(nodes.reshape(-1, p)).reshape(len(tc), -1)
+            ring_sums[start : start + len(tc)] = vals @ eta_weights
+        out[i] = np.dot(t_rule.weights * kernel, ring_sums)
+    out /= solid_angle(p)
     return float(out[0]) if single else out
 
 

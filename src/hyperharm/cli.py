@@ -207,6 +207,8 @@ def _cmd_solve(args) -> int:
     f = _boundary_from_description(p, problem["boundary"])
     quad_degree = args.degree if args.degree is not None else problem.get("quad_degree")
     quad_degree = 64 if quad_degree is None else quad_degree
+    if type(quad_degree) is not int or quad_degree < 0:
+        raise ValueError("quad_degree must be a nonnegative integer")
     sol = bvp_mod.project_boundary(f, n_max)
     rows = []
     if eval_points:

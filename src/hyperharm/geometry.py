@@ -336,13 +336,15 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
         for k in range(p - 2, 0, -1)
     ]
     axes = [rule.nodes for rule in t_rules] + [phi]
-    grids = np.meshgrid(*axes, indexing="ij")
+    # sparse grids keep each axis a vector along its own dimension; the
+    # products below broadcast, so only the weights and nodes fill the grid
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     weight_axes = [rule.weights for rule in t_rules] + [np.full(n_phi, phi_weight)]
-    weight_grids = np.meshgrid(*weight_axes, indexing="ij")
+    weight_grids = np.meshgrid(*weight_axes, indexing="ij", sparse=True)
     weights = np.ones_like(grids[0])
     for wg in weight_grids:
         weights = weights * wg
-    coords = np.empty(grids[0].shape + (p,))
+    coords = np.empty(weights.shape + (p,))
     sin_prod = np.ones_like(grids[0])
     for idx, k in enumerate(range(p - 2, 0, -1)):
         t = grids[idx]
@@ -353,7 +355,7 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     nodes = coords.reshape(-1, p)
     weights = weights.reshape(-1)
     # rounding can leave |node| a hair off 1; renormalize so the invariant is exact
-    nodes = nodes / np.linalg.norm(nodes, axis=1)[:, None]
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     return QuadratureRule(nodes, weights, exact_degree=2 * m - 1, p=p)
 
 

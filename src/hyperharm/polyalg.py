@@ -393,11 +393,20 @@ class ExactPolynomial(_Polynomial):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPolynomial":
+        if not isinstance(data["terms"], list):
+            raise ValueError("terms must be a list of term objects")
         terms = {}
         for i, t in enumerate(data["terms"]):
-            if int(t["den"]) == 0:
+            if not isinstance(t, dict):
+                raise ValueError(f"term {i} must be an object")
+            alpha = t["alpha"]
+            if not isinstance(alpha, (list, tuple)) or not all(type(a) is int for a in alpha):
+                raise ValueError(f"term {i}: alpha must be a list of integers")
+            if not (type(t["num"]) is int and type(t["den"]) is int):
+                raise ValueError(f"term {i}: num and den must be integers")
+            if t["den"] == 0:
                 raise ValueError(f"term {i} has denominator 0")
-            terms[tuple(t["alpha"])] = Fraction(int(t["num"]), int(t["den"]))
+            terms[tuple(alpha)] = Fraction(t["num"], t["den"])
         return cls(int(data["nvars"]), terms)
 
     def to_json(self) -> str:

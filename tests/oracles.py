@@ -70,6 +70,41 @@ def slice_recursion_basis(p, n):
     return members
 
 
+def meshgrid_sphere_rule(p, degree):
+    """Nodes and weights of the product rule on S^{p-1}, assembled on full meshgrids.
+
+    The axis rules (Gauss in cos(theta_k), uniform in phi) come from the
+    package; the assembly materialises every axis as a full grid and must
+    agree bit for bit with one that broadcasts per-axis vectors.
+    """
+    from hyperharm.orthopoly import Weight, gauss_rule
+
+    m = (degree + 2) // 2
+    n_phi = 2 * m
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phi_weight = 2.0 * math.pi / n_phi
+    t_rules = [
+        gauss_rule(Weight(Fraction(k - 1, 2), Fraction(k - 1, 2)), m)
+        for k in range(p - 2, 0, -1)
+    ]
+    grids = np.meshgrid(*([rule.nodes for rule in t_rules] + [phi]), indexing="ij")
+    weight_axes = [rule.weights for rule in t_rules] + [np.full(n_phi, phi_weight)]
+    weights = np.ones_like(grids[0])
+    for wg in np.meshgrid(*weight_axes, indexing="ij"):
+        weights = weights * wg
+    coords = np.empty(grids[0].shape + (p,))
+    sin_prod = np.ones_like(grids[0])
+    for idx, k in enumerate(range(p - 2, 0, -1)):
+        t = grids[idx]
+        coords[..., k + 1] = sin_prod * t
+        sin_prod = sin_prod * np.sqrt(1.0 - t * t)
+    coords[..., 1] = sin_prod * np.sin(grids[-1])
+    coords[..., 0] = sin_prod * np.cos(grids[-1])
+    nodes = coords.reshape(-1, p)
+    nodes = nodes / np.linalg.norm(nodes, axis=1)[:, None]
+    return nodes, weights.reshape(-1)
+
+
 def weighted_moment_exact(k, a, b):
     """Integral of t^k (1-t)^a (1+t)^b over [-1, 1] for integer a, b >= 0."""
     total = Fraction(0)

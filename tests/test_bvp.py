@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyperharm import bvp
 from hyperharm.bvp import (
     BoundaryData,
     builtin_boundary,
@@ -14,7 +15,7 @@ from hyperharm.bvp import (
     project_boundary,
     series_eval,
 )
-from hyperharm.geometry import solid_angle
+from hyperharm.geometry import monomial_sphere_integral, solid_angle
 from hyperharm.harmonic import legendre_harmonic, orthonormalize
 from hyperharm.legendre import legendre_eval
 from hyperharm.polyalg import ExactPolynomial
@@ -211,6 +212,74 @@ def test_poisson_domain_errors():
         poisson_eval(f, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         poisson_eval(f, np.array([0.5, 0.5]))
+
+
+def test_kernel_matches_the_series_at_the_cli_default_degree():
+    # the product rule of degree 64 missed by 1.9e-6 here; the pole-aligned
+    # rule is exact in the slice and resolves the kernel in t
+    rng = np.random.default_rng(61)
+    poly = ExactPolynomial(
+        4,
+        {
+            (1, 0, 0, 0): Fraction(1),
+            (1, 1, 0, 0): Fraction(1),
+            (2, 0, 0, 0): Fraction(1),
+            (0, 1, 0, 2): Fraction(-2, 3),
+        },
+    )
+    f = BoundaryData.from_polynomial(poly)
+    sol = project_boundary(f, 3)
+    pts = 0.8 * oracles.unit_vectors(rng, 4, 40)
+    pts[0] = [0.0, 0.0, 0.0, 0.8]
+    pts[1] = [0.0, 0.0, 0.0, -0.8]
+    kernel = poisson_eval(f, pts, quad_degree=64)
+    assert np.max(np.abs(kernel - series_eval(sol, pts))) <= 1e-12
+
+
+def test_kernel_on_the_circle_and_at_the_center():
+    rng = np.random.default_rng(67)
+    poly = ExactPolynomial(2, {(0, 0): Fraction(1), (3, 0): Fraction(2), (1, 2): Fraction(-1)})
+    f = BoundaryData.from_polynomial(poly)
+    sol = project_boundary(f, 3)
+    pts = oracles.unit_vectors(rng, 2, 20) * rng.uniform(0.0, 0.9, size=(20, 1))
+    pts[0] = 0.0
+    pts[1] = [0.0, -0.9]
+    assert np.max(np.abs(poisson_eval(f, pts) - series_eval(sol, pts))) <= 1e-12
+    # at the center t = x_p, so x_p^20 needs the t rule's polynomial nodes
+    for p in (3, 5):
+        alpha = (0,) * (p - 1) + (20,)
+        poly = ExactPolynomial(p, {alpha: Fraction(1), (0,) * p: Fraction(1)})
+        f = BoundaryData.from_polynomial(poly)
+        mean = 1.0 + float(monomial_sphere_integral(alpha)) / solid_angle(p)
+        assert poisson_eval(f, np.zeros(p)) == pytest.approx(mean, rel=1e-14)
+
+
+def test_kernel_degree_below_the_data_degree_is_an_error():
+    f = builtin_boundary(3, "coordinate-squared")
+    with pytest.raises(ValueError, match="below"):
+        poisson_eval(f, np.array([0.1, 0.2, 0.3]), quad_degree=1)
+    with pytest.raises(ValueError):
+        poisson_eval(builtin_boundary(3, "exponential"), np.zeros(3), quad_degree=-1)
+    assert poisson_eval(f, np.zeros(3), quad_degree=2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_kernel_rule_stays_small_for_polynomial_data():
+    # through degree 10 at p = 5, no point with |x| <= 0.9 gets a rule of
+    # more than 1e5 nodes, whatever quad_degree asks for
+    for degree in range(11):
+        slice_nodes = len(bvp._slice_rule(5, degree)[1])
+        for r in np.linspace(0.0, 0.9, 46):
+            assert len(bvp._t_rule(5, r, degree)) * slice_nodes <= 100_000, (degree, r)
+
+
+def test_kernel_with_callable_data_matches_the_series():
+    rng = np.random.default_rng(71)
+    for p in (3, 4):
+        f = builtin_boundary(p, "exponential")
+        sol = project_boundary(f, 12)
+        pts = oracles.unit_vectors(rng, p, 10) * rng.uniform(0.0, 0.8, size=(10, 1))
+        kernel = poisson_eval(f, pts, quad_degree=64)
+        assert np.max(np.abs(kernel - series_eval(sol, pts))) <= 1e-10, p
 
 
 def test_cross_method_agreement():

@@ -229,6 +229,37 @@ ONE_POINT = [[0.1, 0.0, 0.0]]
         ({"p": [3], "n_max": 2, "boundary": COORDINATE, "eval_points": ONE_POINT}, "p must"),
         ({"p": 3, "n_max": [2], "boundary": COORDINATE, "eval_points": ONE_POINT}, "n_max must"),
         ({"p": 3, "n_max": 2, "boundary": 5, "eval_points": ONE_POINT}, "boundary must"),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {"type": "polynomial", "terms": 5},
+                "eval_points": ONE_POINT,
+            },
+            "terms must",
+        ),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {
+                    "type": "polynomial",
+                    "terms": [{"alpha": 1, "num": 1, "den": 1}],
+                },
+                "eval_points": ONE_POINT,
+            },
+            "alpha must",
+        ),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": COORDINATE,
+                "eval_points": ONE_POINT,
+                "quad_degree": "x",
+            },
+            "quad_degree must",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -237,6 +268,9 @@ ONE_POINT = [[0.1, 0.0, 0.0]]
         "list-p",
         "list-n-max",
         "scalar-boundary",
+        "scalar-terms",
+        "scalar-alpha",
+        "string-quad-degree",
     ],
 )
 def test_malformed_problem_is_an_input_error(tmp_path, problem, message):

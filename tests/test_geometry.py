@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from hyperharm.geometry import (
     PiRational,
     QuadratureRule,
@@ -257,3 +258,11 @@ def test_zonal_integral_rejects_bad_input():
         zonal_integral(1, lambda t: t)
     with pytest.raises(ValueError):
         zonal_integral(3, lambda t: np.full_like(t, np.inf))
+
+
+def test_sphere_rule_matches_the_meshgrid_assembly():
+    for p, degree in ((3, 0), (3, 9), (4, 7), (4, 20), (5, 12), (6, 6), (7, 4)):
+        rule = sphere_quadrature(p, degree)
+        nodes, weights = oracles.meshgrid_sphere_rule(p, degree)
+        assert np.array_equal(rule.nodes, nodes), (p, degree)
+        assert np.array_equal(rule.weights, weights), (p, degree)
