@@ -11,6 +11,7 @@ The modules split along the objects they own:
 - ``cli``: the ``hyperharm`` command.
 """
 
+from . import cli
 from .bvp import (
     BoundaryData,
     BvpSolution,

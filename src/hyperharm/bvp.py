@@ -36,9 +36,9 @@ __all__ = [
     "generating_function_consistency",
 ]
 
-DEFAULT_CALLABLE_DEGREE = 40
+DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of members integrate exactly
 # kernel rule: error target relative to the kernel's peak, a cap on the t
-# nodes (one Gauss rule of 2048 nodes takes ~0.7 s), and the boundary points
+# nodes (one Gauss rule of 2048 nodes takes ~1.6 s), and the boundary points
 # per data call, which bounds memory for callable data on fine slice rules
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
@@ -147,7 +147,7 @@ def project_boundary(
         f_norm_sq = float(np.sum(norm_rule.weights * vals * vals))
     else:
         if quad_degree is None:
-            quad_degree = DEFAULT_CALLABLE_DEGREE
+            quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2)
         coeffs, bases, f_norm_sq = _project_once(f, n_max, quad_degree)
         # the next distinct product rule serves as the accuracy report
         refined, _, _ = _project_once(f, n_max, quad_degree + 2)

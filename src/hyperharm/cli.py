@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext imports it at the first parser build; load it with the CLI
 import sys
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import bvp as bvp_mod
 from .geometry import monomial_sphere_integral, solid_angle, sphere_quadrature
@@ -262,7 +264,7 @@ def _check_addition(args):
     n_top = args.n if args.n is not None else 4
     tol = args.tol if args.tol is not None else 1e-8
     samples = args.samples if args.samples is not None else 100
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     worst = 0.0
     for p in ps:
         for n in range(n_top + 1):
@@ -295,7 +297,7 @@ def _check_funk_hecke(args):
     ps = [args.p] if args.p else [3, 4, 5]
     n_top = args.n if args.n is not None else 4
     tol = args.tol if args.tol is not None else 1e-7
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     worst = 0.0
     for p in ps:
         for n in range(n_top + 1):
@@ -361,7 +363,7 @@ def _check_harmonicity(args):
 def _check_bvp(args):
     ps = [args.p] if args.p else [3]
     tol = args.tol if args.tol is not None else 1e-6
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     worst = 0.0
     for p in ps:
         data = [

@@ -212,14 +212,15 @@ class QuadratureRule:
     """Nodes and positive weights, exact for polynomials up to exact_degree.
 
     p = None marks a 1-D rule on [-1, 1]; p >= 2 marks a rule on the unit
-    sphere in R^p whose weights sum to the full solid angle.
+    sphere in R^p whose weights sum to the full solid angle.  Float64 inputs
+    are kept as read-only views, not copies: callers must not change them.
     """
 
     __slots__ = ("nodes", "weights", "exact_degree", "p")
 
     def __init__(self, nodes, weights, exact_degree: int, p=None):
-        nodes = np.array(nodes, dtype=float)
-        weights = np.array(weights, dtype=float)
+        nodes = np.asarray(nodes, dtype=float).view()
+        weights = np.asarray(weights, dtype=float).view()
         if weights.ndim != 1 or len(weights) == 0:
             raise ValueError("weights must be a nonempty vector")
         if not np.all(weights > 0):
@@ -235,7 +236,8 @@ class QuadratureRule:
                 raise ValueError("sphere rules need p >= 2")
             if nodes.ndim != 2 or nodes.shape != (len(weights), p):
                 raise ValueError("sphere rule needs nodes of shape (m, p)")
-            radii = np.linalg.norm(nodes, axis=1)
+            # row-wise squared norms without a full-size squared temporary
+            radii = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
             if np.max(np.abs(radii - 1.0)) > 1e-14:
                 raise ValueError("sphere nodes must be unit vectors")
             total = solid_angle(p)

@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
@@ -286,7 +285,9 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
         except np.linalg.LinAlgError:
             raise RuntimeError("orthonormalization collapsed; basis builder is broken") from None
         cols = [column[a] for a in class_monos]
-        coeffs[np.ix_(indices, cols)] = solve_triangular(chol, rows, lower=True)
+        # L^-1 B from the reversed, upper triangular system: its LU needs no row
+        # exchanges, which would put rounding noise where L^-1 B is exactly 0
+        coeffs[np.ix_(indices, cols)] = np.linalg.solve(chol[::-1, ::-1], rows[::-1])[::-1]
     exponents = np.array(monos, dtype=np.int64).reshape(len(monos), p)
     # the basis is cached and shared by every caller
     exponents.flags.writeable = False

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "Poly1D",
@@ -216,22 +215,16 @@ def _jacobi_alpha_beta(a: float, b: float, m: int):
 @lru_cache(maxsize=None)
 def _gauss_rule_cached(a: float, b: float, m: int):
     alphas, betas = _jacobi_alpha_beta(a, b, m)
-    if m == 1:
-        nodes = np.array([alphas[0]])
-        weights = np.array([betas[0]])
-    else:
-        vals, vecs = eigh_tridiagonal(alphas, np.sqrt(betas[1:]))
-        nodes = vals
-        weights = betas[0] * vecs[0, :] ** 2
+    # Golub-Welsch on the dense Jacobi matrix; eigh reads its lower triangle
+    nodes, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(np.sqrt(betas[1:]), -1))
+    weights = betas[0] * vecs[0, :] ** 2
     if not (np.all(nodes > -1) and np.all(nodes < 1)):
         raise RuntimeError("quadrature nodes escaped the open interval")
     if not np.all(weights > 0):
         raise RuntimeError("nonpositive quadrature weight")
     from .geometry import QuadratureRule
 
-    return QuadratureRule(
-        nodes=nodes, weights=weights, exact_degree=2 * m - 1, p=None
-    )
+    return QuadratureRule(nodes, weights, exact_degree=2 * m - 1)
 
 
 def gauss_rule(w: Weight, m: int):

@@ -18,6 +18,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 __all__ = [
     "ExactPolynomial",
@@ -58,7 +59,7 @@ def check_orthogonal(matrix, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
 
 def random_orthogonal(p: int, seed: int = 0) -> np.ndarray:
     """Seeded random orthogonal matrix (QR of a Gaussian matrix, signs fixed)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((p, p)))
     # fix the QR sign ambiguity so the result is a deterministic function of the seed
     q = q * np.sign(np.diag(r))

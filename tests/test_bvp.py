@@ -342,6 +342,18 @@ def test_series_batch_matches_single_points():
 
 
 def test_projection_norm_bound_violation_is_an_input_error():
-    # degree-60 harmonics cannot be resolved by the default degree-40 rule
+    # degree-60 harmonics cannot be resolved by a degree-40 rule
     with pytest.raises(ValueError, match="norm bound"):
-        project_boundary(builtin_boundary(2, "exponential"), 60)
+        project_boundary(builtin_boundary(2, "exponential"), 60, quad_degree=40)
+
+
+def test_callable_projection_rule_follows_n_max():
+    f = builtin_boundary(2, "exponential")
+    for n_max in (19, 20, 60):
+        sol = project_boundary(f, n_max)
+        assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-8
+        # degree-60 float members lose digits to cancellation, not to the rule
+        assert sol.projection_error <= 1e-7, n_max
+    # up to n_max 19 the default degree-40 rule is unchanged
+    default, fixed = project_boundary(f, 19), project_boundary(f, 19, quad_degree=40)
+    assert default.quad_degree == 40 and default.coeffs == fixed.coeffs

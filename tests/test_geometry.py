@@ -222,10 +222,20 @@ def test_rule_constructor_validation():
         QuadratureRule(good.nodes, -good.weights, exact_degree=3, p=2)
     with pytest.raises(ValueError):
         QuadratureRule(good.nodes * 2.0, good.weights, exact_degree=3, p=2)
+    with pytest.raises(ValueError, match="unit vectors"):
+        QuadratureRule(good.nodes * (1 + 1e-13), good.weights, exact_degree=3, p=2)
     with pytest.raises(ValueError):
         QuadratureRule(good.nodes, good.weights * 2.0, exact_degree=3, p=2)
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 2.0]), np.array([1.0, 1.0]), exact_degree=1)
+
+
+def test_rule_keeps_float_input_without_a_copy():
+    good = sphere_quadrature(3, 4)
+    nodes, weights = good.nodes.copy(), good.weights.copy()
+    rule = QuadratureRule(nodes, weights, exact_degree=good.exact_degree, p=3)
+    assert np.shares_memory(rule.nodes, nodes) and np.shares_memory(rule.weights, weights)
+    assert nodes.flags.writeable and not rule.nodes.flags.writeable
 
 
 def test_rule_nodes_are_read_only():

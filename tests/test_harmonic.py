@@ -257,9 +257,34 @@ def test_float_stage_consumes_the_rounded_exact_gram(p, n):
         monos = sorted({a for i in indices for a in raw[i].terms})
         rows = np.array([[float(raw[i].terms.get(a, 0)) for a in monos] for i in indices])
         block = np.array([[float(gram[i][j]) for j in indices] for i in indices])
-        expected = solve_triangular(np.linalg.cholesky(block), rows, lower=True)
+        chol = np.linalg.cholesky(block)
+        expected = np.linalg.solve(chol[::-1, ::-1], rows[::-1])[::-1]
         got = basis.coeffs[np.ix_(indices, [column[a] for a in monos])]
         assert np.array_equal(got, expected), (p, n, indices)
+
+
+def test_orthonormal_coefficients_match_the_triangular_solve():
+    # numpy's general solve on the reversed Cholesky factor and LAPACK's
+    # triangular solve differ only in rounding, and the former stores no
+    # more rounding noise where an exact coefficient is 0
+    stored = stored_by_trsm = 0
+    for p in range(2, 7):
+        for n in range(9):
+            raw = harmonic_basis_raw(p, n)
+            basis = orthonormalize(p, n)
+            gram = basis.gram_exact
+            column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
+            for indices, _, _ in basis.gram_blocks:
+                monos = sorted({a for i in indices for a in raw[i].terms})
+                rows = np.array([[float(raw[i].terms.get(a, 0)) for a in monos] for i in indices])
+                block = np.array([[float(gram[i][j]) for j in indices] for i in indices])
+                expected = solve_triangular(np.linalg.cholesky(block), rows, lower=True)
+                got = basis.coeffs[np.ix_(indices, [column[a] for a in monos])]
+                err = np.max(np.abs(got - expected))
+                assert err <= 1e-13 * np.max(np.abs(expected)), (p, n, indices)
+                stored += np.count_nonzero(got)
+                stored_by_trsm += np.count_nonzero(expected)
+    assert stored <= stored_by_trsm
 
 
 def _pow_reference(basis, pts):

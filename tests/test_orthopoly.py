@@ -9,6 +9,7 @@ from hyperharm.orthopoly import (
     Poly1D,
     RecurrenceCoeffs,
     Weight,
+    _jacobi_alpha_beta,
     bernstein,
     best_approximation,
     gauss_rule,
@@ -72,6 +73,36 @@ def test_gauss_rule_against_exact_moments():
                 approx = float(np.sum(rule.weights * rule.nodes**k))
                 exact = float(oracles.weighted_moment_exact(k, a, b))
                 assert approx == pytest.approx(exact, rel=1e-13, abs=1e-13), (a, b, m, k)
+
+
+GOLUB_WELSCH_WEIGHTS = [
+    LEGENDRE,
+    CHEBYSHEV,
+    *(Weight(Fraction(k, 2), Fraction(k, 2)) for k in range(1, 6)),  # Gegenbauer 1 .. 3
+    Weight(1, 0),
+    Weight(0, 2),
+    Weight(Fraction(-1, 2), Fraction(1, 2)),
+    Weight(Fraction(5, 2), Fraction(1, 2)),
+    Weight(Fraction(-3, 4), 3),
+    Weight(Fraction(1, 3), Fraction(-1, 5)),
+]
+
+
+@pytest.mark.parametrize("w", GOLUB_WELSCH_WEIGHTS, ids=lambda w: f"{w.alpha},{w.beta}")
+def test_gauss_rule_matches_tridiagonal_golub_welsch(w):
+    # the dense Jacobi matrix gives the tridiagonal eigensolver's nodes and
+    # weights bit for bit, so no quadrature value moves
+    from scipy.linalg import eigh_tridiagonal
+
+    alphas, betas = _jacobi_alpha_beta(float(w.alpha), float(w.beta), 1)
+    rule = gauss_rule(w, 1)
+    assert rule.nodes.tolist() == [alphas[0]] and rule.weights.tolist() == [betas[0]]
+    for m in [*range(2, 65), *range(96, 257, 32)]:
+        alphas, betas = _jacobi_alpha_beta(float(w.alpha), float(w.beta), m)
+        nodes, vecs = eigh_tridiagonal(alphas, np.sqrt(betas[1:]))
+        rule = gauss_rule(w, m)
+        assert np.array_equal(rule.nodes, nodes), m
+        assert np.array_equal(rule.weights, betas[0] * vecs[0, :] ** 2), m
 
 
 def test_gauss_rule_chebyshev_oracle():
