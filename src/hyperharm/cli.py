@@ -245,164 +245,139 @@ def _range_str(values) -> str:
     return f"{values[0]}..{values[-1]}"
 
 
-def _check_orthogonality(args):
-    ps = [args.p] if args.p else [2, 3, 4, 5]
-    n_top = args.n_max if args.n_max is not None else 8
-    tol = args.tol if args.tol is not None else 1e-10
+def _unit(rng, p):
+    v = rng.normal(size=p)
+    return v / np.linalg.norm(v)
+
+
+# Each check returns its worst residual at one dimension p, given the top
+# degree, the sample count and the check's own generator, drawn in order.
+
+
+def _check_orthogonality(p, n_top, samples, rng):
+    w = Weight(Fraction(p - 3, 2), Fraction(p - 3, 2))
+    polys = [legendre_coeffs(p, n) for n in range(n_top + 1)]
     worst = 0.0
-    for p in ps:
-        w = Weight(Fraction(p - 3, 2), Fraction(p - 3, 2))
-        polys = [legendre_coeffs(p, n) for n in range(n_top + 1)]
-        for i in range(n_top + 1):
-            for j in range(i):
-                worst = max(worst, abs(inner_product(polys[i], polys[j], w)))
-    return ps, range(n_top + 1), worst, tol
+    for i in range(n_top + 1):
+        for j in range(i):
+            worst = max(worst, abs(inner_product(polys[i], polys[j], w)))
+    return worst
 
 
-def _check_addition(args):
-    ps = [args.p] if args.p else [3, 4, 5]
-    n_top = args.n if args.n is not None else 4
-    tol = args.tol if args.tol is not None else 1e-8
-    samples = args.samples if args.samples is not None else 100
-    rng = default_rng(args.seed)
+def _check_addition(p, n_top, samples, rng):
     worst = 0.0
-    for p in ps:
-        for n in range(n_top + 1):
-            basis = orthonormalize(p, n)
-            for _ in range(samples):
-                xi = rng.normal(size=p)
-                xi /= np.linalg.norm(xi)
-                eta = rng.normal(size=p)
-                eta /= np.linalg.norm(eta)
-                lhs = addition_theorem_eval(basis, xi, eta)
-                rhs = legendre_eval(p, n, float(xi @ eta))
-                worst = max(worst, abs(lhs - rhs))
-    return ps, range(n_top + 1), worst, tol
+    for n in range(n_top + 1):
+        basis = orthonormalize(p, n)
+        for _ in range(samples):
+            xi = _unit(rng, p)
+            eta = _unit(rng, p)
+            lhs = addition_theorem_eval(basis, xi, eta)
+            rhs = legendre_eval(p, n, float(xi @ eta))
+            worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
-def _check_generating_function(args):
-    ps = [args.p] if args.p else [3, 4, 5]
-    tol = args.tol if args.tol is not None else 1e-8
+def _check_generating_function(p, n_top, samples, rng):
     t_grid = np.linspace(-1.0, 1.0, 11)
+    return bvp_mod.generating_function_consistency(p, t_grid, (0.1, 0.3, 0.5), n_top)
+
+
+def _check_funk_hecke(p, n_top, samples, rng):
     worst = 0.0
-    for p in ps:
-        worst = max(
-            worst,
-            bvp_mod.generating_function_consistency(p, t_grid, (0.1, 0.3, 0.5), 60),
-        )
-    return ps, range(61), worst, tol
+    for n in range(n_top + 1):
+        basis = orthonormalize(p, n)
+        Y = basis.members[0]
+        eta = _unit(rng, p)
+        y_eta = float(Y.evaluate(tuple(eta)))
+        rule = sphere_quadrature(p, 2 * n_top + 8)
+        ts = rule.nodes @ eta
+        y_vals = Y.evaluate_array(rule.nodes)
+        for name in ("one", "t", "t2", "t3"):
+            f = ZONAL_FUNCTIONS[name]
+            sphere_side = float(np.sum(rule.weights * f(ts) * y_vals))
+            lam = funk_hecke_coeff(p, n, f)
+            worst = max(worst, abs(sphere_side - lam * y_eta))
+    return worst
 
 
-def _check_funk_hecke(args):
-    ps = [args.p] if args.p else [3, 4, 5]
-    n_top = args.n if args.n is not None else 4
-    tol = args.tol if args.tol is not None else 1e-7
-    rng = default_rng(args.seed)
+def _check_quadrature(p, n_top, samples, rng):
     worst = 0.0
-    for p in ps:
-        for n in range(n_top + 1):
-            basis = orthonormalize(p, n)
-            Y = basis.members[0]
-            eta = rng.normal(size=p)
-            eta /= np.linalg.norm(eta)
-            y_eta = float(Y.evaluate(tuple(eta)))
-            rule = sphere_quadrature(p, 2 * n_top + 8)
-            ts = rule.nodes @ eta
-            y_vals = Y.evaluate_array(rule.nodes)
-            for name in ("one", "t", "t2", "t3"):
-                f = ZONAL_FUNCTIONS[name]
-                sphere_side = float(np.sum(rule.weights * f(ts) * y_vals))
-                lam = funk_hecke_coeff(p, n, f)
-                worst = max(worst, abs(sphere_side - lam * y_eta))
-    return ps, range(n_top + 1), worst, tol
+    for degree in (4, 9):
+        rule = sphere_quadrature(p, degree)
+        omega = solid_angle(p)
+        worst = max(worst, abs(float(np.sum(rule.weights)) - omega) / omega)
+        alpha = (2, 4) + (0,) * (p - 2)
+        exact = float(monomial_sphere_integral(alpha))
+        approx = float(np.sum(rule.weights * (rule.nodes ** np.array(alpha)).prod(axis=1)))
+        if degree >= sum(alpha):
+            worst = max(worst, abs(approx - exact) / abs(exact))
+    return worst
 
 
-def _check_quadrature(args):
-    ps = [args.p] if args.p else [2, 3, 4, 5, 6]
-    tol = args.tol if args.tol is not None else 1e-12
-    worst = 0.0
-    for p in ps:
-        for degree in (4, 9):
-            rule = sphere_quadrature(p, degree)
-            omega = solid_angle(p)
-            worst = max(worst, abs(float(np.sum(rule.weights)) - omega) / omega)
-            alpha = (2, 4) + (0,) * (p - 2)
-            exact = float(monomial_sphere_integral(alpha))
-            approx = float(np.sum(rule.weights * (rule.nodes ** np.array(alpha)).prod(axis=1)))
-            if degree >= sum(alpha):
-                worst = max(worst, abs(approx - exact) / abs(exact))
-    return ps, range(1), worst, tol
-
-
-def _check_recurrence(args):
-    tol = args.tol if args.tol is not None else 1e-9
-    n_top = args.n_max if args.n_max is not None else 8
+def _check_recurrence(p, n_top, samples, rng):
     worst = 0.0
     for a, b in ((0, 0), (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2)), (2, 2), (1, 0)):
         w = Weight(Fraction(a), Fraction(b))
         phis = gram_schmidt(w, n_top)
         rc = recurrence_coeffs(phis, w)
         worst = max(worst, recurrence_residual(phis, rc, w))
-    return [1], range(n_top + 1), worst, tol
+    return worst
 
 
-def _check_harmonicity(args):
-    ps = [args.p] if args.p else [2, 3, 4, 5]
-    n_top = args.n_max if args.n_max is not None else 6
-    tol = args.tol if args.tol is not None else 1e-12
+def _check_harmonicity(p, n_top, samples, rng):
     worst = 0.0
-    for p in ps:
-        for n in range(n_top + 1):
-            for member in harmonic_basis_raw(p, n):
-                worst = max(worst, float(member.laplacian().max_abs_coeff()))
-            lap = legendre_harmonic(p, n).laplacian()
-            worst = max(worst, float(lap.max_abs_coeff()))
-    return ps, range(n_top + 1), worst, tol
+    for n in range(n_top + 1):
+        for member in harmonic_basis_raw(p, n):
+            worst = max(worst, float(member.laplacian().max_abs_coeff()))
+        lap = legendre_harmonic(p, n).laplacian()
+        worst = max(worst, float(lap.max_abs_coeff()))
+    return worst
 
 
-def _check_bvp(args):
-    ps = [args.p] if args.p else [3]
-    tol = args.tol if args.tol is not None else 1e-6
-    rng = default_rng(args.seed)
+def _check_bvp(p, n_top, samples, rng):
     worst = 0.0
-    for p in ps:
-        data = [
-            bvp_mod.builtin_boundary(p, "coordinate"),
-            bvp_mod.BoundaryData.from_polynomial(
-                ExactPolynomial.monomial(p, (1, 1) + (0,) * (p - 2))
-                + ExactPolynomial.variable(p, p - 1)
-            ),
-        ]
-        for f in data:
-            sol = bvp_mod.project_boundary(f, n_max=4)
-            pts = []
-            for _ in range(10):
-                x = rng.normal(size=p)
-                x *= 0.8 * rng.random() / np.linalg.norm(x)
-                pts.append(x)
-            pts = np.array(pts)
-            a = bvp_mod.series_eval(sol, pts)
-            b = bvp_mod.poisson_eval(f, pts, quad_degree=64)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        for _ in range(5):
-            xb = rng.normal(size=p)
-            xb /= np.linalg.norm(xb)
-            x0 = rng.normal(size=p)
-            x0 *= 0.6 * rng.random() / np.linalg.norm(x0)
-            worst = max(worst, abs(bvp_mod.green_function(p, xb, x0)))
-    return ps, range(5), worst, tol
+    data = [
+        bvp_mod.builtin_boundary(p, "coordinate"),
+        bvp_mod.BoundaryData.from_polynomial(
+            ExactPolynomial.monomial(p, (1, 1) + (0,) * (p - 2))
+            + ExactPolynomial.variable(p, p - 1)
+        ),
+    ]
+    for f in data:
+        sol = bvp_mod.project_boundary(f, n_max=n_top)
+        pts = []
+        for _ in range(10):
+            x = rng.normal(size=p)
+            x *= 0.8 * rng.random() / np.linalg.norm(x)
+            pts.append(x)
+        pts = np.array(pts)
+        a = bvp_mod.series_eval(sol, pts)
+        b = bvp_mod.poisson_eval(f, pts, quad_degree=64)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    for _ in range(5):
+        xb = _unit(rng, p)
+        x0 = rng.normal(size=p)
+        x0 *= 0.6 * rng.random() / np.linalg.norm(x0)
+        worst = max(worst, abs(bvp_mod.green_function(p, xb, x0)))
+    return worst
 
 
+# name: (check, default dimensions or None for a check that has none and
+# reports p-range 1, the option that sets its top degree or None for a fixed
+# one, the default or fixed top degree, tolerance)
 VERIFY_CHECKS = {
-    "orthogonality": _check_orthogonality,
-    "addition": _check_addition,
-    "generating-function": _check_generating_function,
-    "funk-hecke": _check_funk_hecke,
-    "quadrature": _check_quadrature,
-    "recurrence": _check_recurrence,
-    "harmonicity": _check_harmonicity,
-    "bvp": _check_bvp,
+    "orthogonality": (_check_orthogonality, (2, 3, 4, 5), "n_max", 8, 1e-10),
+    "addition": (_check_addition, (3, 4, 5), "n", 4, 1e-8),
+    "generating-function": (_check_generating_function, (3, 4, 5), None, 60, 1e-8),
+    "funk-hecke": (_check_funk_hecke, (3, 4, 5), "n", 4, 1e-7),
+    "quadrature": (_check_quadrature, (2, 3, 4, 5, 6), None, 0, 1e-12),
+    "recurrence": (_check_recurrence, None, "n_max", 8, 1e-9),
+    "harmonicity": (_check_harmonicity, (2, 3, 4, 5), "n_max", 6, 1e-12),
+    "bvp": (_check_bvp, (3,), None, 4, 1e-6),
 }
+
+# smallest accepted value of each numeric verify option
+_VERIFY_MINIMA = {"p": 2, "n": 0, "n_max": 0, "samples": 1}
 
 
 def _cmd_verify(args) -> int:
@@ -412,23 +387,24 @@ def _cmd_verify(args) -> int:
                 f"unknown check {name!r}; available: {', '.join(sorted(VERIFY_CHECKS))}\n"
             )
             return 2
-    reports = []
-    for name in args.checks:
-        ps, ns, worst, tol = VERIFY_CHECKS[name](args)
-        reports.append(
-            {
-                "check": name,
-                "p-range": _range_str(ps),
-                "n-range": _range_str(ns),
-                "max_residual": worst,
-                "tolerance": tol,
-                "pass": bool(worst <= tol),
-            }
-        )
+    for key, least in _VERIFY_MINIMA.items():
+        value = getattr(args, key)
+        if value is not None and value < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least {least}")
     header = ["check", "p-range", "n-range", "max_residual", "tolerance", "pass"]
-    rows = [[r[k] for k in header] for r in reports]
-    _render(args, reports, header, rows)
-    return 0 if all(r["pass"] for r in reports) else 1
+    rows = []
+    for name in args.checks:
+        check, ps, degree, n_top, tol = VERIFY_CHECKS[name]
+        ps = (1,) if ps is None else ps if args.p is None else (args.p,)
+        if degree is not None and getattr(args, degree) is not None:
+            n_top = getattr(args, degree)
+        tol = tol if args.tol is None else args.tol
+        rng = default_rng(args.seed)
+        worst = max([0.0] + [check(p, n_top, args.samples, rng) for p in ps])
+        ns = range(n_top + 1)
+        rows.append([name, _range_str(ps), _range_str(ns), worst, tol, bool(worst <= tol)])
+    _render(args, [dict(zip(header, row)) for row in rows], header, rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -439,13 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, p=False, n=False, n_max=False, degree=False):
+    def common(sp, *, p=False, n=False, degree=False):
         if p:
             sp.add_argument("--p", type=int, required=True, help="ambient dimension")
         if n:
             sp.add_argument("--n", type=int, required=True, help="polynomial degree")
-        if n_max:
-            sp.add_argument("--n-max", type=int, dest="n_max", help="maximum degree")
         if degree:
             sp.add_argument("--degree", type=int, help="quadrature degree")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -490,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="restrict to one dimension")
     sp.add_argument("--n", type=int, help="maximum degree for sampled checks")
     sp.add_argument("--n-max", type=int, dest="n_max", help="maximum degree for swept checks")
-    sp.add_argument("--samples", type=int, help="random sample count")
+    sp.add_argument("--samples", type=int, default=100, help="random sample count")
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     sp.add_argument("--tol", type=float, help="tolerance override")
     common(sp)

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+NORM_BLOCK_ROWS = 1 << 16  # rows renormalised at a time in sphere_quadrature
 
 
 @dataclass(frozen=True)
@@ -356,8 +357,11 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     coords[..., 0] = sin_prod * np.cos(grids[-1])
     nodes = coords.reshape(-1, p)
     weights = weights.reshape(-1)
-    # rounding can leave |node| a hair off 1; renormalize so the invariant is exact
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    # rounding can leave |node| a hair off 1; renormalize so the invariant is
+    # exact, in row blocks so the norm's squared temporary stays small
+    for start in range(0, len(nodes), NORM_BLOCK_ROWS):
+        block = nodes[start : start + NORM_BLOCK_ROWS]
+        block /= np.linalg.norm(block, axis=1)[:, None]
     return QuadratureRule(nodes, weights, exact_degree=2 * m - 1, p=p)
 
 

@@ -123,6 +123,47 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--p", "0"), ("--p", "1"), ("--n", "-1"), ("--n-max", "-2"), ("--samples", "0"), ("--samples", "-3")],
+)
+def test_verify_option_below_its_range_is_a_usage_error(option, value, capsys):
+    assert run(["verify", "addition", option, value]) == 2
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith(f"error: {option} must be at least ")
+    assert "Traceback" not in err
+
+
+def _verify_rows(argv, capsys):
+    assert run(["verify", *argv]) == 0
+    out, _ = _out(capsys)
+    return {line.split(",")[0]: line for line in out.splitlines()[1:]}
+
+
+def test_verify_degree_options_set_their_checks_n_range(capsys):
+    sampled = _verify_rows(["addition", "funk-hecke", "--p", "3", "--n", "2", "--samples", "3"], capsys)
+    assert [row.split(",")[1:3] for row in sampled.values()] == [["3", "0..2"]] * 2
+    swept = _verify_rows(["orthogonality", "recurrence", "harmonicity", "--p", "3", "--n-max", "3"], capsys)
+    assert [row.split(",")[2] for row in swept.values()] == ["0..3"] * 3
+    # --n sets no swept check's degree, and --n-max no sampled check's
+    rows = _verify_rows(["addition", "orthogonality", "--p", "3", "--n", "1", "--n-max", "2", "--samples", "3"], capsys)
+    assert rows["addition"].split(",")[2] == "0..1"
+    assert rows["orthogonality"].split(",")[2] == "0..2"
+
+
+def test_verify_recurrence_has_no_dimension(capsys):
+    rows = _verify_rows(["recurrence", "--p", "4"], capsys)
+    assert rows["recurrence"].split(",")[1:3] == ["1", "0..8"]
+
+
+def test_verify_row_does_not_depend_on_the_other_checks(capsys):
+    # each check draws from its own generator seeded with --seed
+    together = _verify_rows(["addition", "bvp", "--seed", "3", "--samples", "5"], capsys)
+    alone = _verify_rows(["bvp", "--seed", "3"], capsys)
+    assert together["bvp"] == alone["bvp"]
+
+
 def test_unknown_kernel_is_a_usage_error(capsys):
     assert run(["funk-hecke", "--p", "3", "--n", "2", "--f", "cosh"]) == 2
     _, err = _out(capsys)

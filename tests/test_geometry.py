@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from hyperharm.geometry import (
+    NORM_BLOCK_ROWS,
     PiRational,
     QuadratureRule,
     SphericalPoint,
@@ -276,3 +277,13 @@ def test_sphere_rule_matches_the_meshgrid_assembly():
         nodes, weights = oracles.meshgrid_sphere_rule(p, degree)
         assert np.array_equal(rule.nodes, nodes), (p, degree)
         assert np.array_equal(rule.weights, weights), (p, degree)
+
+
+def test_blocked_renormalisation_matches_one_whole_array_pass():
+    # (4, 64) has 71,874 nodes, more than one block of NORM_BLOCK_ROWS rows;
+    # the oracle renormalises all rows with one np.linalg.norm call
+    rule = sphere_quadrature(4, 64)
+    assert len(rule.nodes) > NORM_BLOCK_ROWS
+    nodes, weights = oracles.meshgrid_sphere_rule(4, 64)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)

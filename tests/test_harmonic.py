@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 import oracles
 from hyperharm.geometry import PiRational, monomial_sphere_integral, sphere_quadrature
@@ -267,6 +266,7 @@ def test_orthonormal_coefficients_match_the_triangular_solve():
     # numpy's general solve on the reversed Cholesky factor and LAPACK's
     # triangular solve differ only in rounding, and the former stores no
     # more rounding noise where an exact coefficient is 0
+    solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
     stored = stored_by_trsm = 0
     for p in range(2, 7):
         for n in range(9):
