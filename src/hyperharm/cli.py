@@ -364,16 +364,17 @@ def _check_bvp(p, n_top, samples, rng):
 
 # name: (check, default dimensions or None for a check that has none and
 # reports p-range 1, the option that sets its top degree or None for a fixed
-# one, the default or fixed top degree, tolerance)
+# one, the default or fixed top degree, the least top degree at which the
+# check compares anything, tolerance)
 VERIFY_CHECKS = {
-    "orthogonality": (_check_orthogonality, (2, 3, 4, 5), "n_max", 8, 1e-10),
-    "addition": (_check_addition, (3, 4, 5), "n", 4, 1e-8),
-    "generating-function": (_check_generating_function, (3, 4, 5), None, 60, 1e-8),
-    "funk-hecke": (_check_funk_hecke, (3, 4, 5), "n", 4, 1e-7),
-    "quadrature": (_check_quadrature, (2, 3, 4, 5, 6), None, 0, 1e-12),
-    "recurrence": (_check_recurrence, None, "n_max", 8, 1e-9),
-    "harmonicity": (_check_harmonicity, (2, 3, 4, 5), "n_max", 6, 1e-12),
-    "bvp": (_check_bvp, (3,), None, 4, 1e-6),
+    "orthogonality": (_check_orthogonality, (2, 3, 4, 5), "n_max", 8, 1, 1e-10),
+    "addition": (_check_addition, (3, 4, 5), "n", 4, 0, 1e-8),
+    "generating-function": (_check_generating_function, (3, 4, 5), None, 60, 0, 1e-8),
+    "funk-hecke": (_check_funk_hecke, (3, 4, 5), "n", 4, 0, 1e-7),
+    "quadrature": (_check_quadrature, (2, 3, 4, 5, 6), None, 0, 0, 1e-12),
+    "recurrence": (_check_recurrence, None, "n_max", 8, 2, 1e-9),
+    "harmonicity": (_check_harmonicity, (2, 3, 4, 5), "n_max", 6, 0, 1e-12),
+    "bvp": (_check_bvp, (3,), None, 4, 0, 1e-6),
 }
 
 # smallest accepted value of each numeric verify option
@@ -391,10 +392,15 @@ def _cmd_verify(args) -> int:
         value = getattr(args, key)
         if value is not None and value < least:
             raise ValueError(f"--{key.replace('_', '-')} must be at least {least}")
+    for name in args.checks:
+        _, _, degree, _, least, _ = VERIFY_CHECKS[name]
+        value = None if degree is None else getattr(args, degree)
+        if value is not None and value < least:
+            raise ValueError(f"--{degree.replace('_', '-')} must be at least {least} for {name}")
     header = ["check", "p-range", "n-range", "max_residual", "tolerance", "pass"]
     rows = []
     for name in args.checks:
-        check, ps, degree, n_top, tol = VERIFY_CHECKS[name]
+        check, ps, degree, n_top, _, tol = VERIFY_CHECKS[name]
         ps = (1,) if ps is None else ps if args.p is None else (args.p,)
         if degree is not None and getattr(args, degree) is not None:
             n_top = getattr(args, degree)

@@ -124,11 +124,22 @@ def test_verify_unknown_check(capsys):
 
 
 @pytest.mark.parametrize(
-    "option, value",
-    [("--p", "0"), ("--p", "1"), ("--n", "-1"), ("--n-max", "-2"), ("--samples", "0"), ("--samples", "-3")],
+    "check, option, value",
+    [
+        ("addition", "--p", "0"),
+        ("addition", "--p", "1"),
+        ("addition", "--n", "-1"),
+        ("addition", "--n-max", "-2"),
+        ("addition", "--samples", "0"),
+        ("addition", "--samples", "-3"),
+        # below these a swept check compares no pair or recurrence step
+        ("orthogonality", "--n-max", "0"),
+        ("recurrence", "--n-max", "0"),
+        ("recurrence", "--n-max", "1"),
+    ],
 )
-def test_verify_option_below_its_range_is_a_usage_error(option, value, capsys):
-    assert run(["verify", "addition", option, value]) == 2
+def test_verify_option_below_its_range_is_a_usage_error(check, option, value, capsys):
+    assert run(["verify", check, option, value]) == 2
     out, err = _out(capsys)
     assert out == ""
     assert err.startswith(f"error: {option} must be at least ")

@@ -272,18 +272,11 @@ def test_zonal_integral_rejects_bad_input():
 
 
 def test_sphere_rule_matches_the_meshgrid_assembly():
-    for p, degree in ((3, 0), (3, 9), (4, 7), (4, 20), (5, 12), (6, 6), (7, 4)):
+    # (4, 64) has more nodes than one renormalisation block
+    assert len(sphere_quadrature(4, 64).nodes) > NORM_BLOCK_ROWS
+    for p, degree in ((3, 0), (3, 9), (4, 7), (4, 20), (4, 64), (5, 12), (6, 6), (7, 4)):
         rule = sphere_quadrature(p, degree)
         nodes, weights = oracles.meshgrid_sphere_rule(p, degree)
         assert np.array_equal(rule.nodes, nodes), (p, degree)
         assert np.array_equal(rule.weights, weights), (p, degree)
 
-
-def test_blocked_renormalisation_matches_one_whole_array_pass():
-    # (4, 64) has 71,874 nodes, more than one block of NORM_BLOCK_ROWS rows;
-    # the oracle renormalises all rows with one np.linalg.norm call
-    rule = sphere_quadrature(4, 64)
-    assert len(rule.nodes) > NORM_BLOCK_ROWS
-    nodes, weights = oracles.meshgrid_sphere_rule(4, 64)
-    assert np.array_equal(rule.nodes, nodes)
-    assert np.array_equal(rule.weights, weights)
