@@ -284,6 +284,12 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     and is otherwise unused.  For callable data d is quad_degree, by
     default DEFAULT_CALLABLE_DEGREE.  Each point's rule depends only on
     that point, so a batch equals one call per point, bit for bit.
+
+    The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
+    of the sphere.  For data x_1 + x_1 x_2 the largest error against the
+    series over 32 random directions is, at |x0| = 0.99, 0.995 and 0.999,
+    1.6e-12, 1.7e-8 and 9e-2 for p = 3 and 4.5e-13, 1.4e-7 and 0.15 for p = 5.
+    No error estimate is returned.
     """
     deg = f.degree
     if quad_degree is not None and quad_degree < 0:

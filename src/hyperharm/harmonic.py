@@ -6,8 +6,10 @@ last coordinate: seeds run over monomials in the first p-1 variables and
 each member is a closed form in its seed, one integer row over one
 factorial.  Gram matrices on the sphere are therefore exact: integer
 parity-class blocks under one pi-power scale per degree, their rank
-certified modulo one prime with an exact rational fallback.  Only the
-final orthonormalization happens in floating point.
+certified modulo one prime with an exact rational fallback.  Each block
+is computed in int64 modulo primes below 2^26 and lifted by the Chinese
+remainder theorem, with enough primes to cover a bound on its entries.
+Only the final orthonormalization happens in floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -94,11 +96,24 @@ def _raw_rows(p: int, n: int):
         yield tuple(a % 2 for a in alpha) + (j0,), terms, math.perm(top, 2 * half)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
     """Exactly harmonic, linearly independent spanning set of degree n."""
     rows = _raw_rows(p, n)
     return tuple(ExactPolynomial(p, {a: Fraction(c, d) for a, c in t.items()}) for _, t, d in rows)
+
+
+# Gram blocks are computed in int64 modulo primes q < 2^26: a product of two
+# residues is below 2^52, so a sum of fewer than 2^11 of them stays below 2^63.
+_SLICE = 2**11 - 1
+
+
+def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for int64 residues below q, summed over slices of _SLICE terms."""
+    out = 0
+    for k in range(0, a.shape[1], _SLICE):
+        out = (out + a[:, k : k + _SLICE] @ b[k : k + _SLICE]) % q
+    return out
 
 
 def _gram_blocks(p: int, n: int):
@@ -106,26 +121,43 @@ def _gram_blocks(p: int, n: int):
 
     Every monomial integral of total degree 2n over the sphere is one shared
     pi-power scale times an integer product of double factorials, so the
-    Gram reduces to integer matrix products taken inside parity classes;
-    members of different classes are exactly orthogonal because some
-    exponent sum is odd.  Yields, per class in the order of its first member,
-    the member indices, the class's sorted monomials, the members' float
-    coefficient rows over them, the row denominators d and the integer
-    matrix s: block entry (a, b) is the scale times s[a][b] / (d[a] d[b]).
+    Gram reduces to integer matrix products s = B K B^T taken inside parity
+    classes; members of different classes are exactly orthogonal because
+    some exponent sum is odd.  s is taken modulo primes whose product exceeds
+    twice a bound on |s|, so the Chinese remainder theorem lifts it exactly.
+    Yields, per class in the order of its first member, the member indices,
+    the class's sorted monomials, the members' float coefficient rows over
+    them, the row denominators d and the integer matrix s: block entry
+    (a, b) is the scale times s[a][b] / (d[a] d[b]).
     """
     # dfact[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of its
     # 2-power and sqrt(pi) factors; odd m never occur in a Gram entry
-    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
+    dfact = [math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)]
     classes: dict = {}
     for idx, (parity, terms, denom) in enumerate(_raw_rows(p, n)):
         classes.setdefault(parity, []).append((idx, terms, denom))
+    # |s_ab| <= |B_a|_1 |B_b|_1 max K, and no kernel entry exceeds (2n-1)!!
+    norm = max(sum(map(abs, terms.values())) for members in classes.values() for _, terms, _ in members)
+    primes, modulus, q = [], 1, 2**26 + 1
+    while modulus <= 2 * norm**2 * dfact[-1]:
+        q -= 2
+        # a base-2 Fermat test skips most composites; trial division up to sqrt(q) decides
+        if pow(2, q - 1, q) == 1 and np.all(q % np.arange(3, 2**13, 2)):
+            primes.append((q, np.array([d % q for d in dfact], dtype=np.int64)))
+            modulus *= q
     for members in classes.values():
         indices, member_terms, denoms = zip(*members)
         monos = sorted({a for terms in member_terms for a in terms})
-        exps = np.array(monos, dtype=np.int64)
-        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
+        exps = np.array(monos, dtype=np.int64).T
         b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
-        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
+        s = 0
+        for q, table in primes:
+            # K mod q, one coordinate's (m-1)!! factor at a time
+            kernel = reduce(lambda k, f: k * f % q, table[exps[:, :, None] + exps[:, None, :]])
+            bq = (b % q).astype(np.int64)
+            crt = modulus // q * pow(modulus // q, -1, q)  # 1 mod q, 0 mod the other primes
+            s = s + _mod_matmul(_mod_matmul(bq, kernel, q), bq.T, q).astype(object) * crt
+        s = tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in (s % modulus).tolist())
         # int / int is correctly rounded: each is float() of its exact coefficient
         rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
         yield indices, monos, rows, denoms, s
@@ -257,7 +289,7 @@ class HarmonicBasis:
         return json.dumps({"p": self.p, "n": self.n, "members": members, "gram": gram})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 

@@ -70,6 +70,30 @@ def slice_recursion_basis(p, n):
     return members
 
 
+def object_gram_blocks(p, n, raw_rows):
+    """Gram blocks of raw rows (parity class, integer terms, denominator) in Python integers.
+
+    The reference for the package's modular Gram: members are grouped by
+    class in order of first appearance, and each block's integer matrix is
+    B K B^T on object arrays, K_ij = prod_c (a_ic + a_jc - 1)!! over the
+    class's sorted monomials a.  Yields what the package's blocks hold:
+    member indices, monomials, float rows, denominators and s.
+    """
+    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
+    classes = {}
+    for idx, (parity, terms, denom) in enumerate(raw_rows):
+        classes.setdefault(parity, []).append((idx, terms, denom))
+    for members in classes.values():
+        indices, member_terms, denoms = zip(*members)
+        monos = sorted({a for terms in member_terms for a in terms})
+        exps = np.array(monos, dtype=np.int64).reshape(len(monos), p)
+        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
+        b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
+        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
+        rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
+        yield indices, monos, rows, denoms, s
+
+
 def meshgrid_sphere_rule(p, degree):
     """Nodes and weights of the product rule on S^{p-1}, assembled on full meshgrids.
 

@@ -254,6 +254,19 @@ def test_kernel_on_the_circle_and_at_the_center():
         assert poisson_eval(f, np.zeros(p)) == pytest.approx(mean, rel=1e-14)
 
 
+def test_kernel_accuracy_at_the_documented_radius():
+    # the t rule reaches MAX_T_NODES at |x| = 0.99 and still holds there;
+    # farther out the documented error grows to 1e-8 and then 1e-1
+    rng = np.random.default_rng(71)
+    for p in (3, 5):
+        x1, x1x2 = (1,) + (0,) * (p - 1), (1, 1) + (0,) * (p - 2)
+        f = BoundaryData.from_polynomial(ExactPolynomial(p, {x1: Fraction(1), x1x2: Fraction(1)}))
+        pts = 0.99 * oracles.unit_vectors(rng, p, 8)
+        assert len(bvp._t_rule(p, 0.99, f.degree).nodes) == bvp.MAX_T_NODES
+        err = np.abs(poisson_eval(f, pts) - series_eval(project_boundary(f, 2), pts))
+        assert np.max(err) <= 1e-10, p
+
+
 def test_kernel_degree_below_the_data_degree_is_an_error():
     f = builtin_boundary(3, "coordinate-squared")
     with pytest.raises(ValueError, match="below"):

@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import oracles
+from hyperharm import harmonic
 from hyperharm.geometry import PiRational, monomial_sphere_integral, sphere_quadrature
 from hyperharm.harmonic import (
     RANK_PRIME,
@@ -128,6 +130,69 @@ def test_orthonormality_and_parity_in_dimensions_five_and_six():
 def test_orthonormalize_is_cached():
     assert orthonormalize(3, 4) is orthonormalize(3, 4)
     assert harmonic_basis_raw(4, 3) is harmonic_basis_raw(4, 3)
+
+
+def test_basis_caches_are_bounded():
+    for cached in (orthonormalize, harmonic_basis_raw):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 100
+    # a p=4 session up to degree 6 keeps all seven of its bases
+    first = [orthonormalize(4, n) for n in range(7)]
+    assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
+
+
+@pytest.mark.parametrize(
+    "p, n, primes",
+    [(2, 0, "one")] + [(5, n, "one") for n in range(5)]
+    + [(6, 8, "several"), (5, 12, "several"), (3, 40, "several"), (2, 60, "over 30")],
+)
+def test_modular_gram_matches_the_object_integer_product(monkeypatch, p, n, primes):
+    moduli = set()
+    mod_matmul = harmonic._mod_matmul
+
+    def recording(a, b, q):
+        moduli.add(q)
+        return mod_matmul(a, b, q)
+
+    monkeypatch.setattr(harmonic, "_mod_matmul", recording)
+    got = list(harmonic._gram_blocks(p, n))
+    want = list(oracles.object_gram_blocks(p, n, harmonic._raw_rows(p, n)))
+    assert len(got) == len(want)
+    for (gi, gm, grows, gd, gs), (wi, wm, wrows, wd, ws) in zip(got, want):
+        assert (gi, gm, gd) == (wi, wm, wd)
+        assert grows.dtype == wrows.dtype and grows.tobytes() == wrows.tobytes()
+        assert gs == ws
+        assert all(type(v) is int for row in gs for v in row)
+    assert all(q < 2**26 for q in moduli)
+    count = {"one": len(moduli) == 1, "several": 1 < len(moduli) <= 30, "over 30": len(moduli) > 30}
+    assert count[primes], len(moduli)
+
+
+def test_modular_gram_lifts_signed_entries(monkeypatch):
+    # every Gram entry of the bases at p <= 6, n <= 8 is nonnegative; signed
+    # rows of about 100 bits give negative entries over several primes
+    rng = np.random.default_rng(11)
+    monos = [a for a in product(range(0, 7, 2), repeat=3) if sum(a) == 6]
+    rows = []
+    for _ in range(4):
+        high, low = rng.integers(-(2**30), 2**30, size=(2, len(monos))).tolist()
+        rows.append(((0, 0, 0), {a: h * 2**70 + lo for a, h, lo in zip(monos, high, low)}, 1))
+    monkeypatch.setattr(harmonic, "_raw_rows", lambda p, n: iter(rows))
+    [(_, _, _, _, got)] = harmonic._gram_blocks(3, 6)
+    [(_, _, _, _, want)] = oracles.object_gram_blocks(3, 6, rows)
+    assert got == want
+    assert min(min(row) for row in want) < 0
+
+
+def test_modular_product_sums_long_rows_in_slices():
+    # 5000 products of residues near 2^26 sum to about 2^64.3, past int64
+    q = 2**26 - 5
+    rng = np.random.default_rng(7)
+    a = rng.integers(q - 1000, q, size=(2, 5000))
+    b = rng.integers(q - 1000, q, size=(5000, 3))
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
+    assert 5000 * (q - 1000) ** 2 >= 2**63  # one unsliced int64 sum would overflow
+    assert harmonic._mod_matmul(a, b, q).tolist() == want
 
 
 def test_zonal_member_matches_one_dimensional_profile():
