@@ -1,13 +1,15 @@
 """Dirichlet problem for the Laplacian on the unit ball.
 
-Two independent solution routes are implemented: the spherical-harmonic
-series with coefficients from boundary projection on the product rule, and
-the kernel integral.  The kernel is zonal about x0 / |x0|, so its integral
-runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in
-t = <xi, x0 / |x0|> times a rule on S^{p-2} (`poisson_eval`).  The kernel
-route uses no harmonic basis, so the two routes share no machinery beyond
-quadrature building blocks and their agreement is a meaningful end-to-end
-check.
+Two independent solution routes are implemented.  The spherical-harmonic
+series takes its coefficients from the data's sphere moments, the
+integrals of f x^alpha over every monomial up to the top degree: exact for
+polynomial data, on the product rule for callable data, with one graded
+monomial table per chunk of nodes (`project_boundary`).  The kernel
+integral is zonal about x0 / |x0|, so it runs on a per-point rule aligned
+with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|> times a rule on
+S^{p-2} (`poisson_eval`).  The kernel route uses no harmonic basis or
+monomial table, so the two routes share no machinery beyond quadrature
+building blocks and their agreement is a meaningful end-to-end check.
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import orthopoly
-from .geometry import solid_angle, sphere_quadrature
+from .geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_quadrature
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial
+from .polyalg import ExactPolynomial, graded_monomials, graded_tables
 
 __all__ = [
     "BoundaryData",
@@ -111,70 +114,73 @@ class BvpSolution:
     f_norm_sq: float
 
 
-def _project_once(f: BoundaryData, n_max: int, quad_degree: int):
-    """Coefficients, bases, and the rule's value of the squared norm of f."""
+def _rule_moments(f: BoundaryData, n_max: int, quad_degree: int):
+    """Graded sphere moments of f on the product rule, and the rule's value of |f|^2."""
     rule = sphere_quadrature(f.p, quad_degree)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
-    bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
-    coeffs = tuple(
-        tuple(float(v) for v in basis.evaluate_members(rule.nodes).T @ weighted)
-        for basis in bases
-    )
-    return coeffs, bases, float(np.sum(weighted * vals))
+    return sum(t @ weighted[rows] for rows, t in graded_tables(rule.nodes, n_max)), float(weighted @ vals)
 
 
-def project_boundary(
-    f: BoundaryData, n_max: int, quad_degree: int | None = None
-) -> BvpSolution:
-    """Expand boundary data over the orthonormal harmonics of degree <= n_max."""
+def _exact_moments(poly: ExactPolynomial, n_max: int):
+    """Graded sphere moments of polynomial data and |f|^2, each rounded once:
+    monomial integrals are exact and cached by exponent, and the terms of
+    each integral are summed exactly per power of pi before one conversion."""
+    integral = lru_cache(maxsize=None)(monomial_sphere_integral)  # this call's, by exponent
+
+    def rounded(q, alpha):  # the integral of q x^alpha
+        groups = {}
+        for beta, c in q.terms.items():
+            v = integral(tuple(a + b for a, b in zip(alpha, beta)))
+            groups[v.pi_half] = groups.get(v.pi_half, 0) + c * v.coeff
+        return float(sum(float(PiRational(v, ph)) for ph, v in groups.items()))
+
+    exponents = graded_monomials(poly.nvars, n_max)[0].tolist()
+    return np.array([rounded(poly, a) for a in exponents]), rounded(poly * poly, [0] * poly.nvars)
+
+
+def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None) -> BvpSolution:
+    """Expand boundary data over the orthonormal harmonics of degree <= n_max.
+
+    A coefficient <f, Y> is Y's coefficient row times the data's sphere
+    moments, the integrals of f x^alpha over every monomial of degree
+    <= n_max.  Polynomial data builds no rule: its moments and f_norm_sq are
+    exact integrals rounded once, projection_error is 0.0, and quad_degree
+    (by default n_max plus the data's degree, the least degree of a product
+    rule exact for the products) is only checked against that least degree.
+    Callable data is integrated on the product rule of degree quad_degree
+    (default max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error
+    is the largest coefficient change on the next, of degree quad_degree + 2.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    deg = f.degree
-    if deg is not None:
-        required = n_max + max(deg, 0)
-        if quad_degree is None:
-            quad_degree = required
-        elif quad_degree < required:
-            raise ValueError(
-                f"quadrature degree {quad_degree} cannot integrate the "
-                f"products exactly; need at least {required}"
-            )
-        coeffs, bases, _ = _project_once(f, n_max, quad_degree)
-        projection_error = 0.0
-        norm_rule = sphere_quadrature(f.p, 2 * max(deg, 0))
-        vals = f.values_at(norm_rule.nodes)
-        f_norm_sq = float(np.sum(norm_rule.weights * vals * vals))
+    if f.polynomial is None:
+        quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree
+        moments, f_norm_sq = _rule_moments(f, n_max, quad_degree)
     else:
-        if quad_degree is None:
-            quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2)
-        coeffs, bases, f_norm_sq = _project_once(f, n_max, quad_degree)
-        # the next distinct product rule serves as the accuracy report
-        refined, _, _ = _project_once(f, n_max, quad_degree + 2)
-        projection_error = max(
-            (
-                abs(a - b)
-                for row_a, row_b in zip(coeffs, refined)
-                for a, b in zip(row_a, row_b)
-            ),
-            default=0.0,
-        )
+        required = n_max + max(f.degree, 0)
+        quad_degree = required if quad_degree is None else quad_degree
+        if quad_degree < required:
+            raise ValueError(f"quadrature degree {quad_degree} cannot integrate the products "
+                             f"exactly; need at least {required}")
+        moments, f_norm_sq = _exact_moments(f.polynomial, n_max)
+    bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
+    offsets = graded_monomials(f.p, n_max)[1]
+
+    def project(m):
+        return tuple(tuple((b.coeffs @ m[offsets[n] : offsets[n + 1]]).tolist()) for n, b in enumerate(bases))
+
+    coeffs = project(moments)
+    projection_error = 0.0
+    if f.polynomial is None:
+        refined = project(_rule_moments(f, n_max, quad_degree + 2)[0])
+        projection_error = max(abs(a - b) for ra, rb in zip(coeffs, refined) for a, b in zip(ra, rb))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if coeff_sq_sum > f_norm_sq + 1e-8:
-        raise ValueError(
-            "projection coefficients violate the norm bound; "
-            "quadrature degree is too low for this boundary data"
-        )
-    return BvpSolution(
-        p=f.p,
-        n_max=n_max,
-        coeffs=coeffs,
-        bases=bases,
-        quad_degree=quad_degree,
-        projection_error=projection_error,
-        coeff_sq_sum=coeff_sq_sum,
-        f_norm_sq=f_norm_sq,
-    )
+        raise ValueError("projection coefficients violate the norm bound; "
+                         "quadrature degree is too low for this boundary data")
+    return BvpSolution(p=f.p, n_max=n_max, coeffs=coeffs, bases=bases, quad_degree=quad_degree,
+                       projection_error=projection_error, coeff_sq_sum=coeff_sq_sum, f_norm_sq=f_norm_sq)
 
 
 def series_eval(sol: BvpSolution, x):
@@ -186,16 +192,16 @@ def series_eval(sol: BvpSolution, x):
     the constant term alone.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
+    pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != sol.p:
         raise ValueError("point dimension does not match the solution")
     if np.any(np.linalg.norm(pts, axis=1) > 1 + 1e-12):
         raise ValueError("series solution is defined on the closed unit ball")
-    total = np.zeros(pts.shape[0])
-    for basis, row in zip(sol.bases, sol.coeffs):
-        total += basis.evaluate_members(pts) @ np.asarray(row)
-    return float(total[0]) if single else total
+    poly = np.concatenate([np.asarray(row) @ basis.coeffs for basis, row in zip(sol.bases, sol.coeffs)])
+    total = np.empty(pts.shape[0])
+    for rows, table in graded_tables(pts, sol.n_max):
+        total[rows] = poly @ table
+    return float(total[0]) if x.ndim == 1 else total
 
 
 def green_function(p: int, x, x0) -> float:
@@ -242,9 +248,7 @@ def _t_rule(p: int, r: float, degree: int):
     """
     m = (degree + 2) // 2
     if r > 0.0:
-        m += math.ceil(
-            math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r))
-        )
+        m += math.ceil(math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r)))
     m = min(-(-m // 8) * 8, MAX_T_NODES)
     half = Fraction(p - 3, 2)
     return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
@@ -296,16 +300,12 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
         raise ValueError("quadrature degree must be nonnegative")
     if deg is not None:
         if quad_degree is not None and quad_degree < deg:
-            raise ValueError(
-                f"quadrature degree {quad_degree} is below the boundary "
-                f"data's degree {deg}"
-            )
+            raise ValueError(f"quadrature degree {quad_degree} is below the boundary data's degree {deg}")
         degree = max(deg, 0)
     else:
         degree = DEFAULT_CALLABLE_DEGREE if quad_degree is None else quad_degree
     x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    pts = x0[None, :] if single else x0
+    pts = np.atleast_2d(x0)
     p = f.p
     if pts.ndim != 2 or pts.shape[1] != p:
         raise ValueError("point dimension does not match the boundary data")
@@ -333,7 +333,7 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
             ring_sums[start : start + len(tc)] = vals @ eta_weights
         out[i] = np.dot(t_rule.weights * kernel, ring_sums)
     out /= solid_angle(p)
-    return float(out[0]) if single else out
+    return float(out[0]) if x0.ndim == 1 else out
 
 
 def generating_function_consistency(p: int, t_grid, r_grid, N: int) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
-from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials
+from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials, graded_monomials
 
 __all__ = [
     "HarmonicBasis",
@@ -240,7 +240,8 @@ class HarmonicBasis:
     """Orthonormal degree-n spherical harmonics with their exact ancestry.
 
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
-    float matrix over one list of K monomials, shared by all N members.
+    float matrix over all K degree-n monomials in ascending lex order (the
+    degree-n rows of ``graded_monomials``), shared by all N members.
     The raw members' exact Gram matrix is the PiRational ``gram_scale`` times
     parity-class blocks (member indices, row denominators d, integer matrix
     s): block entry (a, b) is gram_scale * s[a][b] / (d[a] d[b]).
@@ -302,9 +303,10 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
     num, den = scale.coeff.numerator, scale.coeff.denominator
     pi_power = math.pi ** (scale.pi_half / 2)
-    monos = sorted(a for _, class_monos, _, _, _ in blocks for a in class_monos)
-    column = {a: k for k, a in enumerate(monos)}
-    coeffs = np.zeros((count_harmonic(p, n), len(monos)))
+    # every degree-n monomial occurs in some raw member, so the basis runs over them all
+    exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
+    column = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
+    coeffs = np.zeros((count_harmonic(p, n), len(exponents)))
     for indices, class_monos, rows, denoms, s in blocks:
         if exact_rank(s) != len(indices):
             raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
@@ -320,9 +322,7 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
         # L^-1 B from the reversed, upper triangular system: its LU needs no row
         # exchanges, which would put rounding noise where L^-1 B is exactly 0
         coeffs[np.ix_(indices, cols)] = np.linalg.solve(chol[::-1, ::-1], rows[::-1])[::-1]
-    exponents = np.array(monos, dtype=np.int64).reshape(len(monos), p)
     # the basis is cached and shared by every caller
-    exponents.flags.writeable = False
     coeffs.flags.writeable = False
     return HarmonicBasis(p, n, exponents, coeffs, scale, tuple((i, d, s) for i, _, _, d, s in blocks))
 

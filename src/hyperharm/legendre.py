@@ -43,7 +43,7 @@ def _check_dim(p: int) -> int:
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # a full verify and the test suite hold 26 tables
 def _coeff_rows(p: int, n_max: int):
     rows = [Poly1D((Fraction(1),))]
     if n_max >= 1:
@@ -109,7 +109,7 @@ def legendre_eval(p: int, n: int, t):
     return float(cur) if scalar else cur
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # a full verify and the test suite hold 66
 def _rodrigues_poly(p: int, n: int) -> Poly1D:
     """Expand the n-fold derivative construction of P_{n,p} exactly.
 

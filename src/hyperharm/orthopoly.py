@@ -212,7 +212,7 @@ def _jacobi_alpha_beta(a: float, b: float, m: int):
     return alphas, betas
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a full verify and the test suite hold 1002; 2048 nodes take 32 kB
 def _gauss_rule_cached(a: float, b: float, m: int):
     alphas, betas = _jacobi_alpha_beta(a, b, m)
     # Golub-Welsch on the dense Jacobi matrix; eigh reads its lower triangle

@@ -9,13 +9,17 @@ irrational entries, so rotated polynomials are always FloatPolynomials.
 
 :func:`evaluate_monomials` is the package's one float evaluator for
 coefficients over a monomial list: a single polynomial's terms and a whole
-basis's coefficient matrix both go through it.
+basis's coefficient matrix both go through it.  :func:`graded_tables`
+serves every monomial up to a degree at once, each from one of lower
+degree, for the sphere moments and the series of the ball problem.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import default_rng
@@ -25,13 +29,15 @@ __all__ = [
     "FloatPolynomial",
     "check_orthogonal",
     "evaluate_monomials",
+    "graded_monomials",
+    "graded_tables",
     "monomial_table",
     "random_orthogonal",
 ]
 
 ORTHOGONALITY_TOL = 1e-12
 
-# entries per row chunk in evaluate_monomials (2 MB of float64), so that no
+# entries per chunk in evaluate_monomials and graded_tables (2 MB of float64), so no
 # temporary grows with the number of points
 CHUNK_ELEMENTS = 1 << 18
 
@@ -114,6 +120,55 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
         chunk = pts[start : start + rows]
         out[start : start + rows] = monomial_table(chunk, exps) @ coeffs.T
     return out
+
+
+@lru_cache(maxsize=32)
+def graded_monomials(p: int, n_max: int):
+    """Every monomial of degree <= n_max in p variables, graded by degree.
+
+    Returns (exponents, offsets, links).  `exponents` is (K, p) and
+    read-only; degree n owns rows offsets[n]:offsets[n + 1], in ascending
+    lex order.  Degree n lists, for i = p-1 down to 0, x_i times the first
+    C(n + p - 2 - i, p - 1 - i) monomials of degree n - 1, which are those
+    in x_i .. x_{p-1} alone.  Each link (target, source, width, i) says that
+    rows target:target+width are rows source:source+width times x_i.
+    """
+    sizes = [math.comb(n + p - 1, p - 1) for n in range(n_max + 1)]
+    offsets = tuple(sum(sizes[:n]) for n in range(n_max + 2))
+    links, target = [], 1
+    for n in range(1, n_max + 1):
+        for i in range(p - 1, -1, -1):
+            width = math.comb(n + p - 2 - i, p - 1 - i)
+            links.append((target, offsets[n - 1], width, i))
+            target += width
+    exponents = np.zeros((offsets[-1], p), dtype=np.int64)
+    for target, source, width, i in links:
+        exponents[target : target + width] = exponents[source : source + width]
+        exponents[target : target + width, i] += 1
+    exponents.flags.writeable = False
+    return exponents, offsets, tuple(links)
+
+
+def graded_tables(points, n_max: int):
+    """Yield (rows, table) over row chunks of `points` (m, p): `rows` is the
+    chunk's slice of the points and table[k, j] is x^alpha_k at its j-th
+    point, for the rows alpha_k of graded_monomials(p, n_max)[0].
+
+    Every entry past the constant row is one multiply of an entry of lower
+    degree by a coordinate, and each table holds about CHUNK_ELEMENTS
+    entries, so memory stays bounded however many points there are.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    exponents, _, links = graded_monomials(pts.shape[1], n_max)
+    step = max(1, CHUNK_ELEMENTS // len(exponents))
+    for start in range(0, pts.shape[0], step):
+        chunk = slice(start, start + step)
+        coords = pts[chunk].T
+        table = np.empty((len(exponents), coords.shape[1]))
+        table[0] = 1.0
+        for target, source, width, i in links:
+            np.multiply(table[source : source + width], coords[i], out=table[target : target + width])
+        yield chunk, table
 
 
 def _validated_terms(nvars, terms, coerce):

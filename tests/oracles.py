@@ -144,3 +144,20 @@ def weighted_moment_exact(k, a, b):
 def unit_vectors(rng, p, m):
     v = rng.normal(size=(m, p))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def evaluated_projection(f, n_max, q):
+    """Series coefficients of boundary data f by evaluating every orthonormal
+    member on the nodes of the degree-q product rule: sum_nodes w f Y.
+
+    Uses the package's rule and bases, but not its graded moment pass.
+    """
+    from hyperharm.geometry import sphere_quadrature
+    from hyperharm.harmonic import orthonormalize
+
+    rule = sphere_quadrature(f.p, q)
+    weighted = rule.weights * f.values_at(rule.nodes)
+    return tuple(
+        tuple(float(v) for v in orthonormalize(f.p, n).evaluate_members(rule.nodes).T @ weighted)
+        for n in range(n_max + 1)
+    )

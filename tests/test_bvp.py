@@ -15,10 +15,10 @@ from hyperharm.bvp import (
     project_boundary,
     series_eval,
 )
-from hyperharm.geometry import monomial_sphere_integral, solid_angle
+from hyperharm.geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import legendre_harmonic, orthonormalize
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import ExactPolynomial
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, graded_monomials
 
 
 def _monomial(p, alpha, coeff=1):
@@ -370,3 +370,60 @@ def test_callable_projection_rule_follows_n_max():
     # up to n_max 19 the default degree-40 rule is unchanged
     default, fixed = project_boundary(f, 19), project_boundary(f, 19, quad_degree=40)
     assert default.quad_degree == 40 and default.coeffs == fixed.coeffs
+
+
+@pytest.mark.parametrize("p, n_max, q", [(2, 8, 40), (3, 8, 20), (4, 6, 16), (5, 5, 12), (6, 4, 10)])
+def test_moment_projection_matches_member_evaluation(p, n_max, q):
+    rng = np.random.default_rng(p)
+    u = oracles.unit_vectors(rng, p, 1)[0]
+    f = BoundaryData.from_callable(p, lambda x: np.exp(x @ u) + x[:, 0] * x[:, -1])
+    sol = project_boundary(f, n_max, quad_degree=q)
+    want = oracles.evaluated_projection(f, n_max, q)
+    assert max(abs(a - b) for ra, rb in zip(sol.coeffs, want) for a, b in zip(ra, rb)) <= 1e-13
+    if p >= 4:  # these rules span several node chunks of the moment pass
+        assert len(sphere_quadrature(p, q)) > CHUNK_ELEMENTS // len(graded_monomials(p, n_max)[0])
+
+
+def test_polynomial_moments_are_exact():
+    terms = {(0, 0, 0, 0): Fraction(1, 3), (2, 1, 0, 0): Fraction(-5, 7), (0, 0, 2, 2): Fraction(3, 2),
+             (1, 0, 0, 3): Fraction(2), (0, 4, 0, 0): Fraction(-1, 9)}
+    poly = ExactPolynomial(4, terms)
+    sol = project_boundary(BoundaryData.from_polynomial(poly), 5)
+    assert sol.projection_error == 0.0
+    exact = PiRational(0)
+    for a, ca in terms.items():
+        for b, cb in terms.items():
+            exact = exact + ca * cb * monomial_sphere_integral(tuple(x + y for x, y in zip(a, b)))
+    assert abs(sol.f_norm_sq - float(exact)) <= 1e-14 * float(exact)
+    # degree-4 data lies in harmonics of degree <= 4, so Parseval holds at n_max 5
+    assert abs(sol.coeff_sq_sum - float(exact)) <= 1e-13 * float(exact)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (4, 3), (5, 2)])
+def test_projecting_a_member_returns_its_unit_vector(p, n):
+    basis = orthonormalize(p, n)
+    j = len(basis.members) // 2
+    data = [
+        BoundaryData.from_polynomial(basis.members[j]),
+        BoundaryData.from_callable(p, lambda x: basis.evaluate_members(x)[:, j]),
+    ]
+    for f in data:
+        sol = project_boundary(f, n + 1)
+        for k, row in enumerate(sol.coeffs):
+            want = np.eye(len(row))[j] if k == n else np.zeros(len(row))
+            assert np.max(np.abs(np.array(row) - want)) <= 1e-13, (k, f.degree)
+
+
+def test_series_batch_beyond_one_chunk_matches_single_points():
+    f = BoundaryData.from_polynomial(
+        ExactPolynomial(4, {(1, 2, 0, 0): Fraction(3, 4), (0, 0, 0, 5): Fraction(-1, 2), (0, 0, 0, 0): Fraction(2)})
+    )
+    sol = project_boundary(f, 6)
+    rng = np.random.default_rng(7)
+    count = 2 * CHUNK_ELEMENTS // len(graded_monomials(4, 6)[0]) + 5
+    pts = oracles.unit_vectors(rng, 4, count) * rng.uniform(0.0, 1.0, size=(count, 1))
+    batch = series_eval(sol, pts)
+    single = np.array([series_eval(sol, x) for x in pts])
+    assert np.max(np.abs(batch - single)) <= 1e-14
+    # at the centre only the constant term survives
+    assert series_eval(sol, np.zeros(4)) == sol.coeffs[0][0] * sol.bases[0].coeffs[0, 0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyperharm import legendre, orthopoly
 from hyperharm.geometry import PiRational, solid_angle, solid_angle_exact
 from hyperharm.harmonic import count_harmonic
 from hyperharm.legendre import (
@@ -21,7 +22,7 @@ from hyperharm.legendre import (
     ode_residual,
     rodrigues_eval,
 )
-from hyperharm.orthopoly import Poly1D, Weight, inner_product
+from hyperharm.orthopoly import Poly1D, Weight, gauss_rule, inner_product
 
 
 def test_chebyshev_case_exact():
@@ -200,3 +201,17 @@ def test_dimension_validation():
         legendre_coeffs(1, 2)
     with pytest.raises(ValueError):
         legendre_eval(0, 2, 0.5)
+
+
+def test_rule_and_table_caches_are_bounded():
+    for cached in (legendre._coeff_rows, legendre._rodrigues_poly, orthopoly._gauss_rule_cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+    # repeated requests are still served from the caches
+    w = Weight(Fraction(1, 2), Fraction(1, 2))
+    assert gauss_rule(w, 12) is gauss_rule(w, 12)
+    assert legendre_coeffs(3, 5) is legendre_coeffs(3, 5)
+    rodrigues_eval(4, 6, 0.3)
+    hits = legendre._rodrigues_poly.cache_info().hits
+    rodrigues_eval(4, 6, 0.3)
+    assert legendre._rodrigues_poly.cache_info().hits == hits + 1
