@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial, graded_monomials, graded_tables
+from .polyalg import ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
 
 __all__ = [
     "BoundaryData",
@@ -50,7 +50,9 @@ KERNEL_CHUNK_NODES = 1 << 16
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Boundary values on the unit sphere: a polynomial restriction or a callable."""
+    """Boundary values on the unit sphere: a polynomial restriction or a callable.
+
+    A FloatPolynomial is stored exactly, as an ExactPolynomial."""
 
     p: int
     polynomial: ExactPolynomial | None = None
@@ -59,6 +61,12 @@ class BoundaryData:
     def __post_init__(self):
         if (self.polynomial is None) == (self.func is None):
             raise ValueError("provide exactly one of polynomial or func")
+        if isinstance(self.polynomial, FloatPolynomial):
+            # a float is a dyadic rational, so Fraction(c) converts it exactly
+            terms = {a: Fraction(c) for a, c in self.polynomial.terms.items()}
+            object.__setattr__(self, "polynomial", ExactPolynomial(self.polynomial.nvars, terms))
+        elif self.polynomial is not None and not isinstance(self.polynomial, ExactPolynomial):
+            raise TypeError("polynomial data must be an ExactPolynomial or a FloatPolynomial")
         if self.polynomial is not None and self.polynomial.nvars != self.p:
             raise ValueError("polynomial variable count must match p")
         if self.p < 2:
@@ -113,6 +121,13 @@ class BvpSolution:
     coeff_sq_sum: float
     f_norm_sq: float
 
+    @cached_property
+    def series_row(self) -> np.ndarray:
+        """The series as one coefficient row over the graded monomials of degree <= n_max."""
+        row = np.concatenate([np.asarray(c) @ basis.coeffs for basis, c in zip(self.bases, self.coeffs)])
+        row.flags.writeable = False  # shared by every series_eval call on this solution
+        return row
+
 
 def _rule_moments(f: BoundaryData, n_max: int, quad_degree: int):
     """Graded sphere moments of f on the product rule, and the rule's value of |f|^2."""
@@ -154,6 +169,10 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    # bases first: they are cached and long-lived, and built between two moment
+    # passes they would split the memory freed by the first pass's chunk tables,
+    # so the second pass would take new memory (up to 2 MB more peak RSS at p=4)
+    bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
     if f.polynomial is None:
         quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree
         moments, f_norm_sq = _rule_moments(f, n_max, quad_degree)
@@ -164,7 +183,6 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
             raise ValueError(f"quadrature degree {quad_degree} cannot integrate the products "
                              f"exactly; need at least {required}")
         moments, f_norm_sq = _exact_moments(f.polynomial, n_max)
-    bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
     offsets = graded_monomials(f.p, n_max)[1]
 
     def project(m):
@@ -197,10 +215,9 @@ def series_eval(sol: BvpSolution, x):
         raise ValueError("point dimension does not match the solution")
     if np.any(np.linalg.norm(pts, axis=1) > 1 + 1e-12):
         raise ValueError("series solution is defined on the closed unit ball")
-    poly = np.concatenate([np.asarray(row) @ basis.coeffs for basis, row in zip(sol.bases, sol.coeffs)])
     total = np.empty(pts.shape[0])
     for rows, table in graded_tables(pts, sol.n_max):
-        total[rows] = poly @ table
+        total[rows] = sol.series_row @ table
     return float(total[0]) if x.ndim == 1 else total
 
 

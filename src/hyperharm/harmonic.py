@@ -1,15 +1,16 @@
 """Harmonic homogeneous polynomials and orthonormal sphere bases.
 
 The degree-n basis is built from the observation that a harmonic
-homogeneous polynomial is determined by its two lowest slices in the
-last coordinate: seeds run over monomials in the first p-1 variables and
-each member is a closed form in its seed, one integer row over one
-factorial.  Gram matrices on the sphere are therefore exact: integer
-parity-class blocks under one pi-power scale per degree, their rank
-certified modulo one prime with an exact rational fallback.  Each block
-is computed in int64 modulo primes below 2^26 and lifted by the Chinese
-remainder theorem, with enough primes to cover a bound on its entries.
-Only the final orthonormalization happens in floating point.
+homogeneous polynomial is determined by its two lowest slices in the last
+coordinate: seeds run over monomials in the first p-1 variables and each
+member is a closed form in its seed, one integer row over one factorial.
+Gram matrices on the sphere are exact: integer parity-class blocks
+B diag(alpha!) B^T under one pi-power scale per degree (the Fischer inner
+product of harmonic members), computed in int64 modulo primes below 2^26
+that cover the Cauchy-Schwarz bound max_a s_aa, lifted by the Chinese
+remainder theorem, and certified nonsingular by nonzero leading principal
+minors modulo one prime, with exact rank as the fallback.  Only the final
+orthonormalization happens in floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -109,55 +110,77 @@ _SLICE = 2**11 - 1
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q for int64 residues below q, summed over slices of _SLICE terms."""
+    """a @ b mod q for (stacks of) int64 residues below q, summed over slices of _SLICE terms."""
     out = 0
-    for k in range(0, a.shape[1], _SLICE):
-        out = (out + a[:, k : k + _SLICE] @ b[k : k + _SLICE]) % q
+    for k in range(0, a.shape[-1], _SLICE):
+        out = (out + a[..., k : k + _SLICE] @ b[..., k : k + _SLICE, :]) % q
     return out
 
 
-def _gram_blocks(p: int, n: int):
-    """Exact Gram matrix of the raw members under the sphere inner product, by block.
+def _leading_minors_nonzero(s: np.ndarray, q: int) -> np.ndarray:
+    """Per matrix of a (blocks, m, m) int64 stack mod a prime q: are all its leading principal minors nonzero?
 
-    Every monomial integral of total degree 2n over the sphere is one shared
-    pi-power scale times an integer product of double factorials, so the
-    Gram reduces to integer matrix products s = B K B^T taken inside parity
-    classes; members of different classes are exactly orthogonal because
-    some exponent sum is odd.  s is taken modulo primes whose product exceeds
-    twice a bound on |s|, so the Chinese remainder theorem lifts it exactly.
-    Yields, per class in the order of its first member, the member indices,
-    the class's sorted monomials, the members' float coefficient rows over
-    them, the row denominators d and the integer matrix s: block entry
-    (a, b) is the scale times s[a][b] / (d[a] d[b]).
+    Elimination without pivoting or division: each step scales the trailing
+    rows by the pivot, so while no pivot vanishes each is a nonzero multiple
+    of the ratio of two consecutive leading minors.
     """
-    # dfact[m] = (m-1)!! for even m, which is Gamma((m+1)/2) stripped of its
-    # 2-power and sqrt(pi) factors; odd m never occur in a Gram entry
-    dfact = [math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)]
+    s, ok = s.copy(), np.ones(len(s), dtype=bool)
+    for k in range(s.shape[-1]):
+        ok &= s[:, k, k] != 0
+        col, row = s[:, k + 1 :, k, None], s[:, None, k, k + 1 :]
+        s[:, k + 1 :, k + 1 :] = (s[:, k, k, None, None] * s[:, k + 1 :, k + 1 :] - col * row) % q
+    return ok
+
+
+def _gram_blocks(p: int, n: int):
+    """Exact Gram matrix of the raw members under the sphere inner product, by certified block.
+
+    For harmonic homogeneous P, Q of degree n the sphere integral of PQ is
+    2 pi^(p/2) / (2^n Gamma(n + p/2)) times the Fischer product sum_alpha
+    alpha! P_alpha Q_alpha (members of different parity classes are exactly
+    orthogonal), so each class's block is the integer s = B diag(alpha!) B^T.
+    |s_ab| <= max_a s_aa by Cauchy-Schwarz, so s is taken in int64 modulo
+    primes whose product exceeds twice that, one product per block shape and
+    prime, and lifted per block by the Chinese remainder theorem.  A block is
+    certified nonsingular by nonzero leading principal minors modulo the
+    first prime, hence over Q; any other block must pass exact_rank, or
+    RuntimeError.  Yields, per class in the order of its first member, the
+    member indices, sorted monomials, float coefficient rows over them, row
+    denominators d and s: entry (a, b) is the scale times s[a][b] / (d[a] d[b]).
+    """
     classes: dict = {}
     for idx, (parity, terms, denom) in enumerate(_raw_rows(p, n)):
         classes.setdefault(parity, []).append((idx, terms, denom))
-    # |s_ab| <= |B_a|_1 |B_b|_1 max K, and no kernel entry exceeds (2n-1)!!
-    norm = max(sum(map(abs, terms.values())) for members in classes.values() for _, terms, _ in members)
-    primes, modulus, q = [], 1, 2**26 + 1
-    while modulus <= 2 * norm**2 * dfact[-1]:
-        q -= 2
-        # a base-2 Fermat test skips most composites; trial division up to sqrt(q) decides
-        if pow(2, q - 1, q) == 1 and np.all(q % np.arange(3, 2**13, 2)):
-            primes.append((q, np.array([d % q for d in dfact], dtype=np.int64)))
-            modulus *= q
+    blocks, shapes = [], {}
     for members in classes.values():
         indices, member_terms, denoms = zip(*members)
         monos = sorted({a for terms in member_terms for a in terms})
-        exps = np.array(monos, dtype=np.int64).T
+        weights = np.array([math.prod(map(math.factorial, a)) for a in monos], dtype=object)
         b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
-        s = 0
-        for q, table in primes:
-            # K mod q, one coordinate's (m-1)!! factor at a time
-            kernel = reduce(lambda k, f: k * f % q, table[exps[:, :, None] + exps[:, None, :]])
+        shapes.setdefault(b.shape, []).append(len(blocks))
+        blocks.append([indices, monos, b, denoms, weights])
+    bound = max(max((b * b) @ w) for _, _, b, _, w in blocks)
+    primes, modulus, q = [], 1, 2**26 + 1
+    while modulus <= 2 * bound:
+        q -= 2
+        # a base-2 Fermat test skips most composites; trial division up to sqrt(q) decides
+        if pow(2, q - 1, q) == 1 and np.all(q % np.arange(3, 2**13, 2)):
+            primes.append(q)
+            modulus *= q
+    crts = [modulus // q * pow(modulus // q, -1, q) for q in primes]  # 1 mod q, 0 mod the others
+    for members in shapes.values():
+        b, w = (np.stack([blocks[i][k] for i in members]) for k in (2, 4))
+        stack = []
+        for q in primes:
             bq = (b % q).astype(np.int64)
-            crt = modulus // q * pow(modulus // q, -1, q)  # 1 mod q, 0 mod the other primes
-            s = s + _mod_matmul(_mod_matmul(bq, kernel, q), bq.T, q).astype(object) * crt
-        s = tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in (s % modulus).tolist())
+            stack.append(_mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q))
+        for i, ok, *res in zip(members, _leading_minors_nonzero(stack[0], primes[0]), *stack):
+            s = (sum(r.astype(object) * crt for r, crt in zip(res, crts)) % modulus).tolist()
+            # the weights are spent: the certificate and the lifted block take their place
+            blocks[i][4] = ok, tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in s)
+    for indices, monos, b, denoms, (ok, s) in blocks:
+        if not ok and exact_rank(s) != len(indices):
+            raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
         # int / int is correctly rounded: each is float() of its exact coefficient
         rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
         yield indices, monos, rows, denoms, s
@@ -166,52 +189,31 @@ def _gram_blocks(p: int, n: int):
 RANK_PRIME = 2147483647
 
 
-def _integer_rows(rows) -> tuple:
-    """Rational rows as integer rows and the least common denominator of each."""
-    denoms = tuple(math.lcm(*(c.denominator for c in row)) for row in rows)
-    ints = [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(rows, denoms)]
-    return ints, denoms
-
-
 def _rank_mod_prime(rows, q: int) -> int:
     """Rank over GF(q) of a rational matrix, each row first scaled to integers."""
-    # products stay below 2^62 because q < 2^31, so int64 never overflows
-    mat = (np.array(_integer_rows(rows)[0], dtype=object) % q).astype(np.int64)
-    rank = 0
-    n_rows, n_cols = mat.shape
-    for col in range(n_cols):
-        live = np.nonzero(mat[rank:, col])[0]
-        if len(live) == 0:
-            continue
-        pivot = rank + int(live[0])
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), q - 2, q)
-        mat[rank] = mat[rank] * inv % q
-        below = mat[rank + 1 :, col].copy()
-        mat[rank + 1 :] = (mat[rank + 1 :] - below[:, None] * mat[rank][None, :]) % q
-        rank += 1
-        if rank == n_rows:
-            break
+    lcms = [math.lcm(*(c.denominator for c in row)) for row in rows]
+    ints = [[c.numerator * (d // c.denominator) % q for c in row] for row, d in zip(rows, lcms)]
+    mat, rank = np.array(ints, dtype=np.int64), 0
+    for col in range(mat.shape[1]):
+        live = rank + np.nonzero(mat[rank:, col])[0]
+        if len(live):
+            mat[[rank, live[0]]] = mat[[live[0], rank]]
+            # fraction-free: products stay below 2^62 because q < 2^31
+            mat[rank + 1 :] = (mat[rank + 1 :] * mat[rank, col] - mat[rank + 1 :, col, None] * mat[rank]) % q
+            rank += 1
     return rank
 
 
 def _rank_exact_fractions(rows) -> int:
-    mat = [list(row) for row in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
+    mat, rank = [list(row) for row in rows], 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is not None:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            for r in range(rank + 1, len(mat)):
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
+            rank += 1
     return rank
 
 
@@ -308,8 +310,6 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     column = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
     coeffs = np.zeros((count_harmonic(p, n), len(exponents)))
     for indices, class_monos, rows, denoms, s in blocks:
-        if exact_rank(s) != len(indices):
-            raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
         # int / int is correctly rounded: each entry is float() of its exact entry
         g = pi_power * np.array(
             [[num * v / (den * da * db) for v, db in zip(row, denoms)] for row, da in zip(s, denoms)]

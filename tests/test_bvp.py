@@ -18,7 +18,7 @@ from hyperharm.bvp import (
 from hyperharm.geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import legendre_harmonic, orthonormalize
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, graded_monomials
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
 
 
 def _monomial(p, alpha, coeff=1):
@@ -412,6 +412,39 @@ def test_projecting_a_member_returns_its_unit_vector(p, n):
         for k, row in enumerate(sol.coeffs):
             want = np.eye(len(row))[j] if k == n else np.zeros(len(row))
             assert np.max(np.abs(np.array(row) - want)) <= 1e-13, (k, f.degree)
+
+
+def test_float_polynomial_data_is_converted_exactly():
+    member = orthonormalize(4, 3).members[5]
+    f = BoundaryData.from_polynomial(member)
+    assert type(f.polynomial) is ExactPolynomial
+    assert f.polynomial.terms == {a: Fraction(c) for a, c in member.terms.items()}
+    assert all(float(c) == member.terms[a] for a, c in f.polynomial.terms.items())
+    # the moments are exact sums, each rounded once
+    sol = project_boundary(f, 4)
+    exact = PiRational(0)
+    for a, ca in f.polynomial.terms.items():
+        for b, cb in f.polynomial.terms.items():
+            exact = exact + ca * cb * monomial_sphere_integral(tuple(x + y for x, y in zip(a, b)))
+    assert sol.projection_error == 0.0
+    assert sol.f_norm_sq == float(exact)
+    for bad in ({(0, 0, 0): 1}, "x1", 1.0):
+        with pytest.raises(TypeError):
+            BoundaryData(p=3, polynomial=bad)
+    assert BoundaryData.from_polynomial(FloatPolynomial(3, {(1, 0, 0): 0.1})).polynomial.terms == {
+        (1, 0, 0): Fraction(0.1)
+    }
+
+
+def test_series_row_is_formed_once_per_solution():
+    sol = project_boundary(builtin_boundary(4, "exponential"), 4)
+    row = sol.series_row
+    assert sol.series_row is row
+    want = np.concatenate([np.asarray(c) @ basis.coeffs for basis, c in zip(sol.bases, sol.coeffs)])
+    assert row.tobytes() == want.tobytes()
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    [(_, table)] = graded_tables(x[None, :], 4)
+    assert series_eval(sol, x) == float((want @ table)[0])
 
 
 def test_series_batch_beyond_one_chunk_matches_single_points():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -61,6 +62,24 @@ def test_basis_member_counts(capsys):
     out, _ = _out(capsys)
     doc = json.loads(out)
     assert len(doc["members"]) == 5
+
+
+# sha256 prefixes of the stdout of the basis commands on the byte-identity
+# list; they change only on purpose, with the change listed in CHANGES.md
+BASIS_DIGESTS = {
+    "--p 5 --n 4": "6a4989f23d23c75d",
+    "--p 4 --n 3 --format json": "3ef1b8887353631e",
+    "--p 3 --n 3 --raw": "ae09948df250d89c",
+    "--p 6 --n 8 --format json": "9613838a743d3ab2",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BASIS_DIGESTS))
+def test_basis_output_bytes_are_pinned(capsys, args):
+    assert run(["basis"] + args.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == BASIS_DIGESTS[args]
 
 
 def test_quadrature_csv_round_trips(capsys):
