@@ -70,10 +70,11 @@ def _jsonable(value):
 
 
 def _emit(args, text: str) -> None:
-    sys.stdout.write(text)
+    # the file first, so an unwritable --out prints nothing
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _render(args, doc, header, rows, meta=None) -> None:
@@ -169,10 +170,6 @@ ZONAL_FUNCTIONS = {
 
 
 def _cmd_funk_hecke(args) -> int:
-    if args.f not in ZONAL_FUNCTIONS:
-        raise ValueError(
-            f"unknown kernel {args.f!r}; choose from {sorted(ZONAL_FUNCTIONS)}"
-        )
     m = args.degree if args.degree is not None else 128
     lam = funk_hecke_coeff(args.p, args.n, ZONAL_FUNCTIONS[args.f], m=m)
     doc = {"p": args.p, "n": args.n, "f": args.f, "lambda": lam}
@@ -182,56 +179,46 @@ def _cmd_funk_hecke(args) -> int:
     return 0
 
 
-def _boundary_from_description(p: int, desc: dict) -> bvp_mod.BoundaryData:
+def _parse_problem(doc, degree_override):
+    """Check a solve problem; return p, n_max, boundary data, (m, p) points and kernel degree."""
+    if not isinstance(doc, dict):
+        raise ValueError("the problem must be a JSON object")
+    quad_degree = doc.get("quad_degree") if degree_override is None else degree_override
+    quad_degree = 64 if quad_degree is None else quad_degree
+    fields = (("p", 2, doc.get("p")), ("n_max", 0, doc.get("n_max")), ("quad_degree", 0, quad_degree))
+    for key, least, value in fields:
+        if type(value) is not int or value < least:
+            raise ValueError(f"{key} must be an integer of at least {least}")
+    p, points = doc["p"], doc.get("eval_points")
+    if not isinstance(points, list) or not all(isinstance(x, list) and len(x) == p for x in points):
+        raise ValueError(f"eval_points must be a list of points of p = {p} coordinates")
+    for i, x in enumerate(points):
+        for j, c in enumerate(x):
+            # rejects bools, huge ints, NaN and infinities too
+            if type(c) not in (int, float) or not -1 <= c <= 1:
+                raise ValueError(f"eval_points[{i}][{j}] must be a number in [-1, 1]")
+    desc = doc.get("boundary")
     if not isinstance(desc, dict):
         raise ValueError("boundary must be a JSON object")
-    kind = desc.get("type")
-    if kind == "polynomial":
-        poly = ExactPolynomial.from_json_dict({"nvars": p, "terms": desc["terms"]})
-        return bvp_mod.BoundaryData.from_polynomial(poly)
-    if kind == "builtin":
-        return bvp_mod.builtin_boundary(p, desc["name"])
-    raise ValueError("boundary type must be 'polynomial' or 'builtin'")
+    if desc.get("type") == "polynomial":
+        poly = ExactPolynomial.from_json_dict({"nvars": p, "terms": desc.get("terms")})
+        f = bvp_mod.BoundaryData.from_polynomial(poly)
+    elif desc.get("type") == "builtin":
+        f = bvp_mod.builtin_boundary(p, desc.get("name"))
+    else:
+        raise ValueError("boundary type must be 'polynomial' or 'builtin'")
+    return p, doc["n_max"], f, np.array(points, dtype=float).reshape(-1, p), quad_degree
 
 
 def _cmd_solve(args) -> int:
     with open(args.problem) as fh:
-        problem = json.load(fh)
-    if not isinstance(problem, dict):
-        raise ValueError("the problem must be a JSON object")
-    eval_points = problem["eval_points"]
-    if not isinstance(eval_points, list) or not all(isinstance(x, list) for x in eval_points):
-        raise ValueError("eval_points must be a list of coordinate lists")
-    for key in ("p", "n_max"):
-        if type(problem[key]) is not int:
-            raise ValueError(f"{key} must be an integer")
-    p, n_max = problem["p"], problem["n_max"]
-    f = _boundary_from_description(p, problem["boundary"])
-    quad_degree = args.degree if args.degree is not None else problem.get("quad_degree")
-    quad_degree = 64 if quad_degree is None else quad_degree
-    if type(quad_degree) is not int or quad_degree < 0:
-        raise ValueError("quad_degree must be a nonnegative integer")
+        p, n_max, f, pts, quad_degree = _parse_problem(json.load(fh), args.degree)
     sol = bvp_mod.project_boundary(f, n_max)
-    rows = []
-    if eval_points:
-        pts = np.array(eval_points, dtype=float)
-        series = bvp_mod.series_eval(sol, pts).tolist()
-        kernel = bvp_mod.poisson_eval(f, pts, quad_degree=quad_degree).tolist()
-        rows = [
-            [*x, a, b, abs(a - b)] for x, a, b in zip(pts.tolist(), series, kernel)
-        ]
-    header = [f"x{i + 1}" for i in range(p)] + [
-        "series_value",
-        "poisson_value",
-        "abs_diff",
-    ]
-    doc = {
-        "p": p,
-        "n_max": n_max,
-        "quad_degree": quad_degree,
-        "header": header,
-        "rows": rows,
-    }
+    series = bvp_mod.series_eval(sol, pts).tolist()
+    kernel = bvp_mod.poisson_eval(f, pts, quad_degree=quad_degree).tolist()
+    rows = [[*x, a, b, abs(a - b)] for x, a, b in zip(pts.tolist(), series, kernel)]
+    header = [f"x{i + 1}" for i in range(p)] + ["series_value", "poisson_value", "abs_diff"]
+    doc = {"p": p, "n_max": n_max, "quad_degree": quad_degree, "header": header, "rows": rows}
     _render(args, doc, header, rows, {"p": p, "n_max": n_max, "quad_degree": quad_degree})
     return 0
 
@@ -378,7 +365,7 @@ VERIFY_CHECKS = {
 }
 
 # smallest accepted value of each numeric verify option
-_VERIFY_MINIMA = {"p": 2, "n": 0, "n_max": 0, "samples": 1}
+_VERIFY_MINIMA = {"p": 2, "n": 0, "n_max": 0, "samples": 1, "tol": 0}
 
 
 def _cmd_verify(args) -> int:
@@ -390,7 +377,8 @@ def _cmd_verify(args) -> int:
             return 2
     for key, least in _VERIFY_MINIMA.items():
         value = getattr(args, key)
-        if value is not None and value < least:
+        # written so that NaN fails too
+        if value is not None and not value >= least:
             raise ValueError(f"--{key.replace('_', '-')} must be at least {least}")
     for name in args.checks:
         _, _, degree, _, least, _ = VERIFY_CHECKS[name]
@@ -455,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("funk-hecke", help="zonal kernel eigenvalue for degree n")
     common(sp, p=True, n=True, degree=True)
-    sp.add_argument("--f", required=True, help=f"kernel name: {', '.join(sorted(ZONAL_FUNCTIONS))}")
+    sp.add_argument("--f", required=True, choices=sorted(ZONAL_FUNCTIONS), help="kernel name")
     sp.set_defaults(func=_cmd_funk_hecke)
 
     sp = sub.add_parser("solve", help="Dirichlet problem from a JSON description")
@@ -487,7 +475,8 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    # JSONDecodeError is a ValueError; OverflowError is exact data beyond a double
+    except (ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

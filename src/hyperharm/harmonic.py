@@ -298,7 +298,8 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
 
     Each parity block is certified nonsingular in exact arithmetic, then
     orthonormalized by its float Cholesky factor: member rows L^-1 B are the
-    Gram-Schmidt of the block's raw members, taken in index order.
+    Gram-Schmidt of the block's raw members, taken in index order.  A block
+    too ill-conditioned for that factor (at p = 3 from n = 57) raises ValueError.
     """
     blocks = tuple(_gram_blocks(p, n))
     # each degree-2n monomial integral over the sphere is this times an integer
@@ -317,7 +318,7 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            raise RuntimeError("orthonormalization collapsed; basis builder is broken") from None
+            raise ValueError(f"degree {n} is beyond the float orthonormalization at p={p}") from None
         cols = [column[a] for a in class_monos]
         # L^-1 B from the reversed, upper triangular system: its LU needs no row
         # exchanges, which would put rounding noise where L^-1 B is exactly 0

@@ -449,20 +449,22 @@ class ExactPolynomial(_Polynomial):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPolynomial":
-        if not isinstance(data["terms"], list):
+        if not isinstance(data.get("terms"), list):
             raise ValueError("terms must be a list of term objects")
         terms = {}
         for i, t in enumerate(data["terms"]):
             if not isinstance(t, dict):
                 raise ValueError(f"term {i} must be an object")
-            alpha = t["alpha"]
+            alpha, num, den = t.get("alpha"), t.get("num"), t.get("den")
             if not isinstance(alpha, (list, tuple)) or not all(type(a) is int for a in alpha):
                 raise ValueError(f"term {i}: alpha must be a list of integers")
-            if not (type(t["num"]) is int and type(t["den"]) is int):
+            if not (type(num) is int and type(den) is int):
                 raise ValueError(f"term {i}: num and den must be integers")
-            if t["den"] == 0:
+            if den == 0:
                 raise ValueError(f"term {i} has denominator 0")
-            terms[tuple(alpha)] = Fraction(t["num"], t["den"])
+            if tuple(alpha) in terms:
+                raise ValueError(f"term {i} repeats alpha {alpha}")
+            terms[tuple(alpha)] = Fraction(num, den)
         return cls(int(data["nvars"]), terms)
 
     def to_json(self) -> str:

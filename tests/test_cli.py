@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -155,6 +156,8 @@ def test_verify_unknown_check(capsys):
         ("orthogonality", "--n-max", "0"),
         ("recurrence", "--n-max", "0"),
         ("recurrence", "--n-max", "1"),
+        ("addition", "--tol", "nan"),
+        ("addition", "--tol", "-1"),
     ],
 )
 def test_verify_option_below_its_range_is_a_usage_error(check, option, value, capsys):
@@ -214,6 +217,14 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert run(["quadrature", "--p", "2", "--degree", "7", "--out", str(target)]) == 0
     out, _ = _out(capsys)
     assert target.read_text() == out
+
+
+def test_unwritable_out_file_prints_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert run(["count", "--p", "3", "--n", "2", "--out", str(target)]) == 2
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_determinism_across_runs(tmp_path, capsys):
@@ -349,6 +360,43 @@ ONE_POINT = [[0.1, 0.0, 0.0]]
             },
             "quad_degree must",
         ),
+        ({"p": 3, "n_max": 2, "boundary": COORDINATE, "eval_points": [[{}, 0, 0]]}, "eval_points[0][0]"),
+        ({"p": 3, "n_max": 2, "boundary": COORDINATE, "eval_points": [[0, 10**400, 0]]}, "eval_points[0][1]"),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {"type": "polynomial", "terms": [{"alpha": [1, 0, 0], "num": 10**160, "den": 1}]},
+                "eval_points": ONE_POINT,
+            },
+            "too large",
+        ),
+        ({"p": 0, "n_max": 2, "boundary": COORDINATE, "eval_points": []}, "p must"),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {
+                    "type": "polynomial",
+                    "terms": [
+                        {"alpha": [1, 0, 0], "num": 1, "den": 1},
+                        {"alpha": [1, 0, 0], "num": 2, "den": 1},
+                    ],
+                },
+                "eval_points": ONE_POINT,
+            },
+            "term 1 repeats alpha",
+        ),
+        ({"p": 3, "n_max": 2, "boundary": {"type": "polynomial"}, "eval_points": ONE_POINT}, "terms must"),
+        (
+            {
+                "p": 3,
+                "n_max": 2,
+                "boundary": {"type": "polynomial", "terms": [{"num": 1, "den": 1}]},
+                "eval_points": ONE_POINT,
+            },
+            "term 0: alpha must",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -360,6 +408,13 @@ ONE_POINT = [[0.1, 0.0, 0.0]]
         "scalar-terms",
         "scalar-alpha",
         "string-quad-degree",
+        "dict-coordinate",
+        "huge-coordinate",
+        "huge-numerator",
+        "zero-p",
+        "repeated-alpha",
+        "missing-terms",
+        "missing-alpha",
     ],
 )
 def test_malformed_problem_is_an_input_error(tmp_path, problem, message):
@@ -369,6 +424,91 @@ def test_malformed_problem_is_an_input_error(tmp_path, problem, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+README_PROBLEM = {
+    "p": 3,
+    "n_max": 4,
+    "boundary": COORDINATE,
+    "eval_points": [[0.2, 0.1, 0.0], [0.0, 0.0, 0.5]],
+}
+POLYNOMIAL_PROBLEM = {
+    "p": 3,
+    "n_max": 3,
+    "boundary": {
+        "type": "polynomial",
+        "terms": [{"alpha": [1, 1, 0], "num": 3, "den": 4}, {"alpha": [0, 0, 2], "num": -1, "den": 2}],
+    },
+    "eval_points": [[0.1, -0.2, 0.3]],
+    "quad_degree": 8,
+}
+MUTATION_VALUES = [
+    *range(-3, 7),
+    10**400,
+    0.5,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    "",
+    "x",
+    "builtin",
+    "polynomial",
+    "coordinate",
+    "exponential",
+    [],
+    {},
+    [[]],
+    [[0.1, 0.0, 0.0]],
+    [1, [2]],
+    None,
+    True,
+    False,
+]
+MUTATION_KEYS = "p n_max quad_degree boundary eval_points type name terms alpha num den extra".split()
+
+
+def _json_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def test_mutated_problem_exits_0_or_2(tmp_path, capsys):
+    # one field of a valid problem replaced, deleted or added at a random JSON path
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    target = tmp_path / "problem.json"
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        doc = copy.deepcopy(data.draw(st.sampled_from([README_PROBLEM, POLYNOMIAL_PROBLEM])))
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(st.sampled_from(MUTATION_VALUES))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        target_node = node[path[-1]] if path else doc
+        if action == "add" and isinstance(target_node, dict):
+            target_node[data.draw(st.sampled_from(MUTATION_KEYS))] = value
+        elif action == "add" and isinstance(target_node, list):
+            target_node.insert(data.draw(st.integers(0, len(target_node))), value)
+        elif action == "delete" and path:
+            del node[path[-1]]
+        elif path:
+            node[path[-1]] = value
+        else:
+            doc = value
+        target.write_text(json.dumps(doc))
+        rc = run(["solve", "--problem", str(target)])
+        _, err = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error:")
+
+    check()
 
 
 def test_callable_data_above_the_default_rule_degree_solves(tmp_path):

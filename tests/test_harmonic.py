@@ -211,6 +211,13 @@ def test_singular_gram_block_is_refused(monkeypatch):
         orthonormalize.__wrapped__(5, 4)
 
 
+def test_ill_conditioned_gram_block_is_an_input_error():
+    # certified nonsingular, but from n = 57 at p = 3 a block's float Gram
+    # has condition number above 1e16 and no Cholesky factor
+    with pytest.raises(ValueError, match="beyond the float orthonormalization"):
+        orthonormalize(3, 60)
+
+
 def test_zero_residue_pivots_fall_back_to_exact_rank(monkeypatch):
     certify, rank = harmonic._leading_minors_nonzero, harmonic.exact_rank
     want, calls = orthonormalize(5, 4), []

@@ -107,6 +107,17 @@ def test_json_round_trip():
     assert ExactPolynomial.from_json(q.to_json()) == q
 
 
+def test_json_rejects_a_repeated_alpha_and_a_missing_field():
+    # a repeated alpha would replace the earlier term: 2*x1, not 3*x1
+    terms = [{"alpha": [1, 0, 0], "num": 1, "den": 1}, {"alpha": [1, 0, 0], "num": 2, "den": 1}]
+    with pytest.raises(ValueError, match="term 1 repeats alpha"):
+        ExactPolynomial.from_json_dict({"nvars": 3, "terms": terms})
+    with pytest.raises(ValueError, match="term 0: num and den"):
+        ExactPolynomial.from_json_dict({"nvars": 3, "terms": [{"alpha": [1, 0, 0], "num": 1}]})
+    with pytest.raises(ValueError, match="terms must"):
+        ExactPolynomial.from_json_dict({"nvars": 3})
+
+
 def test_rotation_agrees_with_pointwise_composition():
     q = ExactPolynomial(3, {(2, 1, 0): Fraction(1), (0, 0, 3): Fraction(-1, 2)})
     r = random_orthogonal(3, seed=5)
