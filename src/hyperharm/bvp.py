@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import orthopoly
-from .geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_quadrature
+from .geometry import PiRational, monomial_sphere_integral, solid_angle, solid_angle_exact, sphere_quadrature
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
@@ -140,15 +140,15 @@ def _rule_moments(f: BoundaryData, n_max: int, quad_degree: int):
 def _exact_moments(poly: ExactPolynomial, n_max: int):
     """Graded sphere moments of polynomial data and |f|^2, each rounded once:
     monomial integrals are exact and cached by exponent, and the terms of
-    each integral are summed exactly per power of pi before one conversion."""
+    each integral are summed exactly before one conversion."""
     integral = lru_cache(maxsize=None)(monomial_sphere_integral)  # this call's, by exponent
+    # every nonzero monomial integral over S^{p-1} carries the solid angle's power of pi
+    pi_half = solid_angle_exact(poly.nvars).pi_half
 
     def rounded(q, alpha):  # the integral of q x^alpha
-        groups = {}
-        for beta, c in q.terms.items():
-            v = integral(tuple(a + b for a, b in zip(alpha, beta)))
-            groups[v.pi_half] = groups.get(v.pi_half, 0) + c * v.coeff
-        return float(sum(float(PiRational(v, ph)) for ph, v in groups.items()))
+        total = sum(c * integral(tuple(a + b for a, b in zip(alpha, beta))).coeff
+                    for beta, c in q.terms.items())
+        return float(PiRational(total, pi_half))
 
     exponents = graded_monomials(poly.nvars, n_max)[0].tolist()
     return np.array([rounded(poly, a) for a in exponents]), rounded(poly * poly, [0] * poly.nvars)

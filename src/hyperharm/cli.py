@@ -371,10 +371,7 @@ _VERIFY_MINIMA = {"p": 2, "n": 0, "n_max": 0, "samples": 1, "tol": 0}
 def _cmd_verify(args) -> int:
     for name in args.checks:
         if name not in VERIFY_CHECKS:
-            sys.stderr.write(
-                f"unknown check {name!r}; available: {', '.join(sorted(VERIFY_CHECKS))}\n"
-            )
-            return 2
+            raise ValueError(f"unknown check {name!r}; available: {', '.join(sorted(VERIFY_CHECKS))}")
     for key, least in _VERIFY_MINIMA.items():
         value = getattr(args, key)
         # written so that NaN fails too

@@ -7,10 +7,10 @@ member is a closed form in its seed, one integer row over one factorial.
 Gram matrices on the sphere are exact: integer parity-class blocks
 B diag(alpha!) B^T under one pi-power scale per degree (the Fischer inner
 product of harmonic members), computed in int64 modulo primes below 2^26
-that cover the Cauchy-Schwarz bound max_a s_aa, lifted by the Chinese
-remainder theorem, and certified nonsingular by nonzero leading principal
-minors modulo one prime, with exact rank as the fallback.  Only the final
-orthonormalization happens in floating point.
+that cover the Cauchy-Schwarz bound max_a s_aa and lifted by the Chinese
+remainder theorem.  Each block is nonsingular since each member's seed
+occurs in no other member.  Only the final orthonormalization happens in
+floating point.
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def count_harmonic(p: int, n: int) -> int:
     return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
-def _monomials(q: int, d: int):
-    """Exponent multi-indices of total degree d in q variables, ascending lex."""
-    if q == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _monomials(q - 1, d - first):
-            yield (first,) + rest
-
-
 def _raw_rows(p: int, n: int):
     """Raw degree-n members in basis order: (parity class, integer terms, denominator).
 
@@ -83,7 +73,8 @@ def _raw_rows(p: int, n: int):
     with K = |alpha| // 2.
     """
     dim = count_harmonic(p, n)  # validates p and n before any seed is enumerated
-    seeds = [(j0, alpha) for j0 in (0, 1)[: n + 1] for alpha in _monomials(p - 1, n - j0)]
+    exps, offsets, _ = graded_monomials(p - 1, n)
+    seeds = [(n - d, tuple(a)) for d in (n, n - 1)[: n + 1] for a in exps[offsets[d] : offsets[d + 1]].tolist()]
     if len(seeds) != dim:
         raise RuntimeError("seed enumeration does not match the dimension count")
     for j0, alpha in seeds:
@@ -117,23 +108,8 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _leading_minors_nonzero(s: np.ndarray, q: int) -> np.ndarray:
-    """Per matrix of a (blocks, m, m) int64 stack mod a prime q: are all its leading principal minors nonzero?
-
-    Elimination without pivoting or division: each step scales the trailing
-    rows by the pivot, so while no pivot vanishes each is a nonzero multiple
-    of the ratio of two consecutive leading minors.
-    """
-    s, ok = s.copy(), np.ones(len(s), dtype=bool)
-    for k in range(s.shape[-1]):
-        ok &= s[:, k, k] != 0
-        col, row = s[:, k + 1 :, k, None], s[:, None, k, k + 1 :]
-        s[:, k + 1 :, k + 1 :] = (s[:, k, k, None, None] * s[:, k + 1 :, k + 1 :] - col * row) % q
-    return ok
-
-
 def _gram_blocks(p: int, n: int):
-    """Exact Gram matrix of the raw members under the sphere inner product, by certified block.
+    """Exact Gram matrix of the raw members under the sphere inner product, by parity-class block.
 
     For harmonic homogeneous P, Q of degree n the sphere integral of PQ is
     2 pi^(p/2) / (2^n Gamma(n + p/2)) times the Fischer product sum_alpha
@@ -141,12 +117,13 @@ def _gram_blocks(p: int, n: int):
     orthogonal), so each class's block is the integer s = B diag(alpha!) B^T.
     |s_ab| <= max_a s_aa by Cauchy-Schwarz, so s is taken in int64 modulo
     primes whose product exceeds twice that, one product per block shape and
-    prime, and lifted per block by the Chinese remainder theorem.  A block is
-    certified nonsingular by nonzero leading principal minors modulo the
-    first prime, hence over Q; any other block must pass exact_rank, or
-    RuntimeError.  Yields, per class in the order of its first member, the
-    member indices, sorted monomials, float coefficient rows over them, row
-    denominators d and s: entry (a, b) is the scale times s[a][b] / (d[a] d[b]).
+    prime, and lifted per block by the Chinese remainder theorem.  A member's
+    seed, its term of least x_p power, must occur in no other member of its
+    class, or RuntimeError: a sufficient, not necessary, proof that s is
+    nonsingular, which _raw_rows always meets.  Yields, per class in the
+    order of its first member, the member indices, sorted monomials, float
+    coefficient rows over them, row denominators d and s: entry (a, b) is
+    the scale times s[a][b] / (d[a] d[b]).
     """
     classes: dict = {}
     for idx, (parity, terms, denom) in enumerate(_raw_rows(p, n)):
@@ -157,6 +134,10 @@ def _gram_blocks(p: int, n: int):
         monos = sorted({a for terms in member_terms for a in terms})
         weights = np.array([math.prod(map(math.factorial, a)) for a in monos], dtype=object)
         b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
+        # exact integers: a float row entry can underflow to 0 (p = 2, n about 170)
+        seeds = [monos.index(min(terms, key=lambda a: a[-1])) for terms in member_terms]
+        if not np.array_equal(b[:, seeds] != 0, np.eye(len(seeds), dtype=bool)):
+            raise RuntimeError("seeds do not prove the Gram block nonsingular; basis builder is broken")
         shapes.setdefault(b.shape, []).append(len(blocks))
         blocks.append([indices, monos, b, denoms, weights])
     bound = max(max((b * b) @ w) for _, _, b, _, w in blocks)
@@ -174,13 +155,11 @@ def _gram_blocks(p: int, n: int):
         for q in primes:
             bq = (b % q).astype(np.int64)
             stack.append(_mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q))
-        for i, ok, *res in zip(members, _leading_minors_nonzero(stack[0], primes[0]), *stack):
+        for i, *res in zip(members, *stack):
             s = (sum(r.astype(object) * crt for r, crt in zip(res, crts)) % modulus).tolist()
-            # the weights are spent: the certificate and the lifted block take their place
-            blocks[i][4] = ok, tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in s)
-    for indices, monos, b, denoms, (ok, s) in blocks:
-        if not ok and exact_rank(s) != len(indices):
-            raise RuntimeError("exact Gram matrix is singular; basis builder is broken")
+            # the weights are spent: the lifted block takes their place
+            blocks[i][4] = tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in s)
+    for indices, monos, b, denoms, s in blocks:
         # int / int is correctly rounded: each is float() of its exact coefficient
         rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
         yield indices, monos, rows, denoms, s
@@ -296,10 +275,10 @@ class HarmonicBasis:
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 
-    Each parity block is certified nonsingular in exact arithmetic, then
-    orthonormalized by its float Cholesky factor: member rows L^-1 B are the
-    Gram-Schmidt of the block's raw members, taken in index order.  A block
-    too ill-conditioned for that factor (at p = 3 from n = 57) raises ValueError.
+    Each parity block, nonsingular by its members' seeds, is orthonormalized
+    by its float Cholesky factor: member rows L^-1 B are the Gram-Schmidt of
+    the block's raw members, taken in index order.  A block too
+    ill-conditioned for that factor (at p = 3 from n = 57) raises ValueError.
     """
     blocks = tuple(_gram_blocks(p, n))
     # each degree-2n monomial integral over the sphere is this times an integer

@@ -140,7 +140,7 @@ def test_verify_failure_exit_code(capsys):
 def test_verify_unknown_check(capsys):
     assert run(["verify", "total-nonsense"]) == 2
     _, err = _out(capsys)
-    assert "unknown check" in err
+    assert err.startswith("error: unknown check 'total-nonsense'; available: ")
 
 
 @pytest.mark.parametrize(

@@ -168,19 +168,14 @@ def test_modular_gram_matches_the_object_integer_product(monkeypatch, p, n, prim
 
 
 def test_modular_gram_lifts_signed_entries(monkeypatch):
-    # every Gram entry of the bases at p <= 6, n <= 8 is nonnegative; signed
-    # combinations of harmonic members with coefficients of about 100 bits stay
-    # harmonic and give negative entries over several primes
+    # every Gram entry of the bases at p <= 6, n <= 8 is nonnegative; class
+    # members times their own signed integers of about 100 bits keep their
+    # seeds and give negative entries over several primes
     rng = np.random.default_rng(11)
     members = [terms for parity, terms, _ in harmonic._raw_rows(3, 6) if parity == (0, 0, 0)]
-    rows = []
-    for _ in range(4):
-        high, low = rng.integers(-(2**30), 2**30, size=(2, len(members))).tolist()
-        combo = {}
-        for terms, h, lo in zip(members, high, low):
-            for a, c in terms.items():
-                combo[a] = combo.get(a, 0) + (h * 2**70 + lo) * c
-        rows.append(((0, 0, 0), combo, 1))
+    high, low = rng.integers(-(2**30), 2**30, size=(2, len(members))).tolist()
+    rows = [((0, 0, 0), {a: (h * 2**70 + lo) * c for a, c in terms.items()}, 1)
+            for terms, h, lo in zip(members, high, low)]
     moduli = set()
     mod_matmul = harmonic._mod_matmul
     monkeypatch.setattr(harmonic, "_mod_matmul", lambda a, b, q: moduli.add(q) or mod_matmul(a, b, q))
@@ -192,23 +187,19 @@ def test_modular_gram_lifts_signed_entries(monkeypatch):
     assert len(moduli) > 1
 
 
-def test_leading_minor_certificate_on_residues():
-    q = 101
-    stack = np.array([[[2, 1], [1, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]], [[3, 4], [4, 3 + q]]]) % q
-    # nonsingular; second minor 0; nonsingular but first minor 0; second minor -7
-    assert harmonic._leading_minors_nonzero(stack, q).tolist() == [True, False, False, True]
-    # determinant q: singular mod q only, which is why such a block falls back to exact_rank
-    assert harmonic._leading_minors_nonzero(np.array([[[1, 2], [2, 4 + q]]]) % q, q).tolist() == [False]
-
-
 def test_singular_gram_block_is_refused(monkeypatch):
     rows = list(harmonic._raw_rows(5, 4))
-    first = next(i for i, row in enumerate(rows) if sum(r[0] == row[0] for r in rows) > 1)
-    second = next(i for i in range(first + 1, len(rows)) if rows[i][0] == rows[first][0])
-    rows[second] = rows[first]  # one member twice in its parity class
-    monkeypatch.setattr(harmonic, "_raw_rows", lambda p, n: iter(rows))
-    with pytest.raises(RuntimeError, match="singular"):
-        orthonormalize.__wrapped__(5, 4)
+    first = next(i for i, row in enumerate(rows) if sum(r[0] == row[0] for r in rows) > 2)
+    second, third = [i for i in range(first + 1, len(rows)) if rows[i][0] == rows[first][0]][:2]
+    (parity, t1, d1), (_, t3, d3) = rows[first], rows[third]
+    terms = {a: t1.get(a, 0) * d3 + t3.get(a, 0) * d1 for a in t1.keys() | t3.keys()}
+    total = parity, {a: c for a, c in terms.items() if c}, d1 * d3
+    # one member twice in its parity class; the exact sum of two members in place of a third
+    for dependent in (rows[first], total):
+        changed = rows[:second] + [dependent] + rows[second + 1 :]
+        monkeypatch.setattr(harmonic, "_raw_rows", lambda p, n: iter(changed))
+        with pytest.raises(RuntimeError, match="singular"):
+            orthonormalize.__wrapped__(5, 4)
 
 
 def test_ill_conditioned_gram_block_is_an_input_error():
@@ -216,30 +207,6 @@ def test_ill_conditioned_gram_block_is_an_input_error():
     # has condition number above 1e16 and no Cholesky factor
     with pytest.raises(ValueError, match="beyond the float orthonormalization"):
         orthonormalize(3, 60)
-
-
-def test_zero_residue_pivots_fall_back_to_exact_rank(monkeypatch):
-    certify, rank = harmonic._leading_minors_nonzero, harmonic.exact_rank
-    want, calls = orthonormalize(5, 4), []
-
-    def zero_pivot(s, q):
-        s = s.copy()
-        s[:, 0, 0] = 0
-        ok = certify(s, q)
-        assert not ok.any()
-        return ok
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return rank(matrix)
-
-    monkeypatch.setattr(harmonic, "_leading_minors_nonzero", zero_pivot)
-    monkeypatch.setattr(harmonic, "exact_rank", counted)
-    got = orthonormalize.__wrapped__(5, 4)
-    assert calls == [len(indices) for indices, _, _ in want.gram_blocks]
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-    assert got.exponents.tobytes() == want.exponents.tobytes()
-    assert got.gram_blocks == want.gram_blocks and got.gram_scale == want.gram_scale
 
 
 def test_modular_product_sums_long_rows_in_slices():

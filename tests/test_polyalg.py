@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -105,6 +106,33 @@ def test_array_evaluation_matches_pointwise():
 def test_json_round_trip():
     q = ExactPolynomial(2, {(1, 1): Fraction(-7, 3), (0, 0): Fraction(5)})
     assert ExactPolynomial.from_json(q.to_json()) == q
+
+
+def test_json_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def polynomials(draw):
+        nvars = draw(st.integers(1, 6))
+        alphas = st.tuples(*[st.integers(0, 6)] * nvars)
+        # numerators past 2^64 of either sign, and exact zeros
+        nums = st.integers(-(2**100), 2**100) | st.just(0)
+        coeffs = st.builds(Fraction, nums, st.integers(1, 2**70))
+        return nvars, draw(st.dictionaries(alphas, coeffs, max_size=8))
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(polynomials())
+    def check(drawn):
+        nvars, terms = drawn
+        q = ExactPolynomial(nvars, terms)
+        text = q.to_json()
+        assert ExactPolynomial.from_json(text) == q
+        # zero coefficients are dropped, from the polynomial and from its JSON
+        kept = sorted(a for a, c in terms.items() if c)
+        assert sorted(q.terms) == sorted(tuple(t["alpha"]) for t in json.loads(text)["terms"]) == kept
+
+    check()
 
 
 def test_json_rejects_a_repeated_alpha_and_a_missing_field():
