@@ -2,15 +2,15 @@
 
 The degree-n basis is built from the observation that a harmonic
 homogeneous polynomial is determined by its two lowest slices in the last
-coordinate: seeds run over monomials in the first p-1 variables and each
-member is a closed form in its seed, one integer row over one factorial.
-Gram matrices on the sphere are exact: integer parity-class blocks
-B diag(alpha!) B^T under one pi-power scale per degree (the Fischer inner
-product of harmonic members), computed in int64 modulo primes below 2^26
-that cover the Cauchy-Schwarz bound max_a s_aa and lifted by the Chinese
-remainder theorem.  Each block is nonsingular since each member's seed
-occurs in no other member.  Only the final orthonormalization happens in
-floating point.
+coordinate: seeds run over monomials in the first p-1 variables, and a
+parity class's members are one integer matrix over one factorial, a product
+of per-coordinate factor tables.  Gram matrices on the sphere are exact:
+integer parity-class blocks B diag(alpha!) B^T under one pi-power scale per
+degree (the Fischer inner product of harmonic members), computed in int64
+modulo primes below 2^26 that cover the Cauchy-Schwarz bound max_a s_aa and
+lifted by the Chinese remainder theorem.  Each block is nonsingular since
+each member's seed occurs in no other member.  Only the final
+orthonormalization happens in floating point.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -62,37 +61,52 @@ def count_harmonic(p: int, n: int) -> int:
     return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
-def _raw_rows(p: int, n: int):
-    """Raw degree-n members in basis order: (parity class, integer terms, denominator).
+def _class_rows(p: int, n: int):
+    """Raw degree-n members as integer matrices, one stack per group of parity classes.
 
-    A seed alpha of degree n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives the
-    member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha with L the
-    Laplacian in x_1..x_{p-1}: L^k x^alpha is sum_{|beta|=k} (k!/beta!)
-    prod_i alpha_i!/(alpha_i-2beta_i)! x^(alpha-2beta).  Its parity class is
-    (alpha mod 2) + (j0,), and its terms share the denominator (j0+2K)!/j0!
-    with K = |alpha| // 2.
+    A seed alpha of degree m = n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives the
+    member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha, L the Laplacian
+    in x_1..x_{p-1}.  Its class (pi, j0), pi = alpha mod 2, spans the monomials
+    (gamma, j0 + 2k) = (pi + 2 delta, j0 + 2k), in the ascending order of the
+    degree-(m - |pi|)/2 rows (delta, k) of graded_monomials(p); times top!/j0!,
+    top = j0 + 2 floor(m/2), alpha's entry there is (-1)^k top!/(j0+2k)! k! prod_i
+    F[alpha_i, gamma_i], F[a, g] = a!/(g! ((a-g)/2)!) for g <= a of a's parity,
+    else 0.  Classes of one j0 and |pi| come as one stack: indices (c, r) in basis
+    order, monomials (c, K, p), B (c, r, K) of Python ints and top!/j0!.
     """
     dim = count_harmonic(p, n)  # validates p and n before any seed is enumerated
-    exps, offsets, _ = graded_monomials(p - 1, n)
-    seeds = [(n - d, tuple(a)) for d in (n, n - 1)[: n + 1] for a in exps[offsets[d] : offsets[d + 1]].tolist()]
-    if len(seeds) != dim:
+    fact = [math.factorial(i) for i in range(n + 1)]
+    table = np.array([[fact[a] // (fact[g] * fact[(a - g) // 2]) if g <= a and (a - g) % 2 == 0 else 0
+                       for g in range(n + 1)] for a in range(n + 1)], dtype=object)
+    seeds, offsets, _ = graded_monomials(p - 1, n)
+    # in basis order: the seeds of degree n (j0 = 0), then those of degree n - 1 (j0 = 1)
+    alphas = np.concatenate((seeds[offsets[n] : offsets[n + 1]], seeds[offsets[n - 1] : offsets[n]]))
+    if len(alphas) != dim:
         raise RuntimeError("seed enumeration does not match the dimension count")
-    for j0, alpha in seeds:
-        half, top = (n - j0) // 2, n - (n - j0) % 2  # K and j0 + 2K
-        terms = {}
-        for beta in product(*(range(a // 2 + 1) for a in alpha)):
-            k = sum(beta)
-            c = math.perm(top, 2 * (half - k)) * math.factorial(k) // math.prod(map(math.factorial, beta))
-            c *= math.prod(math.perm(a, 2 * b) for a, b in zip(alpha, beta))
-            terms[tuple(a - 2 * b for a, b in zip(alpha, beta)) + (j0 + 2 * k,)] = (-1) ** k * c
-        yield tuple(a % 2 for a in alpha) + (j0,), terms, math.perm(top, 2 * half)
+    slices, slice_offsets, _ = graded_monomials(p, n // 2)
+    classes: dict = {}
+    for i, key in enumerate(map(tuple, np.column_stack((alphas % 2, n - alphas.sum(1))).tolist())):
+        classes.setdefault(key, []).append(i)
+    for j0, weight in sorted({(key[-1], sum(key)) for key in classes}):
+        keys, top = [key for key in classes if (key[-1], sum(key)) == (j0, weight)], n - (n - j0) % 2
+        column = np.array([(-1) ** k * fact[top] // fact[j0 + 2 * k] * fact[k] for k in range(top // 2 + 1)], dtype=object)
+        delta = slices[slice_offsets[(n - weight) // 2] : slice_offsets[(n - weight) // 2 + 1]]
+        members, monos = np.array([classes[key] for key in keys]), 2 * delta + np.array(keys)[:, None, :]
+        b = column[delta[:, -1]]
+        for i in range(p - 1):
+            b = b * table[alphas[members, i, None], monos[:, None, :, i]]
+        yield members, monos, b, fact[top] // fact[j0]
 
 
 @lru_cache(maxsize=32)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
     """Exactly harmonic, linearly independent spanning set of degree n."""
-    rows = _raw_rows(p, n)
-    return tuple(ExactPolynomial(p, {a: Fraction(c, d) for a, c in t.items()}) for _, t, d in rows)
+    members = [None] * count_harmonic(p, n)
+    for indices, monos, b, den in _class_rows(p, n):
+        for idx, class_monos, rows in zip(indices.tolist(), monos.tolist(), b.tolist()):
+            for i, row in zip(idx, rows):
+                members[i] = ExactPolynomial(p, {tuple(a): Fraction(c, den) for a, c in zip(class_monos, row) if c})
+    return tuple(members)
 
 
 # Gram blocks are computed in int64 modulo primes q < 2^26: a product of two
@@ -111,58 +125,46 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def _gram_blocks(p: int, n: int):
     """Exact Gram matrix of the raw members under the sphere inner product, by parity-class block.
 
-    For harmonic homogeneous P, Q of degree n the sphere integral of PQ is
-    2 pi^(p/2) / (2^n Gamma(n + p/2)) times the Fischer product sum_alpha
-    alpha! P_alpha Q_alpha (members of different parity classes are exactly
-    orthogonal), so each class's block is the integer s = B diag(alpha!) B^T.
-    |s_ab| <= max_a s_aa by Cauchy-Schwarz, so s is taken in int64 modulo
-    primes whose product exceeds twice that, one product per block shape and
-    prime, and lifted per block by the Chinese remainder theorem.  A member's
+    For harmonic homogeneous P, Q of degree n the sphere integral of PQ is 2
+    pi^(p/2) / (2^n Gamma(n + p/2)) times the Fischer product sum_alpha alpha!
+    P_alpha Q_alpha (members of different parity classes are exactly
+    orthogonal), so each class's block is the integer s = B diag(alpha!) B^T of
+    its _class_rows matrix B.  |s_ab| <= max_a s_aa by Cauchy-Schwarz, so s is
+    taken in int64 modulo primes whose product exceeds twice that, one product
+    per stack and prime, and lifted by Garner's mixed-radix CRT.  A member's
     seed, its term of least x_p power, must occur in no other member of its
     class, or RuntimeError: a sufficient, not necessary, proof that s is
-    nonsingular, which _raw_rows always meets.  Yields, per class in the
-    order of its first member, the member indices, sorted monomials, float
-    coefficient rows over them, row denominators d and s: entry (a, b) is
-    the scale times s[a][b] / (d[a] d[b]).
+    nonsingular, which _class_rows always meets.  Yields per stack its indices,
+    monomials, float rows B / d, denominator d and s (c, r, r) of ints: block
+    entry (a, b) is the scale times s[a][b] / d^2.
     """
-    classes: dict = {}
-    for idx, (parity, terms, denom) in enumerate(_raw_rows(p, n)):
-        classes.setdefault(parity, []).append((idx, terms, denom))
-    blocks, shapes = [], {}
-    for members in classes.values():
-        indices, member_terms, denoms = zip(*members)
-        monos = sorted({a for terms in member_terms for a in terms})
-        weights = np.array([math.prod(map(math.factorial, a)) for a in monos], dtype=object)
-        b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
+    primes, modulus, odd = [], 1, 2**26 + 1
+    for indices, monos, b, den in _class_rows(p, n):
         # exact integers: a float row entry can underflow to 0 (p = 2, n about 170)
-        seeds = [monos.index(min(terms, key=lambda a: a[-1])) for terms in member_terms]
-        if not np.array_equal(b[:, seeds] != 0, np.eye(len(seeds), dtype=bool)):
+        seeds = b[..., monos[0, :, -1] == monos[0, :, -1].min()] != 0
+        if seeds.shape[1] != seeds.shape[2] or not (seeds == np.eye(seeds.shape[1], dtype=bool)).all():
             raise RuntimeError("seeds do not prove the Gram block nonsingular; basis builder is broken")
-        shapes.setdefault(b.shape, []).append(len(blocks))
-        blocks.append([indices, monos, b, denoms, weights])
-    bound = max(max((b * b) @ w) for _, _, b, _, w in blocks)
-    primes, modulus, q = [], 1, 2**26 + 1
-    while modulus <= 2 * bound:
-        q -= 2
-        # a base-2 Fermat test skips most composites; trial division up to sqrt(q) decides
-        if pow(2, q - 1, q) == 1 and np.all(q % np.arange(3, 2**13, 2)):
-            primes.append(q)
-            modulus *= q
-    crts = [modulus // q * pow(modulus // q, -1, q) for q in primes]  # 1 mod q, 0 mod the others
-    for members in shapes.values():
-        b, w = (np.stack([blocks[i][k] for i in members]) for k in (2, 4))
-        stack = []
+        w = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)[monos].prod(axis=2)  # alpha!
+        bound = ((b * b) @ w[..., None]).max()
+        while modulus <= 2 * bound:
+            odd -= 2
+            # a base-2 Fermat test skips most composites; trial division up to its square root decides
+            if pow(2, odd - 1, odd) == 1 and np.all(odd % np.arange(3, 2**13, 2)):
+                primes.append(odd)
+                modulus *= odd
+        # |B| <= sqrt(max s_aa): below 2^126 it fits int64, where reducing is cheap
+        narrow, digits, s, radix = b.astype(np.int64) if bound < 2**126 else b, [], 0, 1
         for q in primes:
-            bq = (b % q).astype(np.int64)
-            stack.append(_mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q))
-        for i, *res in zip(members, *stack):
-            s = (sum(r.astype(object) * crt for r, crt in zip(res, crts)) % modulus).tolist()
-            # the weights are spent: the lifted block takes their place
-            blocks[i][4] = tuple(tuple(v - modulus if 2 * v > modulus else v for v in row) for row in s)
-    for indices, monos, b, denoms, s in blocks:
+            bq = (narrow % q).astype(np.int64)
+            r = _mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q)
+            # Garner: s = sum_i v_i prod_{j<i} q_j with balanced digits |v_i| < q_i / 2,
+            # which is the residue of s mod prod q_j nearest 0
+            for v, prior in zip(digits, primes):
+                r = (r - v) * pow(prior, -1, q) % q
+            digits.append(r - q * (2 * r > q))
+            s, radix = s + digits[-1].astype(object) * radix, radix * q
         # int / int is correctly rounded: each is float() of its exact coefficient
-        rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
-        yield indices, monos, rows, denoms, s
+        yield indices, monos, (b / den).astype(float), den, s
 
 
 RANK_PRIME = 2147483647
@@ -280,7 +282,6 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     the block's raw members, taken in index order.  A block too
     ill-conditioned for that factor (at p = 3 from n = 57) raises ValueError.
     """
-    blocks = tuple(_gram_blocks(p, n))
     # each degree-2n monomial integral over the sphere is this times an integer
     scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
     num, den = scale.coeff.numerator, scale.coeff.denominator
@@ -288,23 +289,22 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     # every degree-n monomial occurs in some raw member, so the basis runs over them all
     exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
     column = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
-    coeffs = np.zeros((count_harmonic(p, n), len(exponents)))
-    for indices, class_monos, rows, denoms, s in blocks:
+    coeffs, blocks = np.zeros((count_harmonic(p, n), len(exponents))), []
+    for indices, monos, rows, d, s in _gram_blocks(p, n):
         # int / int is correctly rounded: each entry is float() of its exact entry
-        g = pi_power * np.array(
-            [[num * v / (den * da * db) for v, db in zip(row, denoms)] for row, da in zip(s, denoms)]
-        )
+        g = pi_power * (num * s / (den * d * d)).astype(float)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise ValueError(f"degree {n} is beyond the float orthonormalization at p={p}") from None
-        cols = [column[a] for a in class_monos]
+        cols = np.array([column[a] for a in map(tuple, monos.reshape(-1, p).tolist())]).reshape(monos.shape[:2])
         # L^-1 B from the reversed, upper triangular system: its LU needs no row
         # exchanges, which would put rounding noise where L^-1 B is exactly 0
-        coeffs[np.ix_(indices, cols)] = np.linalg.solve(chol[::-1, ::-1], rows[::-1])[::-1]
+        coeffs[indices[..., None], cols[:, None, :]] = np.linalg.solve(chol[:, ::-1, ::-1], rows[:, ::-1])[:, ::-1]
+        blocks += [(tuple(i), (d,) * len(i), tuple(map(tuple, c))) for i, c in zip(indices.tolist(), s.tolist())]
     # the basis is cached and shared by every caller
     coeffs.flags.writeable = False
-    return HarmonicBasis(p, n, exponents, coeffs, scale, tuple((i, d, s) for i, _, _, d, s in blocks))
+    return HarmonicBasis(p, n, exponents, coeffs, scale, tuple(sorted(blocks)))
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from hyperharm.polyalg import ExactPolynomial
+from hyperharm.harmonic import count_harmonic
+from hyperharm.polyalg import ExactPolynomial, graded_monomials
 
 
 def chebyshev_rows(n_max):
@@ -68,6 +69,32 @@ def slice_recursion_basis(p, n):
                 j += 2
             members.append(total)
     return members
+
+
+def raw_rows(p, n):
+    """Raw degree-n members in basis order: (parity class, integer terms, denominator).
+
+    The closed form of the slice recursion, one member and one term at a
+    time.  A seed alpha of degree n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives
+    the member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha with L the
+    Laplacian in x_1..x_{p-1}: L^k x^alpha is sum_{|beta|=k} (k!/beta!)
+    prod_i alpha_i!/(alpha_i-2beta_i)! x^(alpha-2beta).  Its parity class is
+    (alpha mod 2) + (j0,), and its terms share the denominator (j0+2K)!/j0!
+    with K = |alpha| // 2.
+    """
+    dim = count_harmonic(p, n)
+    exps, offsets, _ = graded_monomials(p - 1, n)
+    seeds = [(n - d, tuple(a)) for d in (n, n - 1)[: n + 1] for a in exps[offsets[d] : offsets[d + 1]].tolist()]
+    assert len(seeds) == dim
+    for j0, alpha in seeds:
+        half, top = (n - j0) // 2, n - (n - j0) % 2  # K and j0 + 2K
+        terms = {}
+        for beta in product(*(range(a // 2 + 1) for a in alpha)):
+            k = sum(beta)
+            c = math.perm(top, 2 * (half - k)) * math.factorial(k) // math.prod(map(math.factorial, beta))
+            c *= math.prod(math.perm(a, 2 * b) for a, b in zip(alpha, beta))
+            terms[tuple(a - 2 * b for a, b in zip(alpha, beta)) + (j0 + 2 * k,)] = (-1) ** k * c
+        yield tuple(a % 2 for a in alpha) + (j0,), terms, math.perm(top, 2 * half)
 
 
 def object_gram_blocks(p, n, raw_rows):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -140,6 +141,38 @@ def test_basis_caches_are_bounded():
     assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
 
 
+def _gram_classes(p, n):
+    """_gram_blocks one class at a time, in basis order: (indices, monomials, float rows, denominators, s)."""
+    blocks = [
+        (tuple(i), list(map(tuple, m)), rows, (den,) * len(i), tuple(map(tuple, s)))
+        for indices, monos, float_rows, den, stack in harmonic._gram_blocks(p, n)
+        for i, m, rows, s in zip(indices.tolist(), monos.tolist(), float_rows, stack.tolist())
+    ]
+    return sorted(blocks, key=lambda block: block[0])
+
+
+CLASS_ROW_CASES = [(p, n) for p in range(2, 8) for n in range(9)] + [(5, 12), (3, 40), (2, 60), (4, 10), (9, 5)]
+
+
+@pytest.mark.parametrize("p, n", CLASS_ROW_CASES)
+def test_class_rows_match_the_per_member_closed_form(p, n):
+    classes = {}
+    for idx, (parity, terms, den) in enumerate(oracles.raw_rows(p, n)):
+        classes.setdefault(parity, []).append((idx, terms, den))
+    want = {}
+    for members in classes.values():
+        indices, member_terms, dens = zip(*members)
+        monos = sorted({a for terms in member_terms for a in terms})
+        want[indices] = monos, [[terms.get(a, 0) for a in monos] for terms in member_terms], set(dens)
+    got = {}
+    for indices, monos, b, den in harmonic._class_rows(p, n):
+        assert indices.shape == b.shape[:2] and monos.shape == (len(b), b.shape[2], p)
+        for idx, class_monos, rows in zip(indices.tolist(), monos.tolist(), b.tolist()):
+            assert all(type(v) is int for row in rows for v in row)
+            got[tuple(idx)] = list(map(tuple, class_monos)), rows, {den}
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "p, n, primes",
     [(2, 0, "one")] + [(5, n, "one") for n in range(5)]
@@ -154,8 +187,8 @@ def test_modular_gram_matches_the_object_integer_product(monkeypatch, p, n, prim
         return mod_matmul(a, b, q)
 
     monkeypatch.setattr(harmonic, "_mod_matmul", recording)
-    got = list(harmonic._gram_blocks(p, n))
-    want = list(oracles.object_gram_blocks(p, n, harmonic._raw_rows(p, n)))
+    got = _gram_classes(p, n)
+    want = list(oracles.object_gram_blocks(p, n, oracles.raw_rows(p, n)))
     assert len(got) == len(want)
     for (gi, gm, grows, gd, gs), (wi, wm, wrows, wd, ws) in zip(got, want):
         assert (gi, gm, gd) == (wi, wm, wd)
@@ -172,15 +205,15 @@ def test_modular_gram_lifts_signed_entries(monkeypatch):
     # members times their own signed integers of about 100 bits keep their
     # seeds and give negative entries over several primes
     rng = np.random.default_rng(11)
-    members = [terms for parity, terms, _ in harmonic._raw_rows(3, 6) if parity == (0, 0, 0)]
-    high, low = rng.integers(-(2**30), 2**30, size=(2, len(members))).tolist()
-    rows = [((0, 0, 0), {a: (h * 2**70 + lo) * c for a, c in terms.items()}, 1)
-            for terms, h, lo in zip(members, high, low)]
+    [(indices, monos, b, den)] = [group for group in harmonic._class_rows(3, 6) if not (group[1] % 2).any()]
+    high, low = rng.integers(-(2**30), 2**30, size=(2, b.shape[1])).tolist()
+    b = b * np.array([h * 2**70 + lo for h, lo in zip(high, low)], dtype=object)[:, None]
+    rows = [((0, 0, 0), {a: c for a, c in zip(map(tuple, monos[0].tolist()), row) if c}, 1) for row in b[0].tolist()]
     moduli = set()
     mod_matmul = harmonic._mod_matmul
     monkeypatch.setattr(harmonic, "_mod_matmul", lambda a, b, q: moduli.add(q) or mod_matmul(a, b, q))
-    monkeypatch.setattr(harmonic, "_raw_rows", lambda p, n: iter(rows))
-    [(_, _, _, _, got)] = harmonic._gram_blocks(3, 6)
+    monkeypatch.setattr(harmonic, "_class_rows", lambda p, n: iter([(np.arange(b.shape[1])[None], monos, b, 1)]))
+    [(_, _, _, _, got)] = _gram_classes(3, 6)
     [(_, _, _, _, want)] = oracles.object_gram_blocks(3, 6, rows)
     assert got == want
     assert min(min(row) for row in want) < 0
@@ -188,18 +221,37 @@ def test_modular_gram_lifts_signed_entries(monkeypatch):
 
 
 def test_singular_gram_block_is_refused(monkeypatch):
-    rows = list(harmonic._raw_rows(5, 4))
-    first = next(i for i, row in enumerate(rows) if sum(r[0] == row[0] for r in rows) > 2)
-    second, third = [i for i in range(first + 1, len(rows)) if rows[i][0] == rows[first][0]][:2]
-    (parity, t1, d1), (_, t3, d3) = rows[first], rows[third]
-    terms = {a: t1.get(a, 0) * d3 + t3.get(a, 0) * d1 for a in t1.keys() | t3.keys()}
-    total = parity, {a: c for a, c in terms.items() if c}, d1 * d3
+    groups = list(harmonic._class_rows(5, 4))
+    at = next(i for i, (_, _, b, _) in enumerate(groups) if b.shape[1] > 2)
+    indices, monos, b, den = groups[at]
     # one member twice in its parity class; the exact sum of two members in place of a third
-    for dependent in (rows[first], total):
-        changed = rows[:second] + [dependent] + rows[second + 1 :]
-        monkeypatch.setattr(harmonic, "_raw_rows", lambda p, n: iter(changed))
+    for dependent in (b[0, 0], b[0, 0] + b[0, 2]):
+        changed = b.copy()
+        changed[0, 1] = dependent
+        stacks = groups[:at] + [(indices, monos, changed, den)] + groups[at + 1 :]
+        monkeypatch.setattr(harmonic, "_class_rows", lambda p, n: iter(stacks))
         with pytest.raises(RuntimeError, match="singular"):
             orthonormalize.__wrapped__(5, 4)
+
+
+# sha256 prefixes of repr(gram_blocks), repr(gram_scale) and coeffs.tobytes();
+# the Gram side is Python integers and rationals, the same on every platform
+BASIS_DIGESTS = {
+    (6, 8): ("e998797d7c357ce2", "9bd67e66f5e8018d", "7736046fbb60e6a9"),
+    (7, 8): ("5ff3fdf125c93edb", "100ab99024cd671d", "9df2a9ae0f0975ca"),
+    (5, 12): ("27e43fff5c7c30c7", "71da3eab5c3dfc21", "96ea9ad64b198311"),
+    (3, 40): ("30b961ef4ea4c986", "4904b3c7fc39cf5c", "0139f5cba47ccb47"),
+    (2, 60): ("ca9af16f69bd7dfe", "a1a5b37f826f36ee", "633979e3dd6006b4"),
+    (9, 5): ("668dea897e76b60f", "68bc6d9943e54ea7", "9d69a213260b49c3"),
+    (4, 10): ("2441a673bea2e263", "c50dd3253ee3da26", "ba72be6fbcfa6f09"),
+}
+
+
+@pytest.mark.parametrize("p, n", list(BASIS_DIGESTS))
+def test_basis_bytes_are_pinned(p, n):
+    basis = orthonormalize(p, n)
+    parts = repr(basis.gram_blocks).encode(), repr(basis.gram_scale).encode(), basis.coeffs.tobytes()
+    assert tuple(hashlib.sha256(part).hexdigest()[:16] for part in parts) == BASIS_DIGESTS[p, n]
 
 
 def test_ill_conditioned_gram_block_is_an_input_error():
