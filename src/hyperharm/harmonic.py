@@ -88,11 +88,13 @@ def _class_rows(p: int, n: int):
     for i, key in enumerate(map(tuple, np.column_stack((alphas % 2, n - alphas.sum(1))).tolist())):
         classes.setdefault(key, []).append(i)
     for j0, weight in sorted({(key[-1], sum(key)) for key in classes}):
-        keys, top = [key for key in classes if (key[-1], sum(key)) == (j0, weight)], n - (n - j0) % 2
-        column = np.array([(-1) ** k * fact[top] // fact[j0 + 2 * k] * fact[k] for k in range(top // 2 + 1)], dtype=object)
+        keys = [key for key in classes if (key[-1], sum(key)) == (j0, weight)]
+        top = n - (n - j0) % 2
+        column = [(-1) ** k * fact[top] // fact[j0 + 2 * k] * fact[k] for k in range(top // 2 + 1)]
         delta = slices[slice_offsets[(n - weight) // 2] : slice_offsets[(n - weight) // 2 + 1]]
-        members, monos = np.array([classes[key] for key in keys]), 2 * delta + np.array(keys)[:, None, :]
-        b = column[delta[:, -1]]
+        members = np.array([classes[key] for key in keys])
+        monos = 2 * delta + np.array(keys)[:, None, :]
+        b = np.array(column, dtype=object)[delta[:, -1]]
         for i in range(p - 1):
             b = b * table[alphas[members, i, None], monos[:, None, :, i]]
         yield members, monos, b, fact[top] // fact[j0]
@@ -105,7 +107,8 @@ def harmonic_basis_raw(p: int, n: int) -> tuple:
     for indices, monos, b, den in _class_rows(p, n):
         for idx, class_monos, rows in zip(indices.tolist(), monos.tolist(), b.tolist()):
             for i, row in zip(idx, rows):
-                members[i] = ExactPolynomial(p, {tuple(a): Fraction(c, den) for a, c in zip(class_monos, row) if c})
+                terms = {tuple(a): Fraction(c, den) for a, c in zip(class_monos, row) if c}
+                members[i] = ExactPolynomial(p, terms)
     return tuple(members)
 
 
@@ -139,12 +142,13 @@ def _gram_blocks(p: int, n: int):
     entry (a, b) is the scale times s[a][b] / d^2.
     """
     primes, modulus, odd = [], 1, 2**26 + 1
+    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
     for indices, monos, b, den in _class_rows(p, n):
         # exact integers: a float row entry can underflow to 0 (p = 2, n about 170)
         seeds = b[..., monos[0, :, -1] == monos[0, :, -1].min()] != 0
         if seeds.shape[1] != seeds.shape[2] or not (seeds == np.eye(seeds.shape[1], dtype=bool)).all():
             raise RuntimeError("seeds do not prove the Gram block nonsingular; basis builder is broken")
-        w = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)[monos].prod(axis=2)  # alpha!
+        w = fact[monos].prod(axis=2)  # alpha!
         bound = ((b * b) @ w[..., None]).max()
         while modulus <= 2 * bound:
             odd -= 2
@@ -152,17 +156,19 @@ def _gram_blocks(p: int, n: int):
             if pow(2, odd - 1, odd) == 1 and np.all(odd % np.arange(3, 2**13, 2)):
                 primes.append(odd)
                 modulus *= odd
-        # |B| <= sqrt(max s_aa): below 2^126 it fits int64, where reducing is cheap
-        narrow, digits, s, radix = b.astype(np.int64) if bound < 2**126 else b, [], 0, 1
+        digits = []
+        s = 0
+        radix = 1
         for q in primes:
-            bq = (narrow % q).astype(np.int64)
+            bq = (b % q).astype(np.int64)
             r = _mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q)
             # Garner: s = sum_i v_i prod_{j<i} q_j with balanced digits |v_i| < q_i / 2,
             # which is the residue of s mod prod q_j nearest 0
             for v, prior in zip(digits, primes):
                 r = (r - v) * pow(prior, -1, q) % q
             digits.append(r - q * (2 * r > q))
-            s, radix = s + digits[-1].astype(object) * radix, radix * q
+            s = s + digits[-1].astype(object) * radix
+            radix *= q
         # int / int is correctly rounded: each is float() of its exact coefficient
         yield indices, monos, (b / den).astype(float), den, s
 
@@ -289,7 +295,8 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     # every degree-n monomial occurs in some raw member, so the basis runs over them all
     exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
     column = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
-    coeffs, blocks = np.zeros((count_harmonic(p, n), len(exponents))), []
+    coeffs = np.zeros((count_harmonic(p, n), len(exponents)))
+    blocks = []
     for indices, monos, rows, d, s in _gram_blocks(p, n):
         # int / int is correctly rounded: each entry is float() of its exact entry
         g = pi_power * (num * s / (den * d * d)).astype(float)
@@ -297,10 +304,12 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise ValueError(f"degree {n} is beyond the float orthonormalization at p={p}") from None
-        cols = np.array([column[a] for a in map(tuple, monos.reshape(-1, p).tolist())]).reshape(monos.shape[:2])
+        keys = map(tuple, monos.reshape(-1, p).tolist())
+        cols = np.array([column[a] for a in keys]).reshape(monos.shape[:2])
         # L^-1 B from the reversed, upper triangular system: its LU needs no row
         # exchanges, which would put rounding noise where L^-1 B is exactly 0
-        coeffs[indices[..., None], cols[:, None, :]] = np.linalg.solve(chol[:, ::-1, ::-1], rows[:, ::-1])[:, ::-1]
+        solved = np.linalg.solve(chol[:, ::-1, ::-1], rows[:, ::-1])[:, ::-1]
+        coeffs[indices[..., None], cols[:, None, :]] = solved
         blocks += [(tuple(i), (d,) * len(i), tuple(map(tuple, c))) for i, c in zip(indices.tolist(), s.tolist())]
     # the basis is cached and shared by every caller
     coeffs.flags.writeable = False
