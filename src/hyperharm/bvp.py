@@ -46,6 +46,9 @@ DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of member
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
 KERNEL_CHUNK_NODES = 1 << 16
+# the C(n_max + p, p) graded monomials of degree <= n_max that a projection
+# runs over; p = 4, n_max = 30 has 46,376
+MONOMIAL_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -166,9 +169,14 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
     Callable data is integrated on the product rule of degree quad_degree
     (default max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error
     is the largest coefficient change on the next, of degree quad_degree + 2.
+    More than MONOMIAL_BUDGET graded monomials is a ValueError, before any
+    basis is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if math.comb(n_max + f.p, f.p) > MONOMIAL_BUDGET:
+        raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
+                         f"{MONOMIAL_BUDGET} graded monomials")
     # bases first: they are cached and long-lived, and built between two moment
     # passes they would split the memory freed by the first pass's chunk tables,
     # so the second pass would take new memory (up to 2 MB more peak RSS at p=4)

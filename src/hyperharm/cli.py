@@ -430,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("basis", help="degree-n spherical harmonic basis")
     common(sp, p=True, n=True)
-    sp.add_argument("--raw", action="store_true", help="exact pre-orthogonalization basis")
+    sp.add_argument("--raw", action="store_true",
+                    help="the exact integer members before normalization, orthogonal already; "
+                    "in ascending j, the degree of their factor in x_1..x_{p-1}")
     sp.set_defaults(func=_cmd_basis)
 
     sp = sub.add_parser("quadrature", help="product quadrature rule for the sphere")

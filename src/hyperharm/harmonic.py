@@ -1,16 +1,15 @@
 """Harmonic homogeneous polynomials and orthonormal sphere bases.
 
-The degree-n basis is built from the observation that a harmonic
-homogeneous polynomial is determined by its two lowest slices in the last
-coordinate: seeds run over monomials in the first p-1 variables, and a
-parity class's members are one integer matrix over one factorial, a product
-of per-coordinate factor tables.  Gram matrices on the sphere are exact:
-integer parity-class blocks B diag(alpha!) B^T under one pi-power scale per
-degree (the Fischer inner product of harmonic members), computed in int64
-modulo primes below 2^26 that cover the Cauchy-Schwarz bound max_a s_aa and
-lifted by the Chinese remainder theorem.  Each block is nonsingular since
-each member's seed occurs in no other member.  Only the final
-orthonormalization happens in floating point.
+The degree-n basis is the Gelfand-Tsetlin basis (Vilenkin, Special Functions and the Theory of
+Group Representations, 1968): for j = 0..n and each member h of the degree-j basis in
+x' = (x_1..x_{p-1}) (for p - 1 = 1, 1 and x_1), the member h(x') r^(n-j) P_{n-j,p+2j}(x_p / r), in
+ascending j and then the order of h, so member 0 is the zonal harmonic about e_p.  It is built in
+integers as sum_t c_t x_p^(j0+2t) |x'|^2(K-t) h, j0 = (n-j) mod 2, K = (n-j-j0)/2, the profile c_t
+from the slice recursion in x_p.  The members are orthogonal under the Fischer product [f, g] =
+sum_alpha alpha! f_alpha g_alpha, which for harmonic f, g of degree n is the sphere integral of fg
+over one pi-power scale (Axler, Bourdon & Ramey, GTM 137, ch. 5), and a member's Fischer norm is
+its h's times one integer per (p, n, j).  So the exact Gram matrix is that scale times a diagonal
+of integers, and orthonormalizing divides each member by the square root of its entry.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -61,116 +61,86 @@ def count_harmonic(p: int, n: int) -> int:
     return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
-def _class_rows(p: int, n: int):
-    """Raw degree-n members as integer matrices, one stack per group of parity classes.
+def _dtype(d: int, norms):
+    """float64 if it holds d-term sums of coefficients exactly, else Python ints: a coefficient
+    is at most the square root of its Fischer norm, and float64 holds every integer below 2^53."""
+    return float if d * d * max(norms, default=1) < 2**106 else object
 
-    A seed alpha of degree m = n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives the
-    member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha, L the Laplacian
-    in x_1..x_{p-1}.  Its class (pi, j0), pi = alpha mod 2, spans the monomials
-    (gamma, j0 + 2k) = (pi + 2 delta, j0 + 2k), in the ascending order of the
-    degree-(m - |pi|)/2 rows (delta, k) of graded_monomials(p); times top!/j0!,
-    top = j0 + 2 floor(m/2), alpha's entry there is (-1)^k top!/(j0+2k)! k! prod_i
-    F[alpha_i, gamma_i], F[a, g] = a!/(g! ((a-g)/2)!) for g <= a of a's parity,
-    else 0.  Classes of one j0 and |pi| come as one stack: indices (c, r) in basis
-    order, monomials (c, K, p), B (c, r, K) of Python ints and top!/j0!.
+
+def _as(matrix: np.ndarray, dtype) -> np.ndarray:
+    """The integer matrix in `dtype`: float64 entries go to Python ints through int64, never through float."""
+    return matrix.astype(np.int64).astype(object) if dtype is object and matrix.dtype != object else matrix
+
+
+@lru_cache(maxsize=1024)
+def _degree_rows(d: int, m: int) -> np.ndarray:
+    """Degree-m exponents in d variables, ascending lex: gaps between d - 1 bars in m + d - 1 places."""
+    bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
+    rows = np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=4096)
+def _ladder(d: int, j: int, s: int):
+    """|x|^2s times the degree-j members in d variables: matrix over the degree-(j + 2s) monomials, norms.
+
+    A rung is d shifted adds of the one below.  As [x_i f, g] = [f, d_i g], |x|^2 multiplies the norm of
+    |x|^(2s-2) h by 2s(2s + 2j + d - 2), the factor of Lap(|x|^2s h) = 2s(2s + 2j + d - 2) |x|^(2s-2) h.
     """
-    dim = count_harmonic(p, n)  # validates p and n before any seed is enumerated
-    fact = [math.factorial(i) for i in range(n + 1)]
-    table = np.array([[fact[a] // (fact[g] * fact[(a - g) // 2]) if g <= a and (a - g) % 2 == 0 else 0
-                       for g in range(n + 1)] for a in range(n + 1)], dtype=object)
-    seeds, offsets, _ = graded_monomials(p - 1, n)
-    # in basis order: the seeds of degree n (j0 = 0), then those of degree n - 1 (j0 = 1)
-    alphas = np.concatenate((seeds[offsets[n] : offsets[n + 1]], seeds[offsets[n - 1] : offsets[n]]))
-    if len(alphas) != dim:
-        raise RuntimeError("seed enumeration does not match the dimension count")
-    slices, slice_offsets, _ = graded_monomials(p, n // 2)
-    classes: dict = {}
-    for i, key in enumerate(map(tuple, np.column_stack((alphas % 2, n - alphas.sum(1))).tolist())):
-        classes.setdefault(key, []).append(i)
-    for j0, weight in sorted({(key[-1], sum(key)) for key in classes}):
-        keys = [key for key in classes if (key[-1], sum(key)) == (j0, weight)]
-        top = n - (n - j0) % 2
-        column = [(-1) ** k * fact[top] // fact[j0 + 2 * k] * fact[k] for k in range(top // 2 + 1)]
-        delta = slices[slice_offsets[(n - weight) // 2] : slice_offsets[(n - weight) // 2 + 1]]
-        members = np.array([classes[key] for key in keys])
-        monos = 2 * delta + np.array(keys)[:, None, :]
-        b = np.array(column, dtype=object)[delta[:, -1]]
-        for i in range(p - 1):
-            b = b * table[alphas[members, i, None], monos[:, None, :, i]]
-        yield members, monos, b, fact[top] // fact[j0]
+    if s == 0:
+        return _members(d, j)
+    below, norms = _ladder(d, j, s - 1)
+    norms = tuple(v * 2 * s * (2 * s + 2 * j + d - 2) for v in norms)
+    dtype = _dtype(d, norms)
+    rung, below = np.zeros((len(norms), count_homogeneous(d, j + 2 * s)), dtype), _as(below, dtype)
+    # x_i^2 maps the monomials below, in order, onto those with exponent >= 2 at i
+    for exponents in _degree_rows(d, j + 2 * s).T:
+        rung[:, exponents >= 2] += below
+    return rung, norms
+
+
+def _members(p: int, n: int):
+    """The degree-n members in p variables: one integer matrix over the degree-n monomials, and Fischer norms.
+
+    At p = 1 they are 1 and x_1.  Member (j, h)'s profile is c_t = (-1)^t j0!/(j0+2t)! times the factor
+    prod_{K-t < i <= K} 2i(2i+2j+p-3) of Lap'^t(|x'|^2K h), as coprime integers; its norm is sum_t c_t^2
+    (j0+2t)! times its rung's."""
+    if p == 1:
+        return np.ones((int(n < 2), 1)), (1,) * (n < 2)
+    blocks, norms = [], []
+    for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
+        j0, half = (n - j) % 2, (n - j) // 2
+        ints, factor = [], 1
+        for t in range(half + 1):
+            ints.append((-1) ** t * math.factorial(j0 + 2 * half) // math.factorial(j0 + 2 * t) * factor)
+            factor *= 2 * (half - t) * (2 * (half - t) + 2 * j + p - 3)
+        divisor = math.gcd(*ints)
+        ints = [c // divisor for c in ints]
+        rungs = [_ladder(p - 1, j, half - t) for t in range(half + 1)]
+        weights = [c * c * math.factorial(j0 + 2 * t) for t, c in enumerate(ints)]
+        norms += [sum(w * v for w, v in zip(weights, column)) for column in zip(*(rung[1] for rung in rungs))]
+        blocks.append((j0, ints, rungs))
+    dtype = _dtype(p - 1, norms)
+    matrix = np.zeros((len(norms), count_homogeneous(p, n)), dtype)
+    # the monomials x^beta x_p^e of one e are in the lex order of beta, as a rung's columns are
+    powers = _degree_rows(p, n)[:, -1]
+    top = 0
+    for j0, ints, rungs in blocks:
+        for t, (c, (rung, _)) in enumerate(zip(ints, rungs)):
+            matrix[top : top + len(rung), powers == j0 + 2 * t] = c * _as(rung, dtype)
+        top += len(rungs[0][0])
+    return matrix, tuple(norms)
 
 
 @lru_cache(maxsize=32)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
-    """Exactly harmonic, linearly independent spanning set of degree n."""
-    members = [None] * count_harmonic(p, n)
-    for indices, monos, b, den in _class_rows(p, n):
-        for idx, class_monos, rows in zip(indices.tolist(), monos.tolist(), b.tolist()):
-            for i, row in zip(idx, rows):
-                terms = {tuple(a): Fraction(c, den) for a, c in zip(class_monos, row) if c}
-                members[i] = ExactPolynomial(p, terms)
-    return tuple(members)
-
-
-# Gram blocks are computed in int64 modulo primes q < 2^26: a product of two
-# residues is below 2^52, so a sum of fewer than 2^11 of them stays below 2^63.
-_SLICE = 2**11 - 1
-
-
-def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q for (stacks of) int64 residues below q, summed over slices of _SLICE terms."""
-    out = 0
-    for k in range(0, a.shape[-1], _SLICE):
-        out = (out + a[..., k : k + _SLICE] @ b[..., k : k + _SLICE, :]) % q
-    return out
-
-
-def _gram_blocks(p: int, n: int):
-    """Exact Gram matrix of the raw members under the sphere inner product, by parity-class block.
-
-    For harmonic homogeneous P, Q of degree n the sphere integral of PQ is 2
-    pi^(p/2) / (2^n Gamma(n + p/2)) times the Fischer product sum_alpha alpha!
-    P_alpha Q_alpha (members of different parity classes are exactly
-    orthogonal), so each class's block is the integer s = B diag(alpha!) B^T of
-    its _class_rows matrix B.  |s_ab| <= max_a s_aa by Cauchy-Schwarz, so s is
-    taken in int64 modulo primes whose product exceeds twice that, one product
-    per stack and prime, and lifted by Garner's mixed-radix CRT.  A member's
-    seed, its term of least x_p power, must occur in no other member of its
-    class, or RuntimeError: a sufficient, not necessary, proof that s is
-    nonsingular, which _class_rows always meets.  Yields per stack its indices,
-    monomials, float rows B / d, denominator d and s (c, r, r) of ints: block
-    entry (a, b) is the scale times s[a][b] / d^2.
-    """
-    primes, modulus, odd = [], 1, 2**26 + 1
-    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
-    for indices, monos, b, den in _class_rows(p, n):
-        # exact integers: a float row entry can underflow to 0 (p = 2, n about 170)
-        seeds = b[..., monos[0, :, -1] == monos[0, :, -1].min()] != 0
-        if seeds.shape[1] != seeds.shape[2] or not (seeds == np.eye(seeds.shape[1], dtype=bool)).all():
-            raise RuntimeError("seeds do not prove the Gram block nonsingular; basis builder is broken")
-        w = fact[monos].prod(axis=2)  # alpha!
-        bound = ((b * b) @ w[..., None]).max()
-        while modulus <= 2 * bound:
-            odd -= 2
-            # a base-2 Fermat test skips most composites; trial division up to its square root decides
-            if pow(2, odd - 1, odd) == 1 and np.all(odd % np.arange(3, 2**13, 2)):
-                primes.append(odd)
-                modulus *= odd
-        digits = []
-        s = 0
-        radix = 1
-        for q in primes:
-            bq = (b % q).astype(np.int64)
-            r = _mod_matmul(bq * (w % q).astype(np.int64)[:, None, :] % q, bq.swapaxes(1, 2), q)
-            # Garner: s = sum_i v_i prod_{j<i} q_j with balanced digits |v_i| < q_i / 2,
-            # which is the residue of s mod prod q_j nearest 0
-            for v, prior in zip(digits, primes):
-                r = (r - v) * pow(prior, -1, q) % q
-            digits.append(r - q * (2 * r > q))
-            s = s + digits[-1].astype(object) * radix
-            radix *= q
-        # int / int is correctly rounded: each is float() of its exact coefficient
-        yield indices, monos, (b / den).astype(float), den, s
+    """The degree-n members as integer ExactPolynomials, in basis order (see the module docstring)."""
+    count_harmonic(p, n)  # validates p and n
+    matrix, _ = _members(p, n)
+    monos = list(map(tuple, _degree_rows(p, n).tolist()))
+    rows = _as(matrix, object).tolist()
+    return tuple(ExactPolynomial(p, {a: c for a, c in zip(monos, row) if c}) for row in rows)
 
 
 RANK_PRIME = 2147483647
@@ -231,9 +201,9 @@ class HarmonicBasis:
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
     float matrix over all K degree-n monomials in ascending lex order (the
     degree-n rows of ``graded_monomials``), shared by all N members.
-    The raw members' exact Gram matrix is the PiRational ``gram_scale`` times
-    parity-class blocks (member indices, row denominators d, integer matrix
-    s): block entry (a, b) is gram_scale * s[a][b] / (d[a] d[b]).
+    The raw members are orthogonal: their exact Gram matrix is the
+    PiRational ``gram_scale`` times the diagonal ``gram_blocks``, one
+    integer per member, its Fischer norm sum_alpha alpha! c_alpha^2.
     """
 
     p: int
@@ -245,13 +215,10 @@ class HarmonicBasis:
 
     @property
     def gram_exact(self) -> tuple:
-        """Dense exact Gram matrix of the raw members, assembled from the blocks."""
-        gram = [[PiRational(Fraction(0))] * len(self.coeffs) for _ in self.coeffs]
-        for indices, denoms, block in self.gram_blocks:
-            for i, da, row in zip(indices, denoms, block):
-                for j, db, v in zip(indices, denoms, row):
-                    gram[i][j] = self.gram_scale * Fraction(v, da * db)
-        return tuple(tuple(row) for row in gram)
+        """Dense exact Gram matrix of the raw members: gram_scale times diag(gram_blocks)."""
+        zero, norms = PiRational(Fraction(0)), self.gram_blocks
+        return tuple(tuple(self.gram_scale * v if i == k else zero for k in range(len(norms)))
+                     for i, v in enumerate(norms))
 
     @cached_property
     def members(self) -> tuple:
@@ -283,37 +250,27 @@ class HarmonicBasis:
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 
-    Each parity block, nonsingular by its members' seeds, is orthonormalized
-    by its float Cholesky factor: member rows L^-1 B are the Gram-Schmidt of
-    the block's raw members, taken in index order.  A block too
-    ill-conditioned for that factor (at p = 3 from n = 57) raises ValueError.
+    Member i is raw member i over the square root of its exact Gram entry
+    gram_scale N_i, formed without converting the integer N_i to float.
     """
+    count_harmonic(p, n)  # validates p and n
     # each degree-2n monomial integral over the sphere is this times an integer
     scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
-    num, den = scale.coeff.numerator, scale.coeff.denominator
-    pi_power = math.pi ** (scale.pi_half / 2)
-    # every degree-n monomial occurs in some raw member, so the basis runs over them all
-    exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
-    column = {a: k for k, a in enumerate(map(tuple, exponents.tolist()))}
-    coeffs = np.zeros((count_harmonic(p, n), len(exponents)))
-    blocks = []
-    for indices, monos, rows, d, s in _gram_blocks(p, n):
-        # int / int is correctly rounded: each entry is float() of its exact entry
-        g = pi_power * (num * s / (den * d * d)).astype(float)
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"degree {n} is beyond the float orthonormalization at p={p}") from None
-        keys = map(tuple, monos.reshape(-1, p).tolist())
-        cols = np.array([column[a] for a in keys]).reshape(monos.shape[:2])
-        # L^-1 B from the reversed, upper triangular system: its LU needs no row
-        # exchanges, which would put rounding noise where L^-1 B is exactly 0
-        solved = np.linalg.solve(chol[:, ::-1, ::-1], rows[:, ::-1])[:, ::-1]
-        coeffs[indices[..., None], cols[:, None, :]] = solved
-        blocks += [(tuple(i), (d,) * len(i), tuple(map(tuple, c))) for i, c in zip(indices.tolist(), s.tolist())]
+    coeffs, norms = _members(p, n)
+    roots = []
+    for norm in norms:
+        # sqrt(q) = 2^e sqrt(q / 4^e) with q / 4^e in [1/4, 4); int / int is correctly rounded
+        num, den = scale.coeff.numerator * norm, scale.coeff.denominator
+        e = (num.bit_length() - den.bit_length()) // 2
+        q = num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den
+        roots.append(math.ldexp(math.sqrt(math.pi ** (scale.pi_half / 2) * q), e))
+    # Python ints are correctly rounded too; float64 entries stay in place
+    coeffs = coeffs.astype(float, copy=False)
+    coeffs /= np.array(roots)[:, None]
     # the basis is cached and shared by every caller
     coeffs.flags.writeable = False
-    return HarmonicBasis(p, n, exponents, coeffs, scale, tuple(sorted(blocks)))
+    exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
+    return HarmonicBasis(p, n, exponents, coeffs, scale, norms)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

@@ -102,9 +102,9 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
 
     `points` is (m, p) or a single (p,) point, `exponents` is (K, p) and
     `coeffs` is (K,) for one polynomial or (N, K) for N of them; the result
-    is (m,) or (m, N).  Points are taken in row chunks of about
-    CHUNK_ELEMENTS table entries, so memory beyond the result stays bounded
-    however many points there are.
+    is (m,) or (m, N).  Points are taken in row chunks whose table and
+    temporaries hold about CHUNK_ELEMENTS entries, so memory beyond the
+    result stays bounded however many points there are.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     exps = np.asarray(exponents, dtype=np.int64)
@@ -113,7 +113,9 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
         raise ValueError(
             f"points of dimension {pts.shape[-1]} for monomials in {exps.shape[1]} variables"
         )
-    width = max(exps.shape[0], int(exps.max(initial=0)) + 1)
+    # per point: the table's K entries, the same again for the gathered powers
+    # that multiply into it, and one coordinate's power table
+    width = 2 * exps.shape[0] + int(exps.max(initial=0)) + 1
     rows = max(1, CHUNK_ELEMENTS // width)
     out = np.empty((pts.shape[0],) + coeffs.shape[:-1])
     for start in range(0, pts.shape[0], rows):

@@ -3,19 +3,18 @@
 Everything here is computed from first principles: classical textbook
 recurrences in Fraction arithmetic, brute-force enumeration, exact
 binomial expansions, and the raw harmonic basis by its defining slice
-recursion on the exact polynomial algebra.  None of it touches the
+recursion on the exact polynomial algebra and by its closed form.  None of it touches the
 package's own construction paths, so agreement is evidence rather than
 tautology.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from hyperharm.harmonic import count_harmonic
-from hyperharm.polyalg import ExactPolynomial, graded_monomials
+from hyperharm.polyalg import ExactPolynomial
 
 
 def chebyshev_rows(n_max):
@@ -53,72 +52,63 @@ def monomial_count(p, n):
 
 
 def slice_recursion_basis(p, n):
-    """Raw harmonic basis of degree n by the two-step slice recursion in x_p.
+    """Gelfand-Tsetlin basis of degree n by the two-step slice recursion in x_p.
 
-    Seeds x^alpha x_p^j0 with |alpha| = n - j0 run over j0 = 0 then 1, each in
-    ascending lex order of alpha; the slice h at x_p^j is followed by
-    -L h / ((j+2)(j+1)) at x_p^(j+2), L the Laplacian, until it vanishes.
+    For j = 0..n and each member h of this oracle's own degree-j basis in
+    x_1..x_{p-1} (for one variable: 1 and x_1), the seed |x'|^2K h sits at
+    x_p^j0, j0 = (n - j) mod 2 and K = (n - j - j0) / 2; the slice g at x_p^k
+    is followed by -L g / ((k+2)(k+1)) at x_p^(k+2), L the Laplacian, until
+    it vanishes.
     """
+    if p == 1:
+        return [ExactPolynomial.monomial(1, (n,))] if n < 2 else []
+    rho_sq = sum((ExactPolynomial.monomial(p - 1, [2 * (i == k) for i in range(p - 1)]) for k in range(p - 1)),
+                  ExactPolynomial.zero(p - 1))
     members = []
-    for j0 in range(min(n, 1) + 1):
-        for alpha in sorted(a for a in product(range(n + 1), repeat=p - 1) if sum(a) == n - j0):
-            h, j, total = ExactPolynomial.monomial(p, alpha + (0,)), j0, ExactPolynomial.zero(p)
-            while not h.is_zero():
-                total = total + ExactPolynomial(p, {a[:-1] + (j,): c for a, c in h.terms.items()})
-                h = h.laplacian() * Fraction(-1, (j + 2) * (j + 1))
-                j += 2
+    for j in range(n + 1):
+        j0, half = (n - j) % 2, (n - j) // 2
+        for h in slice_recursion_basis(p - 1, j):
+            g, k, total = rho_sq**half * h, j0, ExactPolynomial.zero(p)
+            while not g.is_zero():
+                total = total + ExactPolynomial(p, {a + (k,): c for a, c in g.terms.items()})
+                g = g.laplacian() * Fraction(-1, (k + 2) * (k + 1))
+                k += 2
             members.append(total)
     return members
 
 
-def raw_rows(p, n):
-    """Raw degree-n members in basis order: (parity class, integer terms, denominator).
+def closed_form_members(p, n, lower):
+    """Degree-n members by their closed form, one member and one term at a time.
 
-    The closed form of the slice recursion, one member and one term at a
-    time.  A seed alpha of degree n - j0 in x_1..x_{p-1}, j0 in {0, 1}, gives
-    the member sum_k (-1)^k j0!/(j0+2k)! x_p^(j0+2k) L^k x^alpha with L the
-    Laplacian in x_1..x_{p-1}: L^k x^alpha is sum_{|beta|=k} (k!/beta!)
-    prod_i alpha_i!/(alpha_i-2beta_i)! x^(alpha-2beta).  Its parity class is
-    (alpha mod 2) + (j0,), and its terms share the denominator (j0+2K)!/j0!
-    with K = |alpha| // 2.
+    `lower(j)` lists the degree-j members h in x_1..x_{p-1} as {exponent:
+    int} dicts.  Member (j, h), in ascending j and then the order of h, is
+    sum_t c_t x_p^(j0+2t) |x'|^2s h, s = K - t, where c_(t+1) = -c_t
+    2s(2s+2j+p-3) / ((j0+2t+1)(j0+2t+2)) from c_0 = 1, scaled to coprime
+    integers, and |x'|^2s h has s!/delta! h_gamma at gamma + 2 delta, |delta| = s.
+    Yields each member's integer terms and its Fischer norm sum alpha! c^2.
     """
-    dim = count_harmonic(p, n)
-    exps, offsets, _ = graded_monomials(p - 1, n)
-    seeds = [(n - d, tuple(a)) for d in (n, n - 1)[: n + 1] for a in exps[offsets[d] : offsets[d + 1]].tolist()]
-    assert len(seeds) == dim
-    for j0, alpha in seeds:
-        half, top = (n - j0) // 2, n - (n - j0) % 2  # K and j0 + 2K
-        terms = {}
-        for beta in product(*(range(a // 2 + 1) for a in alpha)):
-            k = sum(beta)
-            c = math.perm(top, 2 * (half - k)) * math.factorial(k) // math.prod(map(math.factorial, beta))
-            c *= math.prod(math.perm(a, 2 * b) for a, b in zip(alpha, beta))
-            terms[tuple(a - 2 * b for a, b in zip(alpha, beta)) + (j0 + 2 * k,)] = (-1) ** k * c
-        yield tuple(a % 2 for a in alpha) + (j0,), terms, math.perm(top, 2 * half)
-
-
-def object_gram_blocks(p, n, raw_rows):
-    """Gram blocks of raw rows (parity class, integer terms, denominator) in Python integers.
-
-    The reference for the package's modular Gram: members are grouped by
-    class in order of first appearance, and each block's integer matrix is
-    B K B^T on object arrays, K_ij = prod_c (a_ic + a_jc - 1)!! over the
-    class's sorted monomials a.  Yields what the package's blocks hold:
-    member indices, monomials, float rows, denominators and s.
-    """
-    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
-    classes = {}
-    for idx, (parity, terms, denom) in enumerate(raw_rows):
-        classes.setdefault(parity, []).append((idx, terms, denom))
-    for members in classes.values():
-        indices, member_terms, denoms = zip(*members)
-        monos = sorted({a for terms in member_terms for a in terms})
-        exps = np.array(monos, dtype=np.int64).reshape(len(monos), p)
-        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
-        b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
-        s = tuple(map(tuple, (b @ kernel @ b.T).tolist()))
-        rows = (b / np.array(denoms, dtype=object)[:, None]).astype(float)
-        yield indices, monos, rows, denoms, s
+    for j in range(n + 1):
+        j0, half = (n - j) % 2, (n - j) // 2
+        profile = [Fraction(1)]
+        for t in range(half):  # the slice recursion on |x'|^2s h, s = K - t
+            s = half - t
+            profile.append(-profile[-1] * 2 * s * (2 * s + 2 * j + p - 3) / ((j0 + 2 * t + 1) * (j0 + 2 * t + 2)))
+        lcm = math.lcm(*(c.denominator for c in profile))
+        ints = [int(c * lcm) for c in profile]
+        divisor = math.gcd(*ints)
+        ints = [c // divisor for c in ints]
+        for h in lower(j):
+            terms = {}
+            for t, c in enumerate(ints):
+                s = half - t
+                for picks in combinations_with_replacement(range(p - 1), s):
+                    delta = [picks.count(i) for i in range(p - 1)]
+                    weight = c * math.factorial(s) // math.prod(map(math.factorial, delta))
+                    for gamma, v in h.items():
+                        key = tuple(g + 2 * d for g, d in zip(gamma, delta)) + (j0 + 2 * t,)
+                        terms[key] = terms.get(key, 0) + weight * v
+            terms = {a: v for a, v in terms.items() if v}
+            yield terms, sum(math.prod(map(math.factorial, a)) * v * v for a, v in terms.items())
 
 
 def meshgrid_sphere_rule(p, degree):

@@ -295,6 +295,28 @@ def test_kernel_with_callable_data_matches_the_series():
         assert np.max(np.abs(kernel - series_eval(sol, pts))) <= 1e-10, p
 
 
+def test_high_degree_callable_solve_matches_the_kernel():
+    # degree 50 at p = 3 was past the float orthonormalization of the previous basis
+    rng = np.random.default_rng(73)
+    f = builtin_boundary(3, "exponential")
+    sol = project_boundary(f, 50)
+    pts = oracles.unit_vectors(rng, 3, 10) * rng.uniform(0.0, 0.8, size=(10, 1))
+    assert np.max(np.abs(poisson_eval(f, pts, quad_degree=64) - series_eval(sol, pts))) <= 1e-12
+
+
+def test_projection_beyond_the_monomial_budget_is_refused_up_front():
+    # C(n_max + p, p) graded monomials; the basis builder is never reached
+    f = builtin_boundary(3, "exponential")
+    with pytest.raises(ValueError, match=f"budget of {bvp.MONOMIAL_BUDGET}"):
+        project_boundary(f, 10**400)
+    n_max = next(n for n in range(200) if math.comb(n + 4, 4) > bvp.MONOMIAL_BUDGET)
+    assert math.comb(30 + 4, 4) <= bvp.MONOMIAL_BUDGET
+    misses = orthonormalize.cache_info().misses
+    with pytest.raises(ValueError, match="budget"):
+        project_boundary(builtin_boundary(4, "exponential"), n_max)
+    assert orthonormalize.cache_info().misses == misses
+
+
 def test_cross_method_agreement():
     rng = np.random.default_rng(17)
     poly = ExactPolynomial(

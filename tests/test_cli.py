@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hyperharm
-from hyperharm.bvp import BoundaryData, poisson_eval, project_boundary, series_eval
+from hyperharm.bvp import MONOMIAL_BUDGET, BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
 from hyperharm.polyalg import ExactPolynomial
@@ -68,10 +69,10 @@ def test_basis_member_counts(capsys):
 # sha256 prefixes of the stdout of the basis commands on the byte-identity
 # list; they change only on purpose, with the change listed in CHANGES.md
 BASIS_DIGESTS = {
-    "--p 5 --n 4": "6a4989f23d23c75d",
-    "--p 4 --n 3 --format json": "3ef1b8887353631e",
-    "--p 3 --n 3 --raw": "ae09948df250d89c",
-    "--p 6 --n 8 --format json": "9613838a743d3ab2",
+    "--p 5 --n 4": "bae6c27407eee096",
+    "--p 4 --n 3 --format json": "8803ed2235e18576",
+    "--p 3 --n 3 --raw": "caa22561f88fd39e",
+    "--p 6 --n 8 --format json": "802d2577a56aa562",
 }
 
 
@@ -509,6 +510,16 @@ def test_mutated_problem_exits_0_or_2(tmp_path, capsys):
             assert err.startswith("error:")
 
     check()
+
+
+def test_oversized_n_max_exits_2_at_once(tmp_path, capsys):
+    # refused by the monomial budget before any basis is built
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(README_PROBLEM, n_max=10**400)))
+    start = time.perf_counter()
+    assert run(["solve", "--problem", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert f"budget of {MONOMIAL_BUDGET} graded monomials" in capsys.readouterr().err
 
 
 def test_callable_data_above_the_default_rule_degree_solves(tmp_path):

@@ -18,8 +18,8 @@ from hyperharm.harmonic import (
     legendre_harmonic,
     orthonormalize,
 )
-from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, random_orthogonal
+from hyperharm.legendre import dimension_shift, legendre_eval
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, evaluate_monomials, graded_monomials, random_orthogonal
 
 
 def test_homogeneous_count_matches_enumeration():
@@ -61,11 +61,41 @@ def test_raw_basis_members_are_harmonic_and_homogeneous():
                 assert q.laplacian().is_zero()
 
 
+def _multiple(a, b):
+    """The rational c with a == c * b, or None."""
+    key = next(iter(b.terms), None)
+    c = a.terms.get(key, Fraction(0)) / b.terms[key] if key else Fraction(0)
+    return c if c and a == b * c else None
+
+
 @pytest.mark.parametrize("p, n", [(2, 7), (3, 7), (4, 6), (5, 5), (6, 4)])
 def test_raw_basis_matches_the_slice_recursion(p, n):
-    # member by member and in order: the Cholesky orthonormalization takes
-    # the members in index order, so every output byte depends on it
-    assert list(harmonic_basis_raw(p, n)) == oracles.slice_recursion_basis(p, n)
+    # member by member and in order: each member is the oracle's times a positive rational
+    got, want = harmonic_basis_raw(p, n), oracles.slice_recursion_basis(p, n)
+    assert len(got) == len(want) == count_harmonic(p, n)
+    for i, (member, reference) in enumerate(zip(got, want)):
+        c = _multiple(member, reference)
+        assert c is not None and c > 0, i
+        assert all(v.denominator == 1 for v in member.terms.values())
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_members_are_the_gelfand_tsetlin_harmonics(p):
+    # member (j, h) is a rational multiple of h(x') r^(n-j) P_{n-j,p+2j}(x_p / r),
+    # the paper's theorem, with P from the dimension shift of the Legendre table
+    squares = (ExactPolynomial.monomial(p, [2 * (i == k) for i in range(p)]) for k in range(p))
+    r_sq = sum(squares, ExactPolynomial.zero(p))
+    for n in range(7):
+        members = iter(harmonic_basis_raw(p, n))
+        for j in range(n + 1):
+            lower = ([ExactPolynomial.monomial(1, (j,))] if j < 2 else []) if p == 2 else harmonic_basis_raw(p - 1, j)
+            profile = dimension_shift(p, n, j).coeffs
+            zonal = sum((ExactPolynomial.monomial(p, (0,) * (p - 1) + (k,), a) * r_sq ** ((n - j - k) // 2)
+                         for k, a in enumerate(profile) if a), ExactPolynomial.zero(p))
+            for h in lower:
+                lifted = ExactPolynomial(p, {g + (0,): c for g, c in h.terms.items()})
+                assert _multiple(next(members), lifted * zonal) is not None, (n, j)
+        assert next(members, None) is None
 
 
 def test_raw_basis_is_linearly_independent():
@@ -141,109 +171,37 @@ def test_basis_caches_are_bounded():
     assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
 
 
-def _gram_classes(p, n):
-    """_gram_blocks one class at a time, in basis order: (indices, monomials, float rows, denominators, s)."""
-    blocks = [
-        (tuple(i), list(map(tuple, m)), rows, (den,) * len(i), tuple(map(tuple, s)))
-        for indices, monos, float_rows, den, stack in harmonic._gram_blocks(p, n)
-        for i, m, rows, s in zip(indices.tolist(), monos.tolist(), float_rows, stack.tolist())
-    ]
-    return sorted(blocks, key=lambda block: block[0])
-
-
 CLASS_ROW_CASES = [(p, n) for p in range(2, 8) for n in range(9)] + [(5, 12), (3, 40), (2, 60), (4, 10), (9, 5)]
 
 
 @pytest.mark.parametrize("p, n", CLASS_ROW_CASES)
 def test_class_rows_match_the_per_member_closed_form(p, n):
-    classes = {}
-    for idx, (parity, terms, den) in enumerate(oracles.raw_rows(p, n)):
-        classes.setdefault(parity, []).append((idx, terms, den))
-    want = {}
-    for members in classes.values():
-        indices, member_terms, dens = zip(*members)
-        monos = sorted({a for terms in member_terms for a in terms})
-        want[indices] = monos, [[terms.get(a, 0) for a in monos] for terms in member_terms], set(dens)
-    got = {}
-    for indices, monos, b, den in harmonic._class_rows(p, n):
-        assert indices.shape == b.shape[:2] and monos.shape == (len(b), b.shape[2], p)
-        for idx, class_monos, rows in zip(indices.tolist(), monos.tolist(), b.tolist()):
-            assert all(type(v) is int for row in rows for v in row)
-            got[tuple(idx)] = list(map(tuple, class_monos)), rows, {den}
-    assert got == want
+    # each j's rows, built as one matrix from the ladder |x'|^2s h, against one
+    # member and one term at a time; Fischer norms as exact Python integers
+    def lower(j):
+        if p == 2:
+            return [{(j,): 1}] if j < 2 else []
+        return [{a: int(c) for a, c in h.terms.items()} for h in harmonic_basis_raw(p - 1, j)]
 
-
-@pytest.mark.parametrize(
-    "p, n, primes",
-    [(2, 0, "one")] + [(5, n, "one") for n in range(5)]
-    + [(6, 8, "several"), (5, 12, "several"), (3, 40, "several"), (2, 60, "over 30")],
-)
-def test_modular_gram_matches_the_object_integer_product(monkeypatch, p, n, primes):
-    moduli = set()
-    mod_matmul = harmonic._mod_matmul
-
-    def recording(a, b, q):
-        moduli.add(q)
-        return mod_matmul(a, b, q)
-
-    monkeypatch.setattr(harmonic, "_mod_matmul", recording)
-    got = _gram_classes(p, n)
-    want = list(oracles.object_gram_blocks(p, n, oracles.raw_rows(p, n)))
-    assert len(got) == len(want)
-    for (gi, gm, grows, gd, gs), (wi, wm, wrows, wd, ws) in zip(got, want):
-        assert (gi, gm, gd) == (wi, wm, wd)
-        assert grows.dtype == wrows.dtype and grows.tobytes() == wrows.tobytes()
-        assert gs == ws
-        assert all(type(v) is int for row in gs for v in row)
-    assert all(q < 2**26 for q in moduli)
-    count = {"one": len(moduli) == 1, "several": 1 < len(moduli) <= 30, "over 30": len(moduli) > 30}
-    assert count[primes], len(moduli)
-
-
-def test_modular_gram_lifts_signed_entries(monkeypatch):
-    # every Gram entry of the bases at p <= 6, n <= 8 is nonnegative; class
-    # members times their own signed integers of about 100 bits keep their
-    # seeds and give negative entries over several primes
-    rng = np.random.default_rng(11)
-    [(indices, monos, b, den)] = [group for group in harmonic._class_rows(3, 6) if not (group[1] % 2).any()]
-    high, low = rng.integers(-(2**30), 2**30, size=(2, b.shape[1])).tolist()
-    b = b * np.array([h * 2**70 + lo for h, lo in zip(high, low)], dtype=object)[:, None]
-    rows = [((0, 0, 0), {a: c for a, c in zip(map(tuple, monos[0].tolist()), row) if c}, 1) for row in b[0].tolist()]
-    moduli = set()
-    mod_matmul = harmonic._mod_matmul
-    monkeypatch.setattr(harmonic, "_mod_matmul", lambda a, b, q: moduli.add(q) or mod_matmul(a, b, q))
-    monkeypatch.setattr(harmonic, "_class_rows", lambda p, n: iter([(np.arange(b.shape[1])[None], monos, b, 1)]))
-    [(_, _, _, _, got)] = _gram_classes(3, 6)
-    [(_, _, _, _, want)] = oracles.object_gram_blocks(3, 6, rows)
-    assert got == want
-    assert min(min(row) for row in want) < 0
-    assert len(moduli) > 1
-
-
-def test_singular_gram_block_is_refused(monkeypatch):
-    groups = list(harmonic._class_rows(5, 4))
-    at = next(i for i, (_, _, b, _) in enumerate(groups) if b.shape[1] > 2)
-    indices, monos, b, den = groups[at]
-    # one member twice in its parity class; the exact sum of two members in place of a third
-    for dependent in (b[0, 0], b[0, 0] + b[0, 2]):
-        changed = b.copy()
-        changed[0, 1] = dependent
-        stacks = groups[:at] + [(indices, monos, changed, den)] + groups[at + 1 :]
-        monkeypatch.setattr(harmonic, "_class_rows", lambda p, n: iter(stacks))
-        with pytest.raises(RuntimeError, match="singular"):
-            orthonormalize.__wrapped__(5, 4)
+    matrix, norms = harmonic._members(p, n)
+    monos = list(map(tuple, graded_monomials(p, n)[0][-count_homogeneous(p, n) :].tolist()))
+    want = list(oracles.closed_form_members(p, n, lower))
+    assert matrix.shape == (count_harmonic(p, n), len(monos)) == (len(want), len(monos))
+    for row, norm, (terms, want_norm) in zip(harmonic._as(matrix, object).tolist(), norms, want):
+        assert {monos[k]: v for k, v in enumerate(row) if v} == terms
+        assert type(norm) is int and norm == want_norm
 
 
 # sha256 prefixes of repr(gram_blocks), repr(gram_scale) and coeffs.tobytes();
 # the Gram side is Python integers and rationals, the same on every platform
 BASIS_DIGESTS = {
-    (6, 8): ("e998797d7c357ce2", "9bd67e66f5e8018d", "7736046fbb60e6a9"),
-    (7, 8): ("5ff3fdf125c93edb", "100ab99024cd671d", "9df2a9ae0f0975ca"),
-    (5, 12): ("27e43fff5c7c30c7", "71da3eab5c3dfc21", "96ea9ad64b198311"),
-    (3, 40): ("30b961ef4ea4c986", "4904b3c7fc39cf5c", "0139f5cba47ccb47"),
-    (2, 60): ("ca9af16f69bd7dfe", "a1a5b37f826f36ee", "633979e3dd6006b4"),
-    (9, 5): ("668dea897e76b60f", "68bc6d9943e54ea7", "9d69a213260b49c3"),
-    (4, 10): ("2441a673bea2e263", "c50dd3253ee3da26", "ba72be6fbcfa6f09"),
+    (6, 8): ("145e0550e0070a40", "9bd67e66f5e8018d", "1ec9ebc4d9ce4695"),
+    (7, 8): ("c59f24d9fad9543b", "100ab99024cd671d", "1d067d61e050ac43"),
+    (5, 12): ("23f54755a8a2b503", "71da3eab5c3dfc21", "b92cf3e95f2650e9"),
+    (3, 40): ("7688691a045f7bfd", "4904b3c7fc39cf5c", "6d213a705631f860"),
+    (2, 60): ("8bbf36a30d064767", "a1a5b37f826f36ee", "e9b7ecd24a25ba44"),
+    (9, 5): ("cfc8c85ee9880321", "68bc6d9943e54ea7", "dc955b450eca8183"),
+    (4, 10): ("a53e0c2fe6848ec4", "c50dd3253ee3da26", "c448c3c965306c93"),
 }
 
 
@@ -254,22 +212,36 @@ def test_basis_bytes_are_pinned(p, n):
     assert tuple(hashlib.sha256(part).hexdigest()[:16] for part in parts) == BASIS_DIGESTS[p, n]
 
 
-def test_ill_conditioned_gram_block_is_an_input_error():
-    # certified nonsingular, but from n = 57 at p = 3 a block's float Gram
-    # has condition number above 1e16 and no Cholesky factor
-    with pytest.raises(ValueError, match="beyond the float orthonormalization"):
-        orthonormalize(3, 60)
+def _rule_gram_error(basis, members=slice(None)):
+    """max |G - I| for the chosen members on the degree-(2n + 2) product rule."""
+    rule = sphere_quadrature(basis.p, 2 * basis.n + 2)
+    vals = evaluate_monomials(rule.nodes, basis.exponents, basis.coeffs[members])
+    return np.max(np.abs(vals.T @ (rule.weights[:, None] * vals) - np.eye(vals.shape[1])))
 
 
-def test_modular_product_sums_long_rows_in_slices():
-    # 5000 products of residues near 2^26 sum to about 2^64.3, past int64
-    q = 2**26 - 5
-    rng = np.random.default_rng(7)
-    a = rng.integers(q - 1000, q, size=(2, 5000))
-    b = rng.integers(q - 1000, q, size=(5000, 3))
-    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T] for row in a]
-    assert 5000 * (q - 1000) ** 2 >= 2**63  # one unsliced int64 sum would overflow
-    assert harmonic._mod_matmul(a, b, q).tolist() == want
+def test_high_degree_bases_stay_orthonormal():
+    # the float Cholesky of non-orthogonal members read 1.0e-6 at (3, 40), 0.11 at
+    # (3, 56) and could not build from (3, 57)
+    assert _rule_gram_error(orthonormalize(3, 40)) <= 1e-11
+    assert _rule_gram_error(orthonormalize(3, 60)) <= 1e-8
+    # every 8th member at (4, 30): all 961 on the 65,536-node rule take about 15 s
+    assert _rule_gram_error(orthonormalize(4, 30), slice(None, None, 8)) <= 1e-12
+    for p, n in ((3, 80), (2, 400)):
+        basis = orthonormalize(p, n)
+        assert basis.coeffs.shape == (count_harmonic(p, n), count_homogeneous(p, n))
+        assert np.isfinite(basis.coeffs).all()
+
+
+def test_stored_support_is_the_exact_support():
+    # no stored coefficient is rounding noise where the exact one is 0
+    for p in range(2, 7):
+        for n in range(9):
+            basis = orthonormalize(p, n)
+            monos = {tuple(a): k for k, a in enumerate(basis.exponents.tolist())}
+            exact = np.zeros(basis.coeffs.shape, dtype=bool)
+            for i, member in enumerate(harmonic_basis_raw(p, n)):
+                exact[i, [monos[a] for a in member.terms]] = True
+            assert np.array_equal(basis.coeffs != 0, exact), (p, n)
 
 
 def test_zonal_member_matches_one_dimensional_profile():
@@ -384,49 +356,41 @@ def test_exact_rank_falls_back_to_exact_elimination():
         assert exact_rank(matrix) == exact_rank(as_fractions) == exact_rank(as_pi) == rank
 
 
+def _raw_rows(raw, basis):
+    """The raw members' exact coefficients, rounded, over the basis's monomials."""
+    column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
+    rows = np.zeros(basis.coeffs.shape)
+    for i, member in enumerate(raw):
+        rows[i, [column[a] for a in member.terms]] = [float(c) for c in member.terms.values()]
+    return rows
+
+
 @pytest.mark.parametrize(
     "p, n", [(p, n) for p in (2, 3, 4, 5) for n in range(0, 6)] + [(6, 4)]
 )
 def test_float_stage_consumes_the_rounded_exact_gram(p, n):
-    # each block of coeffs is L^-1 B for the Cholesky factor L of the
-    # correctly rounded exact Gram block, bit for bit
-    raw = harmonic_basis_raw(p, n)
+    # the exact Gram is diagonal, and each coefficient row is its raw member
+    # over the square root of its correctly rounded diagonal entry, bit for bit
     basis = orthonormalize(p, n)
     gram = basis.gram_exact
-    column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
-    for indices, _, _ in basis.gram_blocks:
-        monos = sorted({a for i in indices for a in raw[i].terms})
-        rows = np.array([[float(raw[i].terms.get(a, 0)) for a in monos] for i in indices])
-        block = np.array([[float(gram[i][j]) for j in indices] for i in indices])
-        chol = np.linalg.cholesky(block)
-        expected = np.linalg.solve(chol[::-1, ::-1], rows[::-1])[::-1]
-        got = basis.coeffs[np.ix_(indices, [column[a] for a in monos])]
-        assert np.array_equal(got, expected), (p, n, indices)
+    assert all(gram[i][k] == 0 for i in range(len(gram)) for k in range(len(gram)) if i != k)
+    diagonal = np.array([float(gram[i][i]) for i in range(len(gram))])
+    expected = _raw_rows(harmonic_basis_raw(p, n), basis) / np.sqrt(diagonal)[:, None]
+    assert np.array_equal(basis.coeffs, expected), (p, n)
 
 
 def test_orthonormal_coefficients_match_the_triangular_solve():
-    # numpy's general solve on the reversed Cholesky factor and LAPACK's
-    # triangular solve differ only in rounding, and the former stores no
-    # more rounding noise where an exact coefficient is 0
+    # LAPACK's Cholesky and triangular solve on the rounded exact Gram give the
+    # same rows, and store no nonzero that the diagonal division does not
     solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
-    stored = stored_by_trsm = 0
     for p in range(2, 7):
         for n in range(9):
-            raw = harmonic_basis_raw(p, n)
             basis = orthonormalize(p, n)
-            gram = basis.gram_exact
-            column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
-            for indices, _, _ in basis.gram_blocks:
-                monos = sorted({a for i in indices for a in raw[i].terms})
-                rows = np.array([[float(raw[i].terms.get(a, 0)) for a in monos] for i in indices])
-                block = np.array([[float(gram[i][j]) for j in indices] for i in indices])
-                expected = solve_triangular(np.linalg.cholesky(block), rows, lower=True)
-                got = basis.coeffs[np.ix_(indices, [column[a] for a in monos])]
-                err = np.max(np.abs(got - expected))
-                assert err <= 1e-13 * np.max(np.abs(expected)), (p, n, indices)
-                stored += np.count_nonzero(got)
-                stored_by_trsm += np.count_nonzero(expected)
-    assert stored <= stored_by_trsm
+            block = np.diag([float(basis.gram_scale * v) for v in basis.gram_blocks])
+            rows = _raw_rows(harmonic_basis_raw(p, n), basis)
+            expected = solve_triangular(np.linalg.cholesky(block), rows, lower=True)
+            assert np.max(np.abs(basis.coeffs - expected)) <= 1e-15 * np.max(np.abs(expected)), (p, n)
+            assert np.count_nonzero(basis.coeffs) == np.count_nonzero(expected)
 
 
 def _pow_reference(basis, pts):
@@ -469,8 +433,8 @@ def test_matrix_evaluation_matches_per_member_evaluation():
 
 def test_matrix_evaluation_across_a_chunk_boundary():
     basis = orthonormalize(4, 6)
-    # a basis's table is K monomials wide, and K > n, so a chunk has this many rows
-    rows = CHUNK_ELEMENTS // len(basis.exponents)
+    # a chunk's table and temporaries are 2K + n + 1 entries per point
+    rows = CHUNK_ELEMENTS // (2 * len(basis.exponents) + basis.n + 1)
     pts = np.random.default_rng(32).normal(size=(rows + 1, 4))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     _assert_matrix_evaluation_matches(basis, pts)

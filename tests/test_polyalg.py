@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,7 +278,7 @@ def test_evaluate_monomials_shapes_and_chunks():
     rng = np.random.default_rng(8)
     exps = np.array([[2, 0, 1], [0, 1, 0], [1, 1, 1]])
     coeffs = np.array([[0.5, -2.0, 1.25], [1.0, 0.0, -3.0]])
-    # one row past the first chunk boundary: the width is max(K, top exponent + 1)
+    # past the first chunk boundary: the width is 2K + top exponent + 1
     rows = polyalg.CHUNK_ELEMENTS // 3 + 1
     pts = rng.uniform(-1.0, 1.0, size=(rows, 3))
     want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs.T
@@ -289,6 +290,23 @@ def test_evaluate_monomials_shapes_and_chunks():
     assert evaluate_monomials(pts[:0], exps, coeffs).shape == (0, 2)
     with pytest.raises(ValueError):
         evaluate_monomials(pts[:, :2], exps, coeffs)
+
+
+def test_evaluation_working_set_stays_within_the_chunk_budget():
+    # the table, the gathered powers multiplied into it and one power table:
+    # counting only the table let a wide evaluation hold twice CHUNK_ELEMENTS
+    rng = np.random.default_rng(12)
+    for p, degree in ((5, 4), (3, 12), (2, 40)):
+        exps = graded_monomials(p, degree)[0]
+        coeffs = rng.normal(size=len(exps))
+        pts = rng.normal(size=(30000, p))
+        tracemalloc.start()
+        try:
+            out = evaluate_monomials(pts, exps, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.25 * 8 * polyalg.CHUNK_ELEMENTS, (p, degree)
 
 
 def test_array_evaluation_across_a_chunk_boundary():
