@@ -174,9 +174,13 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if math.comb(n_max + f.p, f.p) > MONOMIAL_BUDGET:
-        raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
-                         f"{MONOMIAL_BUDGET} graded monomials")
+    # C(n_max + p, k) grows with k up to min(n_max, p), so huge inputs stop within a few steps
+    count = 1
+    for k in range(1, min(n_max, f.p) + 1):
+        count = count * (n_max + f.p + 1 - k) // k
+        if count > MONOMIAL_BUDGET:
+            raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
+                             f"{MONOMIAL_BUDGET} graded monomials")
     # bases first: they are cached and long-lived, and built between two moment
     # passes they would split the memory freed by the first pass's chunk tables,
     # so the second pass would take new memory (up to 2 MB more peak RSS at p=4)

@@ -315,6 +315,9 @@ def test_projection_beyond_the_monomial_budget_is_refused_up_front():
     with pytest.raises(ValueError, match="budget"):
         project_boundary(builtin_boundary(4, "exponential"), n_max)
     assert orthonormalize.cache_info().misses == misses
+    # a huge p and a huge n_max: the count stops as soon as it passes the budget
+    with pytest.raises(ValueError, match="budget"):
+        project_boundary(BoundaryData.from_callable(10**6, lambda x: x[:, 0]), 10**400)
 
 
 def test_cross_method_agreement():
