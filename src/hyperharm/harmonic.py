@@ -72,13 +72,10 @@ def _as(matrix: np.ndarray, dtype) -> np.ndarray:
     return matrix.astype(np.int64).astype(object) if dtype is object and matrix.dtype != object else matrix
 
 
-@lru_cache(maxsize=1024)
 def _degree_rows(d: int, m: int) -> np.ndarray:
     """Degree-m exponents in d variables, ascending lex: gaps between d - 1 bars in m + d - 1 places."""
     bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
-    rows = np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
-    rows.flags.writeable = False
-    return rows
+    return np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
 
 
 @lru_cache(maxsize=4096)
