@@ -105,17 +105,18 @@ def _members(p: int, n: int):
     (j0+2t)! times its rung's."""
     if p == 1:
         return np.ones((int(n < 2), 1)), (1,) * (n < 2)
-    blocks, norms = [], []
+    blocks, norms, fact = [], [], [math.factorial(k) for k in range(n + 1)]
     for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
         j0, half = (n - j) % 2, (n - j) // 2
         ints, factor = [], 1
         for t in range(half + 1):
-            ints.append((-1) ** t * math.factorial(j0 + 2 * half) // math.factorial(j0 + 2 * t) * factor)
+            ints.append((-1) ** t * fact[j0 + 2 * half] // fact[j0 + 2 * t] * factor)
             factor *= 2 * (half - t) * (2 * (half - t) + 2 * j + p - 3)
         divisor = math.gcd(*ints)
         ints = [c // divisor for c in ints]
-        rungs = [_ladder(p - 1, j, half - t) for t in range(half + 1)]
-        weights = [c * c * math.factorial(j0 + 2 * t) for t, c in enumerate(ints)]
+        # in ascending s, so that each rung finds the one below it cached and the recursion stays shallow
+        rungs = [_ladder(p - 1, j, s) for s in range(half + 1)][::-1]
+        weights = [c * c * fact[j0 + 2 * t] for t, c in enumerate(ints)]
         norms += [sum(w * v for w, v in zip(weights, column)) for column in zip(*(rung[1] for rung in rungs))]
         blocks.append((j0, ints, rungs))
     dtype = _dtype(p - 1, norms)

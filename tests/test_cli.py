@@ -84,6 +84,13 @@ def test_basis_output_bytes_are_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == BASIS_DIGESTS[args]
 
 
+def test_basis_beyond_a_double_exits_2(capsys):
+    # coefficients near C(2200, 1100) ~ 1e660 at p = 2; the ladder of 1100 rungs
+    # below it is built from the bottom, so no recursion limit is reached first
+    assert run(["basis", "--p", "2", "--n", "2200"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_quadrature_csv_round_trips(capsys):
     assert run(["quadrature", "--p", "3", "--degree", "5"]) == 0
     out, _ = _out(capsys)
