@@ -111,6 +111,32 @@ def closed_form_members(p, n, lower):
             yield terms, sum(math.prod(map(math.factorial, a)) * v * v for a, v in terms.items())
 
 
+def object_gram_blocks(p, n, members):
+    """Sphere Gram blocks of degree-n members in Python integers, one per parity class.
+
+    Members are grouped by the parity class of their exponents (each must
+    have one), in order of first appearance; members of different classes
+    are orthogonal because a monomial with an odd exponent integrates to 0.
+    Coefficients must be integers.  Each block is B K B^T on object arrays, K_ij = prod_c (a_ic + a_jc - 1)!!
+    over the class's sorted monomials a: the sphere integrals of the
+    products in units of 2 pi^(p/2) / (2^n Gamma(n + p/2)).  Yields the
+    member indices and the block's entries.
+    """
+    dfact = np.array([math.prod(range(m - 1, 0, -2)) for m in range(2 * n + 1)], dtype=object)
+    classes = {}
+    for idx, member in enumerate(members):
+        (parity,) = {tuple(a % 2 for a in alpha) for alpha in member.terms}
+        assert all(Fraction(c).denominator == 1 for c in member.terms.values())
+        classes.setdefault(parity, []).append((idx, {a: int(c) for a, c in member.terms.items()}))
+    for group in classes.values():
+        indices, member_terms = zip(*group)
+        monos = sorted({a for terms in member_terms for a in terms})
+        exps = np.array(monos, dtype=np.int64).reshape(len(monos), p)
+        kernel = dfact[exps[:, None, :] + exps[None, :, :]].prod(axis=2)
+        b = np.array([[terms.get(a, 0) for a in monos] for terms in member_terms], dtype=object)
+        yield indices, tuple(map(tuple, (b @ kernel @ b.T).tolist()))
+
+
 def meshgrid_sphere_rule(p, degree):
     """Nodes and weights of the product rule on S^{p-1}, assembled on full meshgrids.
 

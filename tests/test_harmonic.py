@@ -171,6 +171,24 @@ def test_basis_caches_are_bounded():
     assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
 
 
+# each id keeps its case's size label: how many 26-bit primes the Gram took
+# when it was computed on residues (one, several, over 30)
+GRAM_PRODUCT_CASES = [(2, 0, "one")] + [(5, n, "one") for n in range(5)] + [
+    (6, 8, "several"), (5, 12, "several"), (3, 40, "several"), (2, 60, "over 30")]
+
+
+@pytest.mark.parametrize("p, n", [pytest.param(p, n, id=f"{p}-{n}-{size}") for p, n, size in GRAM_PRODUCT_CASES])
+def test_modular_gram_matches_the_object_integer_product(p, n):
+    # the stored diagonal Gram against the full sphere Gram of the raw members,
+    # summed monomial by monomial in Python integers: zero off the diagonal
+    norms = orthonormalize(p, n).gram_blocks
+    assert len(norms) == count_harmonic(p, n) and all(type(v) is int and v > 0 for v in norms)
+    blocks = list(oracles.object_gram_blocks(p, n, harmonic_basis_raw(p, n)))
+    assert sorted(i for indices, _ in blocks for i in indices) == list(range(len(norms)))
+    for indices, block in blocks:
+        assert block == tuple(tuple(norms[i] if i == k else 0 for k in indices) for i in indices)
+
+
 CLASS_ROW_CASES = [(p, n) for p in range(2, 8) for n in range(9)] + [(5, 12), (3, 40), (2, 60), (4, 10), (9, 5)]
 
 
