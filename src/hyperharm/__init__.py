@@ -41,7 +41,6 @@ from .harmonic import (
     addition_theorem_eval,
     count_harmonic,
     count_homogeneous,
-    exact_rank,
     harmonic_basis_raw,
     legendre_harmonic,
     orthonormalize,
@@ -106,7 +105,6 @@ __all__ = [
     "count_harmonic",
     "count_homogeneous",
     "dimension_shift",
-    "exact_rank",
     "funk_hecke_coeff",
     "gamma_half",
     "gauss_rule",

@@ -207,8 +207,9 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
         projection_error = max(abs(a - b) for ra, rb in zip(coeffs, refined) for a, b in zip(ra, rb))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if coeff_sq_sum > f_norm_sq + 1e-8:
-        raise ValueError("projection coefficients violate the norm bound; "
-                         "quadrature degree is too low for this boundary data")
+        raise ValueError(f"projection coefficients violate the norm bound: coeff_sq_sum {coeff_sq_sum:.6g} > "
+                         f"f_norm_sq {f_norm_sq:.6g}; the degree-{quad_degree} quadrature is too low for this "
+                         f"boundary data, or the float basis loses its digits to cancellation at n_max {n_max}")
     return BvpSolution(p=f.p, n_max=n_max, coeffs=coeffs, bases=bases, quad_degree=quad_degree,
                        projection_error=projection_error, coeff_sq_sum=coeff_sq_sum, f_norm_sq=f_norm_sq)
 

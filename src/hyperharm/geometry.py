@@ -35,6 +35,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 NORM_BLOCK_ROWS = 1 << 16  # rows renormalised at a time in sphere_quadrature
+RULE_BYTES_LIMIT = 1 << 28  # largest sphere_quadrature rule, in bytes of nodes plus weights
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,9 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     """Product rule on S^{p-1} exact for all monomials of total degree <= degree.
 
     Cached: high degrees in five or more dimensions reach millions of nodes,
-    and callers evaluate many integrands against the same rule.
+    and callers evaluate many integrands against the same rule.  A rule of
+    2m m^(p-2) nodes, m = (degree + 2) // 2, whose nodes and weights would
+    take more than RULE_BYTES_LIMIT bytes is refused before any array is made.
     """
     p = int(p)
     if p < 2:
@@ -325,6 +328,10 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
         raise ValueError("degree must be nonnegative")
     m = (degree + 2) // 2
     n_phi = 2 * m
+    count = n_phi * m ** (p - 2)
+    if count * (p + 1) * 8 > RULE_BYTES_LIMIT:  # float64 nodes plus weights
+        raise ValueError(f"a degree-{degree} rule on S^{p - 1} needs {count} nodes, more than "
+                         f"{RULE_BYTES_LIMIT >> 20} MiB of nodes and weights")
     phi = TWO_PI * np.arange(n_phi) / n_phi
     phi_weight = TWO_PI / n_phi
     if p == 2:

@@ -9,12 +9,12 @@ from the slice recursion in x_p.  The members are orthogonal under the Fischer p
 sum_alpha alpha! f_alpha g_alpha, which for harmonic f, g of degree n is the sphere integral of fg
 over one pi-power scale (Axler, Bourdon & Ramey, GTM 137, ch. 5), and a member's Fischer norm is
 its h's times one integer per (p, n, j).  So the exact Gram matrix is that scale times a diagonal
-of integers, and orthonormalizing divides each member by the square root of its entry.
+of integers, which a basis keeps as ``gram_scale`` and ``gram_blocks`` and nowhere else, and
+orthonormalizing divides each member by the square root of its entry.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +35,6 @@ __all__ = [
     "orthonormalize",
     "legendre_harmonic",
     "addition_theorem_eval",
-    "exact_rank",
 ]
 
 UNIT_SPHERE_TOL = 1e-12
@@ -141,57 +140,6 @@ def harmonic_basis_raw(p: int, n: int) -> tuple:
     return tuple(ExactPolynomial(p, {a: c for a, c in zip(monos, row) if c}) for row in rows)
 
 
-RANK_PRIME = 2147483647
-
-
-def _rank_mod_prime(rows, q: int) -> int:
-    """Rank over GF(q) of a rational matrix, each row first scaled to integers."""
-    lcms = [math.lcm(*(c.denominator for c in row)) for row in rows]
-    ints = [[c.numerator * (d // c.denominator) % q for c in row] for row, d in zip(rows, lcms)]
-    mat, rank = np.array(ints, dtype=np.int64), 0
-    for col in range(mat.shape[1]):
-        live = rank + np.nonzero(mat[rank:, col])[0]
-        if len(live):
-            mat[[rank, live[0]]] = mat[[live[0], rank]]
-            # fraction-free: products stay below 2^62 because q < 2^31
-            mat[rank + 1 :] = (mat[rank + 1 :] * mat[rank, col] - mat[rank + 1 :, col, None] * mat[rank]) % q
-            rank += 1
-    return rank
-
-
-def _rank_exact_fractions(rows) -> int:
-    mat, rank = [list(row) for row in rows], 0
-    for col in range(len(mat[0])):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is not None:
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            for r in range(rank + 1, len(mat)):
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-            rank += 1
-    return rank
-
-
-def exact_rank(matrix) -> int:
-    """Rank of an exact matrix, certified without floating point.
-
-    Entries are ints, Fractions or PiRationals, and every nonzero entry must
-    carry the same power of pi (ValueError otherwise), which factors out.
-    Reduction mod a prime never raises the rank, so a full rank modulo
-    RANK_PRIME certifies full rational rank; only a deficient one falls
-    through to exact rational elimination.
-    """
-    rows = [[getattr(e, "coeff", e) for e in row] for row in matrix]
-    if len({getattr(e, "pi_half", 0) for row in matrix for e in row if e != 0}) > 1:
-        raise ValueError("exact_rank needs every nonzero entry to carry one pi power")
-    if not rows:
-        return 0
-    modular = _rank_mod_prime(rows, RANK_PRIME)
-    if modular == min(len(rows), len(rows[0])):
-        return modular
-    return _rank_exact_fractions([[Fraction(v) for v in row] for row in rows])
-
-
 @dataclass(frozen=True, eq=False)
 class HarmonicBasis:
     """Orthonormal degree-n spherical harmonics with their exact ancestry.
@@ -201,7 +149,8 @@ class HarmonicBasis:
     degree-n rows of ``graded_monomials``), shared by all N members.
     The raw members are orthogonal: their exact Gram matrix is the
     PiRational ``gram_scale`` times the diagonal ``gram_blocks``, one
-    integer per member, its Fischer norm sum_alpha alpha! c_alpha^2.
+    positive integer per member, its Fischer norm sum_alpha alpha! c_alpha^2;
+    every off-diagonal entry is exactly 0.
     """
 
     p: int
@@ -210,13 +159,6 @@ class HarmonicBasis:
     coeffs: np.ndarray
     gram_scale: PiRational
     gram_blocks: tuple
-
-    @property
-    def gram_exact(self) -> tuple:
-        """Dense exact Gram matrix of the raw members: gram_scale times diag(gram_blocks)."""
-        zero, norms = PiRational(Fraction(0)), self.gram_blocks
-        return tuple(tuple(self.gram_scale * v if i == k else zero for k in range(len(norms)))
-                     for i, v in enumerate(norms))
 
     @cached_property
     def members(self) -> tuple:
@@ -230,18 +172,6 @@ class HarmonicBasis:
     def evaluate_members(self, points) -> np.ndarray:
         """Member values at (m, p) points (or one (p,) point) as an (m, N) array."""
         return evaluate_monomials(points, self.exponents, self.coeffs)
-
-    def to_json(self) -> str:
-        members = [
-            {"terms": [{"alpha": list(a), "coeff": c} for a, c in m.terms.items()]}
-            for m in self.members
-        ]
-        gram = [
-            [{"num": e.coeff.numerator, "den": e.coeff.denominator, "pi_half": e.pi_half}
-             for e in row]
-            for row in self.gram_exact
-        ]
-        return json.dumps({"p": self.p, "n": self.n, "members": members, "gram": gram})
 
 
 @lru_cache(maxsize=32)

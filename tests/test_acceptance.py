@@ -30,7 +30,6 @@ from hyperharm.geometry import (
 from hyperharm.harmonic import (
     count_harmonic,
     count_homogeneous,
-    exact_rank,
     harmonic_basis_raw,
     legendre_harmonic,
     orthonormalize,
@@ -138,8 +137,13 @@ def test_criterion_02_dimension_counts():
                 assert count_homogeneous(p, n) == oracles.monomial_count(p, n)
                 brute = count_homogeneous(p, n) - _laplacian_rank(p, n)
                 assert count_harmonic(p, n) == brute, (p, n)
-                basis = orthonormalize(p, n)
-                assert exact_rank(basis.gram_exact) == count_harmonic(p, n)
+                # the members' full sphere Gram, summed in Python integers by the
+                # oracle, is the stored positive diagonal, so they have rank N
+                norms = orthonormalize(p, n).gram_blocks
+                assert len(norms) == count_harmonic(p, n)
+                assert all(type(v) is int and v > 0 for v in norms)
+                for indices, block in oracles.object_gram_blocks(p, n, harmonic_basis_raw(p, n)):
+                    assert block == tuple(tuple(norms[i] if i == k else 0 for k in indices) for i in indices)
 
 
 def test_criterion_03_exact_harmonicity():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -383,6 +384,20 @@ def test_projection_norm_bound_violation_is_an_input_error():
     # degree-60 harmonics cannot be resolved by a degree-40 rule
     with pytest.raises(ValueError, match="norm bound"):
         project_boundary(builtin_boundary(2, "exponential"), 60, quad_degree=40)
+
+
+def test_norm_bound_message_states_what_it_measured():
+    # at n_max = 100 the degree-202 rule is exact; the float members' power-basis
+    # coefficients (about 5.7e28) lose their digits to cancellation instead
+    with pytest.raises(ValueError, match="norm bound") as info:
+        project_boundary(builtin_boundary(2, "exponential"), 100)
+    message = str(info.value)
+    found = re.search(r"coeff_sq_sum (\S+) > f_norm_sq (\S+);", message)
+    assert found, message
+    coeff_sq_sum, f_norm_sq = map(float, found.groups())
+    # |exp(x_1)|^2 on S^1 is 2 pi I_0(2)
+    assert coeff_sq_sum > f_norm_sq and f_norm_sq == pytest.approx(14.32305687810051, rel=1e-5)
+    assert "quadrature" in message and "cancellation" in message
 
 
 def test_callable_projection_rule_follows_n_max():

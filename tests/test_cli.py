@@ -529,6 +529,16 @@ def test_oversized_n_max_exits_2_at_once(tmp_path, capsys):
     assert f"budget of {MONOMIAL_BUDGET} graded monomials" in capsys.readouterr().err
 
 
+def test_oversized_quadrature_exits_2_at_once(capsys):
+    # 2 * 101 * 101^7 nodes: refused before any array is allocated
+    start = time.perf_counter()
+    assert run(["quadrature", "--p", "9", "--degree", "200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "MiB of nodes and weights" in err
+
+
 def test_callable_data_above_the_default_rule_degree_solves(tmp_path):
     # degree-60 harmonics need a projection rule of degree above 120
     problem = {

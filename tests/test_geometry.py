@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyperharm import geometry
 from hyperharm.geometry import (
     NORM_BLOCK_ROWS,
     PiRational,
@@ -196,6 +197,18 @@ def test_sphere_quadrature_argument_validation():
         sphere_quadrature(1, 4)
     with pytest.raises(ValueError):
         sphere_quadrature(3, -1)
+
+
+def test_sphere_quadrature_refuses_an_oversized_rule(monkeypatch):
+    # (p, degree) = (6, 120) would be 1.7e9 nodes, 12.6 GiB of weights alone
+    with pytest.raises(ValueError, match="1689192602 nodes"):
+        sphere_quadrature(6, 120)
+    # the limit is on nodes plus weights: 2m m^(p-2) rows of p + 1 doubles, m = (degree + 2) // 2
+    monkeypatch.setattr(geometry, "RULE_BYTES_LIMIT", 12 * 6 * 4 * 8)
+    build = geometry.sphere_quadrature.__wrapped__  # past the cache
+    assert len(build(3, 11).weights) == 72
+    with pytest.raises(ValueError, match="98 nodes"):
+        build(3, 12)
 
 
 def test_rule_json_round_trip():

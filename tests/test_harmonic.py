@@ -1,5 +1,4 @@
 import hashlib
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +8,9 @@ import oracles
 from hyperharm import harmonic
 from hyperharm.geometry import PiRational, monomial_sphere_integral, sphere_quadrature
 from hyperharm.harmonic import (
-    RANK_PRIME,
     addition_theorem_eval,
     count_harmonic,
     count_homogeneous,
-    exact_rank,
     harmonic_basis_raw,
     legendre_harmonic,
     orthonormalize,
@@ -98,11 +95,22 @@ def test_members_are_the_gelfand_tsetlin_harmonics(p):
         assert next(members, None) is None
 
 
+def _assert_gram_is_the_stored_diagonal(p, n):
+    """The full sphere Gram of the raw members, summed monomial by monomial in Python
+    integers by the oracle, is diag(gram_blocks): positive integers, exactly 0 off it."""
+    norms = orthonormalize(p, n).gram_blocks
+    assert len(norms) == count_harmonic(p, n) and all(type(v) is int and v > 0 for v in norms)
+    blocks = list(oracles.object_gram_blocks(p, n, harmonic_basis_raw(p, n)))
+    assert sorted(i for indices, _ in blocks for i in indices) == list(range(len(norms)))
+    for indices, block in blocks:
+        assert block == tuple(tuple(norms[i] if i == k else 0 for k in indices) for i in indices)
+
+
 def test_raw_basis_is_linearly_independent():
+    # a positive diagonal Gram of the members themselves has full rank
     for p in (2, 3, 4, 5):
         for n in range(0, 6):
-            basis = orthonormalize(p, n)
-            assert exact_rank(basis.gram_exact) == count_harmonic(p, n)
+            _assert_gram_is_the_stored_diagonal(p, n)
 
 
 def test_orthonormality_under_surface_measure():
@@ -116,16 +124,12 @@ def test_orthonormality_under_surface_measure():
             assert np.max(np.abs(gram - eye)) <= 1e-10, (p, n)
 
 
-def _parities(poly):
-    return {tuple(a % 2 for a in alpha) for alpha in poly.terms}
-
-
 @pytest.mark.parametrize(
     "p, n", [(p, n) for p in (2, 3, 4) for n in range(0, 5)] + [(5, 3), (3, 7)]
 )
 def test_exact_gram_matches_monomial_integrals(p, n):
     raw = harmonic_basis_raw(p, n)
-    gram = orthonormalize(p, n).gram_exact
+    basis = orthonormalize(p, n)
     integrals = {}
     for i, u in enumerate(raw):
         for j, v in enumerate(raw):
@@ -136,11 +140,7 @@ def test_exact_gram_matches_monomial_integrals(p, n):
                     if gamma not in integrals:
                         integrals[gamma] = monomial_sphere_integral(gamma)
                     expected = expected + integrals[gamma] * (c * d)
-            entry = gram[i][j]
-            assert type(entry) is PiRational
-            assert entry == expected, (i, j)
-            if _parities(u) != _parities(v):
-                assert entry.coeff == 0, (i, j)
+            assert expected == (basis.gram_scale * basis.gram_blocks[i] if i == j else 0), (i, j)
 
 
 def test_orthonormality_and_parity_in_dimensions_five_and_six():
@@ -179,14 +179,7 @@ GRAM_PRODUCT_CASES = [(2, 0, "one")] + [(5, n, "one") for n in range(5)] + [
 
 @pytest.mark.parametrize("p, n", [pytest.param(p, n, id=f"{p}-{n}-{size}") for p, n, size in GRAM_PRODUCT_CASES])
 def test_modular_gram_matches_the_object_integer_product(p, n):
-    # the stored diagonal Gram against the full sphere Gram of the raw members,
-    # summed monomial by monomial in Python integers: zero off the diagonal
-    norms = orthonormalize(p, n).gram_blocks
-    assert len(norms) == count_harmonic(p, n) and all(type(v) is int and v > 0 for v in norms)
-    blocks = list(oracles.object_gram_blocks(p, n, harmonic_basis_raw(p, n)))
-    assert sorted(i for indices, _ in blocks for i in indices) == list(range(len(norms)))
-    for indices, block in blocks:
-        assert block == tuple(tuple(norms[i] if i == k else 0 for k in indices) for i in indices)
+    _assert_gram_is_the_stored_diagonal(p, n)
 
 
 CLASS_ROW_CASES = [(p, n) for p in range(2, 8) for n in range(9)] + [(5, 12), (3, 40), (2, 60), (4, 10), (9, 5)]
@@ -327,53 +320,6 @@ def test_addition_theorem_rejects_off_sphere_points():
         addition_theorem_eval(basis, np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def test_basis_json_round_trip():
-    basis = orthonormalize(3, 2)
-    doc = json.loads(basis.to_json())
-    assert doc["p"] == 3
-    assert doc["n"] == 2
-    assert len(doc["members"]) == 5
-    assert len(doc["gram"]) == 5
-    first = doc["members"][0]
-    assert all(len(term["alpha"]) == 3 for term in first["terms"])
-
-
-def test_exact_rank_oracles():
-    def entry(v):
-        return PiRational(Fraction(v), 2)
-
-    assert exact_rank(((entry(1), entry(2)), (entry(2), entry(4)))) == 1
-    assert exact_rank(((entry(1), entry(0)), (entry(0), entry(1)))) == 2
-    assert exact_rank(((entry(0),),)) == 0
-
-
-def test_exact_rank_rejects_mixed_pi_powers():
-    one, pi = PiRational(Fraction(1)), PiRational(Fraction(1), 2)
-    # det = 1 - pi^2 is not 0, so ranking the coefficients alone would be wrong
-    with pytest.raises(ValueError):
-        exact_rank(((one, pi), (pi, one)))
-    with pytest.raises(ValueError):
-        exact_rank(((1, pi), (pi, 1)))
-    # exact zeros carry no pi power, whatever power they were built with
-    zero = PiRational(Fraction(0), 3)
-    assert exact_rank(((pi, zero), (0, pi))) == 2
-    assert exact_rank(((pi, 0), (PiRational(Fraction(0)), 2 * pi))) == 2
-
-
-def test_exact_rank_falls_back_to_exact_elimination():
-    q = RANK_PRIME
-    # rank 1 modulo q but 2 over Q
-    assert exact_rank(((q, 0), (0, 1))) == 2
-    assert exact_rank(((Fraction(1, q), 0), (0, 1))) == 2
-    assert exact_rank(((q, 2 * q), (3 * q, 6 * q))) == 1
-    singular = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-    regular = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    for matrix, rank in ((singular, 2), (regular, 3)):
-        as_fractions = tuple(tuple(Fraction(v, 7) for v in row) for row in matrix)
-        as_pi = tuple(tuple(PiRational(Fraction(v, 3), 5) for v in row) for row in matrix)
-        assert exact_rank(matrix) == exact_rank(as_fractions) == exact_rank(as_pi) == rank
-
-
 def _raw_rows(raw, basis):
     """The raw members' exact coefficients, rounded, over the basis's monomials."""
     column = {tuple(int(a) for a in alpha): k for k, alpha in enumerate(basis.exponents)}
@@ -390,9 +336,8 @@ def test_float_stage_consumes_the_rounded_exact_gram(p, n):
     # the exact Gram is diagonal, and each coefficient row is its raw member
     # over the square root of its correctly rounded diagonal entry, bit for bit
     basis = orthonormalize(p, n)
-    gram = basis.gram_exact
-    assert all(gram[i][k] == 0 for i in range(len(gram)) for k in range(len(gram)) if i != k)
-    diagonal = np.array([float(gram[i][i]) for i in range(len(gram))])
+    _assert_gram_is_the_stored_diagonal(p, n)
+    diagonal = np.array([float(basis.gram_scale * v) for v in basis.gram_blocks])
     expected = _raw_rows(harmonic_basis_raw(p, n), basis) / np.sqrt(diagonal)[:, None]
     assert np.array_equal(basis.coeffs, expected), (p, n)
 
