@@ -96,6 +96,8 @@ def _cmd_count(args) -> int:
 def _cmd_legendre(args) -> int:
     p, n = args.p, args.n
     if args.eval is not None:
+        if not np.isfinite(args.eval):
+            raise ValueError("--eval must be a finite number")
         value = float(legendre_eval(p, n, args.eval))
         doc = {"p": p, "n": n, "t": args.eval, "value": value}
         _render(args, doc, ["p", "n", "t", "value"], [[p, n, args.eval, value]])
@@ -170,8 +172,8 @@ ZONAL_FUNCTIONS = {
 
 
 def _cmd_funk_hecke(args) -> int:
-    m = args.degree if args.degree is not None else 128
-    lam = funk_hecke_coeff(args.p, args.n, ZONAL_FUNCTIONS[args.f], m=m)
+    nodes = {} if args.degree is None else {"m": args.degree}
+    lam = funk_hecke_coeff(args.p, args.n, ZONAL_FUNCTIONS[args.f], **nodes)
     doc = {"p": args.p, "n": args.n, "f": args.f, "lambda": lam}
     _render(
         args, doc, ["p", "n", "f", "lambda"], [[args.p, args.n, args.f, lam]]

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import orthopoly
+from .orthopoly import RULE_BYTES_LIMIT
 
 __all__ = [
     "PiRational",
@@ -35,7 +36,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 NORM_BLOCK_ROWS = 1 << 16  # rows renormalised at a time in sphere_quadrature
-RULE_BYTES_LIMIT = 1 << 28  # largest sphere_quadrature rule, in bytes of nodes plus weights
 
 
 @dataclass(frozen=True)

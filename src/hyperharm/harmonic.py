@@ -26,6 +26,7 @@ import numpy as np
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
 from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials, graded_monomials
+from .polyalg import count_harmonic, count_homogeneous  # re-exported
 
 __all__ = [
     "HarmonicBasis",
@@ -38,26 +39,6 @@ __all__ = [
 ]
 
 UNIT_SPHERE_TOL = 1e-12
-
-
-def count_homogeneous(p: int, n: int) -> int:
-    """Dimension of the space of homogeneous degree-n polynomials in p variables."""
-    if p < 1:
-        raise ValueError("need at least one variable")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return math.comb(p + n - 1, n)
-
-
-def count_harmonic(p: int, n: int) -> int:
-    """Dimension of the space of harmonic homogeneous degree-n polynomials."""
-    if p < 2:
-        raise ValueError("dimension must be at least 2")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1
-    return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
 def _dtype(d: int, norms):

@@ -2,9 +2,10 @@
 
 P_{n,p} is normalized by P_n(1) = 1 and is orthogonal on [-1, 1] against
 the weight (1-t^2)^((p-3)/2).  Exact coefficient tables come from the
-three-term recurrence run in rational arithmetic; the Rodrigues route
-differentiates symbolically, so the two construction paths share no code
-and cross-check each other.
+three-term recurrence run in rational arithmetic.  The Rodrigues route is
+orthopoly's Jacobi Rodrigues formula at alpha = beta = (p-3)/2, and the
+integral representation averages over a Gauss rule, so the three routes
+share no code and cross-check each other.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import PiRational, solid_angle, solid_angle_exact
-from .orthopoly import Poly1D, Weight, _falling, _values_on, gauss_rule
+from .geometry import PiRational, solid_angle, solid_angle_exact, zonal_integral
+from .orthopoly import Poly1D, Weight, gauss_rule, jacobi_rodrigues
+from .polyalg import count_harmonic
 
 __all__ = [
     "LegendreTable",
@@ -111,35 +113,10 @@ def legendre_eval(p: int, n: int, t):
 
 @lru_cache(maxsize=128)  # a full verify and the test suite hold 66
 def _rodrigues_poly(p: int, n: int) -> Poly1D:
-    """Expand the n-fold derivative construction of P_{n,p} exactly.
-
-    Terms are tracked as c * t^a * (1-t^2)^b with rational (possibly
-    half-integer) b; multiplying back the (1-t^2)^((3-p)/2) prefactor
-    leaves every b a nonnegative integer, so the result is a polynomial
-    valid on all of [-1, 1] including the endpoints.
-    """
-    b0 = Fraction(2 * n + p - 3, 2)
-    terms = {(0, b0): Fraction(1)}
-    for _ in range(n):
-        new: dict = {}
-        for (a, b), c in terms.items():
-            if a:
-                key = (a - 1, b)
-                new[key] = new.get(key, Fraction(0)) + a * c
-            if b:
-                key = (a + 1, b - 1)
-                new[key] = new.get(key, Fraction(0)) - 2 * b * c
-        terms = {k: v for k, v in new.items() if v}
-    const = Fraction((-1) ** n, 2**n) / _falling(b0, n)
-    shift = Fraction(3 - p, 2)
-    base = Poly1D((Fraction(1), Fraction(0), Fraction(-1)))
-    out = Poly1D()
-    for (a, b), c in sorted(terms.items()):
-        bb = b + shift
-        if bb.denominator != 1 or bb < 0:
-            raise RuntimeError("prefactor did not clear the half-integer powers")
-        out = out + (const * c) * (Poly1D.x_power(a) * base ** int(bb))
-    return out
+    """P_{n,p} from the Jacobi Rodrigues formula at alpha = beta = (p-3)/2, scaled to 1 at t = 1."""
+    a = Fraction(p - 3, 2)
+    poly = jacobi_rodrigues(n, Weight(a, a))
+    return (1 / poly(Fraction(1))) * poly
 
 
 def rodrigues_eval(p: int, n: int, t):
@@ -168,8 +145,6 @@ def ode_residual(p: int, n: int, t):
 def legendre_norm_sq_exact(p: int, n: int) -> PiRational:
     """Weighted norm of P_{n,p} squared, as an exact pi-power value."""
     p = _check_dim(p)
-    from .harmonic import count_harmonic
-
     return solid_angle_exact(p) / (
         count_harmonic(p, n) * solid_angle_exact(p - 1)
     )
@@ -221,12 +196,10 @@ def integral_representation_eval(p: int, n: int, t: float) -> float:
 def funk_hecke_coeff(p: int, n: int, f, m: int = 128) -> float:
     """Scalar by which averaging f(<xi, .>) over the sphere acts on degree n.
 
-    Equals Omega_{p-2} times the weighted inner product of f with P_{n,p}.
+    Equals Omega_{p-2} times the weighted inner product of f with P_{n,p},
+    on an m-node Gauss rule; f not finite at a node raises ValueError.
     """
-    p = _check_dim(p)
-    rule = gauss_rule(Weight(Fraction(p - 3, 2), Fraction(p - 3, 2)), m)
-    vals = _values_on(f, rule.nodes) * legendre_eval(p, n, rule.nodes)
-    return solid_angle(p - 1) * float(np.sum(rule.weights * vals))
+    return zonal_integral(p, lambda t: legendre_eval(p, n, t) * f(t), m)
 
 
 def _check_gen_args(p, t, r):
@@ -244,8 +217,6 @@ def generating_function_partial(p: int, t: float, r: float, N: int) -> float:
     p, t, r = _check_gen_args(p, t, r)
     if N < 0:
         raise ValueError("N must be nonnegative")
-    from .harmonic import count_harmonic
-
     total = 1.0
     prev, cur = 1.0, t
     rn = r

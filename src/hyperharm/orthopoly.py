@@ -29,6 +29,8 @@ __all__ = [
     "parseval_report",
 ]
 
+RULE_BYTES_LIMIT = 1 << 28  # largest rule build: sphere nodes plus weights, or a Gauss eigenproblem
+
 
 class Poly1D:
     """Univariate polynomial, coefficients ascending in the monomial basis.
@@ -228,9 +230,16 @@ def _gauss_rule_cached(a: float, b: float, m: int):
 
 
 def gauss_rule(w: Weight, m: int):
-    """Gauss rule with m interior nodes, exact through degree 2m-1 against w."""
+    """Gauss rule with m interior nodes, exact through degree 2m-1 against w.
+
+    Golub-Welsch holds the m x m float64 matrix and its eigenvectors, 16 m^2
+    bytes; an m past RULE_BYTES_LIMIT is refused before any array is made.
+    """
     if m < 1:
         raise ValueError("a Gauss rule needs at least one node")
+    if 16 * m * m > RULE_BYTES_LIMIT:
+        raise ValueError(f"a {m}-node Gauss rule needs more than {RULE_BYTES_LIMIT >> 20} MiB "
+                         "for its eigenproblem")
     return _gauss_rule_cached(float(w.alpha), float(w.beta), int(m))
 
 

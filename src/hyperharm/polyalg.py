@@ -28,6 +28,8 @@ __all__ = [
     "ExactPolynomial",
     "FloatPolynomial",
     "check_orthogonal",
+    "count_harmonic",
+    "count_homogeneous",
     "evaluate_monomials",
     "graded_monomials",
     "graded_tables",
@@ -40,6 +42,26 @@ ORTHOGONALITY_TOL = 1e-12
 # entries per chunk in evaluate_monomials and graded_tables (2 MB of float64), so no
 # temporary grows with the number of points
 CHUNK_ELEMENTS = 1 << 18
+
+
+def count_homogeneous(p: int, n: int) -> int:
+    """Dimension of the space of homogeneous degree-n polynomials in p variables."""
+    if p < 1:
+        raise ValueError("need at least one variable")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return math.comb(p + n - 1, n)
+
+
+def count_harmonic(p: int, n: int) -> int:
+    """Dimension of the space of harmonic homogeneous degree-n polynomials."""
+    if p < 2:
+        raise ValueError("dimension must be at least 2")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n == 0:
+        return 1
+    return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
 def _as_fraction(value) -> Fraction:
@@ -131,16 +153,17 @@ def graded_monomials(p: int, n_max: int):
     Returns (exponents, offsets, links).  `exponents` is (K, p) and
     read-only; degree n owns rows offsets[n]:offsets[n + 1], in ascending
     lex order.  Degree n lists, for i = p-1 down to 0, x_i times the first
-    C(n + p - 2 - i, p - 1 - i) monomials of degree n - 1, which are those
-    in x_i .. x_{p-1} alone.  Each link (target, source, width, i) says that
-    rows target:target+width are rows source:source+width times x_i.
+    count_homogeneous(p - i, n - 1) monomials of degree n - 1, which are
+    those in x_i .. x_{p-1} alone.  Each link (target, source, width, i)
+    says that rows target:target+width are rows source:source+width times
+    x_i.
     """
-    sizes = [math.comb(n + p - 1, p - 1) for n in range(n_max + 1)]
+    sizes = [count_homogeneous(p, n) for n in range(n_max + 1)]
     offsets = tuple(sum(sizes[:n]) for n in range(n_max + 2))
     links, target = [], 1
     for n in range(1, n_max + 1):
         for i in range(p - 1, -1, -1):
-            width = math.comb(n + p - 2 - i, p - 1 - i)
+            width = count_homogeneous(p - i, n - 1)
             links.append((target, offsets[n - 1], width, i))
             target += width
     exponents = np.zeros((offsets[-1], p), dtype=np.int64)
@@ -451,6 +474,11 @@ class ExactPolynomial(_Polynomial):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPolynomial":
+        if not isinstance(data, dict):
+            raise ValueError("a polynomial must be a JSON object")
+        nvars = data.get("nvars")
+        if type(nvars) is not int or nvars < 1:
+            raise ValueError("nvars must be an integer of at least 1")
         if not isinstance(data.get("terms"), list):
             raise ValueError("terms must be a list of term objects")
         terms = {}
@@ -467,7 +495,7 @@ class ExactPolynomial(_Polynomial):
             if tuple(alpha) in terms:
                 raise ValueError(f"term {i} repeats alpha {alpha}")
             terms[tuple(alpha)] = Fraction(num, den)
-        return cls(int(data["nvars"]), terms)
+        return cls(nvars, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -34,6 +34,17 @@ def test_legendre_eval_example(capsys):
     assert run(["legendre", "--p", "2", "--n", "3", "--eval", "0.5"]) == 0
     out, _ = _out(capsys)
     assert out.splitlines()[1] == "2,3,0.5,-1"
+    # finite arguments outside [-1, 1] are evaluated too
+    assert run(["legendre", "--p", "3", "--n", "2", "--eval", "5"]) == 0
+    out, _ = _out(capsys)
+    assert out.splitlines()[1] == "3,2,5,37"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_legendre_eval_refuses_a_non_finite_argument(capsys, value):
+    assert run(["legendre", "--p", "3", "--n", "2", f"--eval={value}"]) == 2
+    out, err = _out(capsys)
+    assert out == "" and err == "error: --eval must be a finite number\n"
 
 
 def test_legendre_coeffs_are_rational_cells(capsys):
@@ -537,6 +548,16 @@ def test_oversized_quadrature_exits_2_at_once(capsys):
     out, err = _out(capsys)
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "MiB of nodes and weights" in err
+
+
+def test_oversized_funk_hecke_rule_exits_2_at_once(capsys):
+    # a 100000-node Golub-Welsch eigenproblem would need 149 GiB
+    start = time.perf_counter()
+    assert run(["funk-hecke", "--p", "3", "--n", "2", "--f", "t2", "--degree", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "100000-node Gauss rule" in err
 
 
 def test_callable_data_above_the_default_rule_degree_solves(tmp_path):

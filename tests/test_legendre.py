@@ -79,6 +79,10 @@ def test_rodrigues_agrees_with_recurrence():
             want = legendre_eval(p, n, ts)
             got = np.array([rodrigues_eval(p, n, t) for t in ts])
             assert np.max(np.abs(got - want)) <= 1e-9, (p, n)
+    # the exact polynomials agree coefficient for coefficient
+    for p in range(2, 9):
+        for n in range(13):
+            assert legendre._rodrigues_poly(p, n).coeffs == legendre_coeffs(p, n).coeffs, (p, n)
 
 
 def test_ode_residual_is_small():
@@ -170,6 +174,13 @@ def test_funk_hecke_oracles():
             )
     # zonal kernels of lower polynomial degree carry no degree-n content
     assert abs(funk_hecke_coeff(3, 4, lambda t: t * t)) < 1e-12
+    # a kernel taking one point at a time gives the batched kernel's value
+    assert funk_hecke_coeff(4, 3, math.exp) == pytest.approx(funk_hecke_coeff(4, 3, np.exp), rel=1e-14)
+
+
+def test_funk_hecke_rejects_a_kernel_that_is_not_finite_at_a_node():
+    with pytest.raises(ValueError, match="not finite"):
+        funk_hecke_coeff(3, 2, lambda t: np.where(t > 0.5, np.inf, 1.0))
 
 
 def test_generating_function_identities():

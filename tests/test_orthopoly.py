@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyperharm import orthopoly
 from hyperharm.orthopoly import (
     Poly1D,
     RecurrenceCoeffs,
@@ -114,6 +115,17 @@ def test_gauss_rule_chebyshev_oracle():
 def test_gauss_rule_needs_a_node():
     with pytest.raises(ValueError):
         gauss_rule(LEGENDRE, 0)
+
+
+def test_gauss_rule_refuses_an_eigenproblem_past_the_byte_limit(monkeypatch):
+    # the m x m Jacobi matrix and its eigenvectors take 16 m^2 bytes: 2048 nodes fit, 4097 do not
+    assert len(gauss_rule(LEGENDRE, 2048).nodes) == 2048
+    with pytest.raises(ValueError, match="4097-node Gauss rule"):
+        gauss_rule(LEGENDRE, 4097)
+    monkeypatch.setattr(orthopoly, "RULE_BYTES_LIMIT", 16 * 10 * 10)
+    assert len(gauss_rule(CHEBYSHEV, 10).nodes) == 10
+    with pytest.raises(ValueError, match="eigenproblem"):
+        gauss_rule(CHEBYSHEV, 11)
 
 
 def test_inner_product_oracles():

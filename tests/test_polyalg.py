@@ -147,6 +147,16 @@ def test_json_rejects_a_repeated_alpha_and_a_missing_field():
         ExactPolynomial.from_json_dict({"nvars": 3})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[], "x", {"terms": []}, {"nvars": 2.5, "terms": []}, {"nvars": True, "terms": []},
+     {"nvars": "3", "terms": []}, {"nvars": 0, "terms": []}],
+)
+def test_json_rejects_a_document_without_an_integer_nvars(doc):
+    with pytest.raises(ValueError, match="must be a JSON object|nvars must be an integer"):
+        ExactPolynomial.from_json_dict(doc)
+
+
 def test_rotation_agrees_with_pointwise_composition():
     q = ExactPolynomial(3, {(2, 1, 0): Fraction(1), (0, 0, 3): Fraction(-1, 2)})
     r = random_orthogonal(3, seed=5)
