@@ -3,8 +3,8 @@
 Two independent solution routes are implemented.  The spherical-harmonic
 series takes its coefficients from the data's sphere moments, the
 integrals of f x^alpha over every monomial up to the top degree: exact for
-polynomial data, on the product rule for callable data, with one graded
-monomial table per chunk of nodes (`project_boundary`).  The kernel
+polynomial data, on the product rule for callable data, summed one axis of
+the rule at a time (`project_boundary`).  The kernel
 integral is zonal about x0 / |x0|, so it runs on a per-point rule aligned
 with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|> times a rule on
 S^{p-2} (`poisson_eval`).  The kernel route uses no harmonic basis or
@@ -22,11 +22,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import orthopoly
-from .geometry import PiRational, monomial_sphere_integral, solid_angle, solid_angle_exact, sphere_quadrature
+from .geometry import (PiRational, _rule_axes, monomial_sphere_integral, solid_angle, solid_angle_exact,
+                       sphere_quadrature)
 from .harmonic import orthonormalize
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
 
 __all__ = [
     "BoundaryData",
@@ -132,12 +133,52 @@ class BvpSolution:
         return row
 
 
+@lru_cache(maxsize=32)
+def _lift_rows(q: int, n_max: int):
+    """|beta| for each row beta of graded_monomials(q - 1, n_max), and for each
+    row (beta, a) of graded_monomials(q, n_max) its flat index beta_row *
+    (n_max + 1) + a in a table pairing the rows beta with t^0 .. t^n_max."""
+    lower = graded_monomials(q - 1, n_max)[0]
+    row_of = {beta: j for j, beta in enumerate(map(tuple, lower.tolist()))}
+    upper = graded_monomials(q, n_max)[0].tolist()
+    degrees, rows = lower.sum(axis=1), np.array([row_of[tuple(e[:-1])] * (n_max + 1) + e[-1] for e in upper])
+    degrees.flags.writeable = rows.flags.writeable = False  # cached, so shared by every pass
+    return degrees, rows
+
+
+def _axis_moments(grid: np.ndarray, axes: list, n_max: int) -> np.ndarray:
+    """Graded moments of the weights `grid` on the product of the 1-D node
+    vectors `axes` (t_{p-2} .. t_1, then phi), summed one axis at a time.
+
+    dsigma_{k+1} = (1 - t^2)^((k-1)/2) dt dsigma_k, so after phi is summed
+    against the monomials in (cos phi, sin phi), each t = cos(theta_k) from
+    k = 1 out is summed against t^a (1 - t^2)^(|beta|/2), lifting moments of
+    y^beta on S^k to moments of x^(beta, a) on S^{k+1}: a
+    separation-of-variables transform, with no monomial tabulated at a node.
+    """
+    exponents, phi = graded_monomials(2, n_max)[0], axes[-1][:, None]
+    moments = grid @ (np.cos(phi) ** exponents[:, 0] * np.sin(phi) ** exponents[:, 1])
+    for q, t in enumerate(reversed(axes[:-1]), start=3):
+        degrees, rows = _lift_rows(q, n_max)
+        scaled = moments * np.vander(np.sqrt(1.0 - t * t), n_max + 1, increasing=True)[:, degrees]
+        lifted = np.swapaxes(scaled, -1, -2) @ np.vander(t, n_max + 1, increasing=True)
+        moments = lifted.reshape(lifted.shape[:-2] + (-1,))[..., rows]
+    return moments
+
+
 def _rule_moments(f: BoundaryData, n_max: int, quad_degree: int):
     """Graded sphere moments of f on the product rule, and the rule's value of |f|^2."""
     rule = sphere_quadrature(f.p, quad_degree)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
-    return sum(t @ weighted[rows] for rows, t in graded_tables(rule.nodes, n_max)), float(weighted @ vals)
+    axes = [nodes for nodes, _ in _rule_axes(f.p, quad_degree)]
+    grid = weighted.reshape([len(x) for x in axes])
+    # the pass is linear and sums the outermost axis last, so slabs of that axis
+    # bound its temporaries: each holds about CHUNK_ELEMENTS moments after phi
+    step = max(1, CHUNK_ELEMENTS * len(axes[-1]) // (grid[0].size * len(graded_monomials(2, n_max)[0])))
+    moments = sum(_axis_moments(grid[s : s + step], [axes[0][s : s + step]] + axes[1:], n_max)
+                  for s in range(0, len(axes[0]), step))
+    return moments, float(weighted @ vals)
 
 
 def _exact_moments(poly: ExactPolynomial, n_max: int):
@@ -181,9 +222,9 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
         if count > MONOMIAL_BUDGET:
             raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
                              f"{MONOMIAL_BUDGET} graded monomials")
-    # bases first: they are cached and long-lived, and built between two moment
-    # passes they would split the memory freed by the first pass's chunk tables,
-    # so the second pass would take new memory (up to 2 MB more peak RSS at p=4)
+    # bases first: they are cached and long-lived, and built after the moment
+    # passes they take new memory instead of what the passes free (cold, 1 MB
+    # more peak RSS at p = 4, n_max = 6 and 8 MB more at n_max = 30; no faster)
     bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
     if f.polynomial is None:
         quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree

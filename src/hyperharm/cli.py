@@ -408,13 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, p=False, n=False, degree=False):
+    def common(sp, *, p=False, n=False):
         if p:
             sp.add_argument("--p", type=int, required=True, help="ambient dimension")
         if n:
             sp.add_argument("--n", type=int, required=True, help="polynomial degree")
-        if degree:
-            sp.add_argument("--degree", type=int, help="quadrature degree")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="also write the output to this file")
 
@@ -443,7 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_quadrature)
 
     sp = sub.add_parser("funk-hecke", help="zonal kernel eigenvalue for degree n")
-    common(sp, p=True, n=True, degree=True)
+    common(sp, p=True, n=True)
+    sp.add_argument("--degree", type=int, metavar="M",
+                    help="Gauss nodes in t (default 128); the rule is exact through degree 2M - 1")
     sp.add_argument("--f", required=True, choices=sorted(ZONAL_FUNCTIONS), help="kernel name")
     sp.set_defaults(func=_cmd_funk_hecke)
 

@@ -312,6 +312,20 @@ class QuadratureRule:
         )
 
 
+def _rule_axes(p: int, degree: int) -> list:
+    """The 1-D factors of the degree-`degree` product rule on S^{p-1}, as
+    (nodes, weights) pairs: t = cos(theta_k) for k = p-2 down to 1, each a
+    Gauss rule for (1 - t^2)^((k-1)/2) with m = (degree + 2) // 2 nodes,
+    then phi, 2m equally spaced angles.  The rule's grid is their product
+    with phi varying fastest."""
+    m = (degree + 2) // 2
+    n_phi = 2 * m
+    t_rules = [orthopoly.gauss_rule(orthopoly.Weight(Fraction(k - 1, 2), Fraction(k - 1, 2)), m)
+               for k in range(p - 2, 0, -1)]
+    phi = TWO_PI * np.arange(n_phi) / n_phi
+    return [(rule.nodes, rule.weights) for rule in t_rules] + [(phi, np.full(n_phi, TWO_PI / n_phi))]
+
+
 @lru_cache(maxsize=6)
 def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     """Product rule on S^{p-1} exact for all monomials of total degree <= degree.
@@ -327,30 +341,18 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     m = (degree + 2) // 2
-    n_phi = 2 * m
-    count = n_phi * m ** (p - 2)
+    count = 2 * m ** (p - 1)
     if count * (p + 1) * 8 > RULE_BYTES_LIMIT:  # float64 nodes plus weights
         raise ValueError(f"a degree-{degree} rule on S^{p - 1} needs {count} nodes, more than "
                          f"{RULE_BYTES_LIMIT >> 20} MiB of nodes and weights")
-    phi = TWO_PI * np.arange(n_phi) / n_phi
-    phi_weight = TWO_PI / n_phi
+    axes = _rule_axes(p, degree)
     if p == 2:
-        nodes = np.column_stack([np.cos(phi), np.sin(phi)])
-        weights = np.full(n_phi, phi_weight)
-        return QuadratureRule(nodes, weights, exact_degree=2 * m - 1, p=2)
-    # one Gauss rule per polar angle theta_k, in the substituted variable cos(theta_k)
-    t_rules = [
-        orthopoly.gauss_rule(
-            orthopoly.Weight(Fraction(k - 1, 2), Fraction(k - 1, 2)), m
-        )
-        for k in range(p - 2, 0, -1)
-    ]
-    axes = [rule.nodes for rule in t_rules] + [phi]
+        [(phi, weights)] = axes
+        return QuadratureRule(np.column_stack([np.cos(phi), np.sin(phi)]), weights, exact_degree=2 * m - 1, p=2)
     # sparse grids keep each axis a vector along its own dimension; the
     # products below broadcast, so only the weights and nodes fill the grid
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    weight_axes = [rule.weights for rule in t_rules] + [np.full(n_phi, phi_weight)]
-    weight_grids = np.meshgrid(*weight_axes, indexing="ij", sparse=True)
+    grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij", sparse=True)
+    weight_grids = np.meshgrid(*(weights for _, weights in axes), indexing="ij", sparse=True)
     weights = np.ones_like(grids[0])
     for wg in weight_grids:
         weights = weights * wg

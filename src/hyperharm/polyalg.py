@@ -11,7 +11,7 @@ irrational entries, so rotated polynomials are always FloatPolynomials.
 coefficients over a monomial list: a single polynomial's terms and a whole
 basis's coefficient matrix both go through it.  :func:`graded_tables`
 serves every monomial up to a degree at once, each from one of lower
-degree, for the sphere moments and the series of the ball problem.
+degree, for the series of the ball problem.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hyperharm.bvp import (
     project_boundary,
     series_eval,
 )
-from hyperharm.geometry import PiRational, monomial_sphere_integral, solid_angle, sphere_quadrature
+from hyperharm.geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import legendre_harmonic, orthonormalize
 from hyperharm.legendre import legendre_eval
 from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
@@ -420,8 +420,39 @@ def test_moment_projection_matches_member_evaluation(p, n_max, q):
     sol = project_boundary(f, n_max, quad_degree=q)
     want = oracles.evaluated_projection(f, n_max, q)
     assert max(abs(a - b) for ra, rb in zip(sol.coeffs, want) for a, b in zip(ra, rb)) <= 1e-13
-    if p >= 4:  # these rules span several node chunks of the moment pass
-        assert len(sphere_quadrature(p, q)) > CHUNK_ELEMENTS // len(graded_monomials(p, n_max)[0])
+    # the rule is the product of p - 2 t axes and phi, each of several nodes, so
+    # from p = 4 on the moment pass lifts through two t levels or more
+    axes = [nodes for nodes, _ in _rule_axes(p, q)]
+    assert len(axes) == p - 1 and min(map(len, axes)) > 1
+    assert math.prod(map(len, axes)) == len(sphere_quadrature(p, q))
+
+
+# q below 2 n_max + 2 leaves the rule inexact for the products, but both passes sum the same rule
+@pytest.mark.parametrize(
+    "p, n_max, q", [(2, 8, 40), (3, 8, 20), (4, 6, 10), (5, 4, 8), (6, 3, 6), (3, 0, 4), (6, 0, 2)]
+)
+def test_axis_moments_match_the_graded_tables(p, n_max, q, monkeypatch):
+    rng = np.random.default_rng(10 + p)
+    u = oracles.unit_vectors(rng, p, 1)[0]
+    f = BoundaryData.from_callable(p, lambda x: np.exp(x @ u) + x[:, 0] * x[:, -1])
+    rule = sphere_quadrature(p, q)
+    vals = f.values_at(rule.nodes)
+    weighted = rule.weights * vals
+    want = sum(t @ weighted[rows] for rows, t in graded_tables(rule.nodes, n_max))
+    # these rules fit one slab of the outermost axis; a budget of 1 makes one slab per node
+    for budget in (CHUNK_ELEMENTS, 1):
+        monkeypatch.setattr(bvp, "CHUNK_ELEMENTS", budget)
+        moments, f_norm_sq = bvp._rule_moments(f, n_max, q)
+        assert moments.shape == (len(graded_monomials(p, n_max)[0]),)
+        assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want)), budget
+        assert f_norm_sq == float(weighted @ vals)
+
+
+def test_high_degree_callable_projection_at_p4():
+    # 46,376 moments on rules of 65,536 and 71,874 nodes
+    sol = project_boundary(builtin_boundary(4, "exponential"), 30)
+    assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-8
+    assert sol.projection_error <= 1e-10
 
 
 def test_polynomial_moments_are_exact():

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import hyperharm
 from hyperharm.bvp import MONOMIAL_BUDGET, BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
+from hyperharm.legendre import funk_hecke_coeff
 from hyperharm.polyalg import ExactPolynomial
 
 
@@ -115,6 +117,15 @@ def test_funk_hecke_oracle(capsys):
     out, _ = _out(capsys)
     value = float(out.splitlines()[1].split(",")[3])
     assert value == pytest.approx(8 * math.pi / 15, rel=1e-10)
+
+
+def test_funk_hecke_degree_help_names_the_node_count(capsys):
+    assert run(["funk-hecke", "--help"]) == 0
+    out, _ = _out(capsys)
+    help_text = " ".join(out.split())
+    default_m = inspect.signature(funk_hecke_coeff).parameters["m"].default
+    assert f"--degree M Gauss nodes in t (default {default_m}); the rule is exact through degree 2M - 1" in help_text
+    assert "quadrature degree" not in help_text
 
 
 def test_solve_round_trip(tmp_path, capsys):
