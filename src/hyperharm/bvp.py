@@ -1,10 +1,10 @@
 """Dirichlet problem for the Laplacian on the unit ball.
 
 Two independent solution routes are implemented.  The spherical-harmonic
-series takes its coefficients from the data's sphere moments, the
-integrals of f x^alpha over every monomial up to the top degree: exact for
-polynomial data, on the product rule for callable data, summed one axis of
-the rule at a time (`project_boundary`).  The kernel
+series (`project_boundary`, `series_eval`) sums the orthonormal members,
+evaluated by their own recurrence, with coefficients from the exact sphere
+moments of polynomial data times the members' power-basis rows, or from
+the semi-naive transform of callable data on a product rule.  The kernel
 integral is zonal about x0 / |x0|, so it runs on a per-point rule aligned
 with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|> times a rule on
 S^{p-2} (`poisson_eval`).  The kernel route uses no harmonic basis or
@@ -24,10 +24,10 @@ import numpy as np
 from . import orthopoly
 from .geometry import (PiRational, _rule_axes, monomial_sphere_integral, solid_angle, solid_angle_exact,
                        sphere_quadrature)
-from .harmonic import orthonormalize
+from .harmonic import harmonic_chunks, orthonormalize, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
+from .polyalg import ExactPolynomial, FloatPolynomial, count_harmonic, graded_monomials
 
 __all__ = [
     "BoundaryData",
@@ -119,66 +119,25 @@ class BvpSolution:
     p: int
     n_max: int
     coeffs: tuple
-    bases: tuple
     quad_degree: int
     projection_error: float
     coeff_sq_sum: float
     f_norm_sq: float
 
     @cached_property
-    def series_row(self) -> np.ndarray:
-        """The series as one coefficient row over the graded monomials of degree <= n_max."""
-        row = np.concatenate([np.asarray(c) @ basis.coeffs for basis, c in zip(self.bases, self.coeffs)])
-        row.flags.writeable = False  # shared by every series_eval call on this solution
-        return row
+    def _vector(self) -> np.ndarray:
+        vector = np.concatenate(self.coeffs)
+        vector.flags.writeable = False  # shared by every series_eval call on this solution
+        return vector
 
 
-@lru_cache(maxsize=32)
-def _lift_rows(q: int, n_max: int):
-    """|beta| for each row beta of graded_monomials(q - 1, n_max), and for each
-    row (beta, a) of graded_monomials(q, n_max) its flat index beta_row *
-    (n_max + 1) + a in a table pairing the rows beta with t^0 .. t^n_max."""
-    lower = graded_monomials(q - 1, n_max)[0]
-    row_of = {beta: j for j, beta in enumerate(map(tuple, lower.tolist()))}
-    upper = graded_monomials(q, n_max)[0].tolist()
-    degrees, rows = lower.sum(axis=1), np.array([row_of[tuple(e[:-1])] * (n_max + 1) + e[-1] for e in upper])
-    degrees.flags.writeable = rows.flags.writeable = False  # cached, so shared by every pass
-    return degrees, rows
-
-
-def _axis_moments(grid: np.ndarray, axes: list, n_max: int) -> np.ndarray:
-    """Graded moments of the weights `grid` on the product of the 1-D node
-    vectors `axes` (t_{p-2} .. t_1, then phi), summed one axis at a time.
-
-    dsigma_{k+1} = (1 - t^2)^((k-1)/2) dt dsigma_k, so after phi is summed
-    against the monomials in (cos phi, sin phi), each t = cos(theta_k) from
-    k = 1 out is summed against t^a (1 - t^2)^(|beta|/2), lifting moments of
-    y^beta on S^k to moments of x^(beta, a) on S^{k+1}: a
-    separation-of-variables transform, with no monomial tabulated at a node.
-    """
-    exponents, phi = graded_monomials(2, n_max)[0], axes[-1][:, None]
-    moments = grid @ (np.cos(phi) ** exponents[:, 0] * np.sin(phi) ** exponents[:, 1])
-    for q, t in enumerate(reversed(axes[:-1]), start=3):
-        degrees, rows = _lift_rows(q, n_max)
-        scaled = moments * np.vander(np.sqrt(1.0 - t * t), n_max + 1, increasing=True)[:, degrees]
-        lifted = np.swapaxes(scaled, -1, -2) @ np.vander(t, n_max + 1, increasing=True)
-        moments = lifted.reshape(lifted.shape[:-2] + (-1,))[..., rows]
-    return moments
-
-
-def _rule_moments(f: BoundaryData, n_max: int, quad_degree: int):
-    """Graded sphere moments of f on the product rule, and the rule's value of |f|^2."""
+def _rule_transform(f: BoundaryData, n_max: int, quad_degree: int):
+    """The coefficients of f on the degree-quad_degree product rule, and the rule's value of |f|^2."""
     rule = sphere_quadrature(f.p, quad_degree)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
     axes = [nodes for nodes, _ in _rule_axes(f.p, quad_degree)]
-    grid = weighted.reshape([len(x) for x in axes])
-    # the pass is linear and sums the outermost axis last, so slabs of that axis
-    # bound its temporaries: each holds about CHUNK_ELEMENTS moments after phi
-    step = max(1, CHUNK_ELEMENTS * len(axes[-1]) // (grid[0].size * len(graded_monomials(2, n_max)[0])))
-    moments = sum(_axis_moments(grid[s : s + step], [axes[0][s : s + step]] + axes[1:], n_max)
-                  for s in range(0, len(axes[0]), step))
-    return moments, float(weighted @ vals)
+    return sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max), float(weighted @ vals)
 
 
 def _exact_moments(poly: ExactPolynomial, n_max: int):
@@ -201,17 +160,16 @@ def _exact_moments(poly: ExactPolynomial, n_max: int):
 def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None) -> BvpSolution:
     """Expand boundary data over the orthonormal harmonics of degree <= n_max.
 
-    A coefficient <f, Y> is Y's coefficient row times the data's sphere
-    moments, the integrals of f x^alpha over every monomial of degree
-    <= n_max.  Polynomial data builds no rule: its moments and f_norm_sq are
-    exact integrals rounded once, projection_error is 0.0, and quad_degree
+    Polynomial data builds no rule: <f, Y> is Y's power-basis row times the
+    data's sphere moments over every monomial of degree <= n_max, exact and
+    rounded once, as is f_norm_sq; projection_error is 0.0, and quad_degree
     (by default n_max plus the data's degree, the least degree of a product
     rule exact for the products) is only checked against that least degree.
-    Callable data is integrated on the product rule of degree quad_degree
-    (default max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error
-    is the largest coefficient change on the next, of degree quad_degree + 2.
-    More than MONOMIAL_BUDGET graded monomials is a ValueError, before any
-    basis is built.
+    Callable data goes through `harmonic.sphere_transform`, which builds no
+    basis, on the product rule of degree quad_degree (default
+    max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error is the
+    largest coefficient change on the rule of degree quad_degree + 2.  More
+    than MONOMIAL_BUDGET graded monomials is a ValueError, before any work.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -222,13 +180,12 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
         if count > MONOMIAL_BUDGET:
             raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
                              f"{MONOMIAL_BUDGET} graded monomials")
-    # bases first: they are cached and long-lived, and built after the moment
-    # passes they take new memory instead of what the passes free (cold, 1 MB
-    # more peak RSS at p = 4, n_max = 6 and 8 MB more at n_max = 30; no faster)
-    bases = tuple(orthonormalize(f.p, n) for n in range(n_max + 1))
+    projection_error = 0.0
     if f.polynomial is None:
         quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree
-        moments, f_norm_sq = _rule_moments(f, n_max, quad_degree)
+        flat, f_norm_sq = _rule_transform(f, n_max, quad_degree)
+        projection_error = float(np.max(np.abs(flat - _rule_transform(f, n_max, quad_degree + 2)[0])))
+        cause = f"the degree-{quad_degree} quadrature is too low for this boundary data"
     else:
         required = n_max + max(f.degree, 0)
         quad_degree = required if quad_degree is None else quad_degree
@@ -236,42 +193,35 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
             raise ValueError(f"quadrature degree {quad_degree} cannot integrate the products "
                              f"exactly; need at least {required}")
         moments, f_norm_sq = _exact_moments(f.polynomial, n_max)
-    offsets = graded_monomials(f.p, n_max)[1]
-
-    def project(m):
-        return tuple(tuple((b.coeffs @ m[offsets[n] : offsets[n + 1]]).tolist()) for n, b in enumerate(bases))
-
-    coeffs = project(moments)
-    projection_error = 0.0
-    if f.polynomial is None:
-        refined = project(_rule_moments(f, n_max, quad_degree + 2)[0])
-        projection_error = max(abs(a - b) for ra, rb in zip(coeffs, refined) for a, b in zip(ra, rb))
+        flat = np.concatenate([orthonormalize(f.p, n).coeffs @ m for n, m in
+                               enumerate(np.split(moments, graded_monomials(f.p, n_max)[1][1:-1]))])
+        cause = f"the float power-basis rows lose their digits to cancellation at n_max {n_max}"
+    ends = np.cumsum([count_harmonic(f.p, n) for n in range(n_max + 1)])
+    coeffs = tuple(tuple(row.tolist()) for row in np.split(flat, ends[:-1]))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if coeff_sq_sum > f_norm_sq + 1e-8:
-        raise ValueError(f"projection coefficients violate the norm bound: coeff_sq_sum {coeff_sq_sum:.6g} > "
-                         f"f_norm_sq {f_norm_sq:.6g}; the degree-{quad_degree} quadrature is too low for this "
-                         f"boundary data, or the float basis loses its digits to cancellation at n_max {n_max}")
-    return BvpSolution(p=f.p, n_max=n_max, coeffs=coeffs, bases=bases, quad_degree=quad_degree,
+        raise ValueError(f"projection coefficients violate the norm bound: coeff_sq_sum {coeff_sq_sum!r} > "
+                         f"f_norm_sq {f_norm_sq!r}; {cause}")
+    return BvpSolution(p=f.p, n_max=n_max, coeffs=coeffs, quad_degree=quad_degree,
                        projection_error=projection_error, coeff_sq_sum=coeff_sq_sum, f_norm_sq=f_norm_sq)
 
 
 def series_eval(sol: BvpSolution, x):
     """Value of the series solution at points of the closed unit ball.
 
-    x of shape (p,) returns a float; shape (m, p) returns an array.  Each
-    basis member is a homogeneous polynomial, so evaluating it off the
-    sphere supplies the |x|^n damping automatically, and x = 0 survives as
-    the constant term alone.
+    x of shape (p,) returns a float; shape (m, p) returns an array.  The
+    members from `harmonic.harmonic_chunks` are homogeneous, so off the
+    sphere each carries its |x|^n, and x = 0 keeps the constant term alone.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != sol.p:
         raise ValueError("point dimension does not match the solution")
-    if np.any(np.linalg.norm(pts, axis=1) > 1 + 1e-12):
+    if np.any(np.sqrt((pts * pts).sum(axis=1)) > 1 + 1e-12):  # the 2-norm, as np.linalg.norm forms it
         raise ValueError("series solution is defined on the closed unit ball")
     total = np.empty(pts.shape[0])
-    for rows, table in graded_tables(pts, sol.n_max):
-        total[rows] = sol.series_row @ table
+    for rows, values in harmonic_chunks(pts, sol.p, sol.n_max):
+        total[rows] = sol._vector @ values
     return float(total[0]) if x.ndim == 1 else total
 
 

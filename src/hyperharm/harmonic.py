@@ -11,6 +11,11 @@ over one pi-power scale (Axler, Bourdon & Ramey, GTM 137, ch. 5), and a member's
 its h's times one integer per (p, n, j).  So the exact Gram matrix is that scale times a diagonal
 of integers, which a basis keeps as ``gram_scale`` and ``gram_blocks`` and nowhere else, and
 orthonormalizing divides each member by the square root of its entry.
+
+Floats do not use ``coeffs``: member (j, h) is h(x') r^(n-j) Q_{n-j}(x_p / r), Q_k orthonormal for
+(1 - t^2)^((p-3)/2+j), so `harmonic_chunks` runs Q's recurrence in (x_p, |x|^2) a dimension at a time from
+S^0's 1/sqrt(2) and x_1/sqrt(2), and `sphere_transform` sums f on a product rule against the same factors
+an axis at a time (Driscoll & Healy, Adv. Appl. Math. 15, 1994: the semi-naive transform).
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
-from .polyalg import ExactPolynomial, FloatPolynomial, evaluate_monomials, graded_monomials
+from .orthopoly import _jacobi_alpha_beta
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, graded_monomials
 from .polyalg import count_harmonic, count_homogeneous  # re-exported
 
 __all__ = [
@@ -36,6 +41,8 @@ __all__ = [
     "orthonormalize",
     "legendre_harmonic",
     "addition_theorem_eval",
+    "harmonic_chunks",
+    "sphere_transform",
 ]
 
 UNIT_SPHERE_TOL = 1e-12
@@ -50,12 +57,6 @@ def _dtype(d: int, norms):
 def _as(matrix: np.ndarray, dtype) -> np.ndarray:
     """The integer matrix in `dtype`: float64 entries go to Python ints through int64, never through float."""
     return matrix.astype(np.int64).astype(object) if dtype is object and matrix.dtype != object else matrix
-
-
-def _degree_rows(d: int, m: int) -> np.ndarray:
-    """Degree-m exponents in d variables, ascending lex: gaps between d - 1 bars in m + d - 1 places."""
-    bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
-    return np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
 
 
 @lru_cache(maxsize=4096)
@@ -151,8 +152,90 @@ class HarmonicBasis:
         )
 
     def evaluate_members(self, points) -> np.ndarray:
-        """Member values at (m, p) points (or one (p,) point) as an (m, N) array."""
-        return evaluate_monomials(points, self.exponents, self.coeffs)
+        """Member values at (m, p) points (or one (p,) point) as an (m, N) array, by `harmonic_chunks`."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty((pts.shape[0], count_harmonic(self.p, self.n)))
+        for rows, values in harmonic_chunks(pts, self.p, self.n, self.n):
+            out[rows] = values.T
+        return out
+
+
+def _profiles(x: np.ndarray, r2, steps: np.ndarray, x1) -> np.ndarray:
+    """F[k, j, level, i] at rows x (level, i) of x_q and r^2 = r2, for j <= n_max - k; the rest is 0.  As
+    the recurrence is linear, level 2's j = 1 column starts from F_0 = x_1, so that it holds x_1 F_k."""
+    n_max = len(steps) - 1
+    table = np.zeros((n_max + 2,) + steps.shape[1:-1] + x.shape[-1:])  # F_{-1} = 0, then F_0 .. F_n_max
+    table[1], x2, steps = 1.0, 2.0 * x, steps * r2
+    table[1, 1:2, 0] = x1
+    for k in range(n_max):
+        top = n_max - k  # degree j + k + 1 <= n_max
+        np.multiply(x2, table[k + 1, :top], out=table[k + 2, :top])
+        table[k + 2, :top] += steps[k, :top] * table[k, :top]
+    return table[1:]
+
+
+@lru_cache(maxsize=64)
+def _plan(p: int, n_max: int, n_min: int):
+    """Per (k, j, level q - 2, 1), -4 beta_k and G_k's scale: with P_k monic for (1 - t^2)^((q-3)/2+j),
+    F_k = 2^k r^k P_k(x_q / r) obeys F_{k+1} = 2 x_q F_k - 4 beta_k |x|^2 F_{k-1} (bounded like Chebyshev's
+    U_k), and G_k = s_k F_k / (2^k sqrt(beta_0 .. beta_k)) is s_k r^k Q_k(x_q / r), s_k = (-1)^floor(k/2) making
+    its x_q^j0 term positive.  Then per level, each member's h and its row in `_profiles`' flat table (degrees
+    n_min..n_max at p, all below), and per top member its rows and its scale, with S^0's 1/sqrt(2)."""
+    width = 2 if p == 2 else n_max + 1
+    steps, scales = np.zeros((2, n_max + 1, width, p - 1, 1))
+    signs = np.where(np.arange(n_max + 1) % 4 < 2, 1.0, -1.0)
+    gathers, members = [], None
+    for q in range(2, p + 1):
+        for j in range(min(2, width) if q == 2 else width):
+            beta = _jacobi_alpha_beta((q - 3) / 2 + j, (q - 3) / 2 + j, n_max + 1)[1]
+            steps[:, j, q - 2, 0] = -4.0 * beta
+            scales[:, j, q - 2, 0] = signs / (math.sqrt(beta[0]) * np.cumprod(np.r_[1.0, 2.0 * np.sqrt(beta[1:])]))
+        counts = [int(j < 2) if q == 2 else count_harmonic(q - 1, j) for j in range(n_max + 1)]
+        starts, src, rows = np.cumsum([0] + counts), [], []
+        for n in range(n_min if q == p else 0, n_max + 1):
+            for j in range(n + 1):
+                src += range(starts[j], starts[j + 1])
+                rows += [((n - j) * width + j) * (p - 1) + q - 2] * counts[j]
+        gathers.append((np.array(src, dtype=np.intp), np.array(rows, dtype=np.intp)))
+        members = gathers[-1][1][None] if q == 2 else np.vstack([members[:, gathers[-1][0]], gathers[-1][1]])
+    scale = np.sqrt(0.5) * np.prod(scales.reshape(-1)[members], axis=0)[:, None]
+    for array in sum(gathers, (steps, scales, members, scale)):
+        array.flags.writeable = False  # cached, so shared by every call
+    return steps, scales, tuple(gathers), members, scale
+
+
+def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0):
+    """Yield (rows, values) over row chunks of (m, p) `points`: values[c, i] is the c-th orthonormal member
+    of degree n_min..n_max, in basis order, at the chunk's i-th point, the product of its rows of one stacked
+    recurrence.  Nothing divides by |x|, and temporaries stay near CHUNK_ELEMENTS."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != p:
+        raise ValueError(f"points of dimension {pts.shape[-1]} for harmonics in {p} variables")
+    steps, _, _, members, scale = _plan(p, n_max, n_min)
+    # per point: the table, its steps times |x|^2 and a step's product, then the rows of each member and their product
+    step = max(1, CHUNK_ELEMENTS // ((2 * n_max + 4) * steps[0].size + p * len(scale)))
+    for start in range(0, pts.shape[0], step):
+        chunk, coords = slice(start, start + step), pts[start : start + step].T
+        table = _profiles(coords[1:], np.cumsum(coords * coords, axis=0)[1:], steps, coords[0])
+        yield chunk, table.reshape(-1, coords.shape[1])[members].prod(axis=0) * scale
+
+
+def sphere_transform(grid: np.ndarray, axes: list, n_max: int) -> np.ndarray:
+    """sum w f Y for each member Y of degree <= n_max, in basis order, from w f on the product rule `grid` with
+    node vectors `axes` (t of x_p .. x_3, then phi; `geometry._rule_axes`): phi against S^1's members, then
+    each t against the factors (1 - t^2)^(j/2) G_k(t), as x' = sqrt(1 - t^2) y.  No basis is formed."""
+    p, phi = len(axes) + 1, axes[-1]
+    circle = [values for _, values in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max)]
+    coeffs = grid @ np.hstack(circle).T
+    if p == 2:
+        return coeffs
+    t = np.array([np.zeros(len(axes[0]))] + axes[-2::-1])  # level 2's row is unused
+    steps, scales, gathers, _, _ = _plan(p, n_max, 0)
+    factors = _profiles(t, 1.0, steps, 0.0) * scales * np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
+    factors = factors.reshape(-1, t.shape[1])
+    for src, rows in gathers[1:]:
+        coeffs = np.einsum("ct,...tc->...c", factors[rows], coeffs[..., src])
+    return coeffs
 
 
 @lru_cache(maxsize=32)

@@ -199,7 +199,9 @@ def _jacobi_alpha_beta(a: float, b: float, m: int):
     betas = np.empty(m)
     ab = a + b
     alphas[0] = (b - a) / (ab + 2)
-    betas[0] = 2.0 ** (ab + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(ab + 2)
+    # Gamma overflows past 171; the harmonic recurrences reach a = b = n_max
+    betas[0] = (2.0 ** (ab + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(ab + 2) if ab < 160 else
+                math.exp((ab + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(ab + 2)))
     for k in range(1, m):
         tk = 2 * k + ab
         alphas[k] = (b * b - a * a) / (tk * (tk + 2))

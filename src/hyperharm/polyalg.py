@@ -7,11 +7,10 @@ Laplacian and evaluation code with float coefficients.  Rotation is the
 one deliberately inexact operation: orthogonal matrices generally have
 irrational entries, so rotated polynomials are always FloatPolynomials.
 
-:func:`evaluate_monomials` is the package's one float evaluator for
-coefficients over a monomial list: a single polynomial's terms and a whole
-basis's coefficient matrix both go through it.  :func:`graded_tables`
-serves every monomial up to a degree at once, each from one of lower
-degree, for the series of the ball problem.
+:func:`evaluate_monomials` evaluates float coefficients over a monomial
+list, a polynomial's terms; the harmonic members have their own evaluator,
+`harmonic.harmonic_chunks`.  :func:`graded_monomials` lists every monomial
+up to a degree, for the exact sphere moments of polynomial data.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from numpy.random import default_rng
@@ -32,15 +32,14 @@ __all__ = [
     "count_homogeneous",
     "evaluate_monomials",
     "graded_monomials",
-    "graded_tables",
     "monomial_table",
     "random_orthogonal",
 ]
 
 ORTHOGONALITY_TOL = 1e-12
 
-# entries per chunk in evaluate_monomials and graded_tables (2 MB of float64), so no
-# temporary grows with the number of points
+# entries per chunk in evaluate_monomials and harmonic.harmonic_chunks (2 MB of float64),
+# so no temporary grows with the number of points
 CHUNK_ELEMENTS = 1 << 18
 
 
@@ -146,54 +145,19 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
     return out
 
 
+def _degree_rows(d: int, m: int) -> np.ndarray:
+    """Degree-m exponents in d variables, ascending lex: gaps between d - 1 bars in m + d - 1 places."""
+    bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
+    return np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
+
+
 @lru_cache(maxsize=32)
 def graded_monomials(p: int, n_max: int):
-    """Every monomial of degree <= n_max in p variables, graded by degree.
-
-    Returns (exponents, offsets, links).  `exponents` is (K, p) and
-    read-only; degree n owns rows offsets[n]:offsets[n + 1], in ascending
-    lex order.  Degree n lists, for i = p-1 down to 0, x_i times the first
-    count_homogeneous(p - i, n - 1) monomials of degree n - 1, which are
-    those in x_i .. x_{p-1} alone.  Each link (target, source, width, i)
-    says that rows target:target+width are rows source:source+width times
-    x_i.
-    """
-    sizes = [count_homogeneous(p, n) for n in range(n_max + 1)]
-    offsets = tuple(sum(sizes[:n]) for n in range(n_max + 2))
-    links, target = [], 1
-    for n in range(1, n_max + 1):
-        for i in range(p - 1, -1, -1):
-            width = count_homogeneous(p - i, n - 1)
-            links.append((target, offsets[n - 1], width, i))
-            target += width
-    exponents = np.zeros((offsets[-1], p), dtype=np.int64)
-    for target, source, width, i in links:
-        exponents[target : target + width] = exponents[source : source + width]
-        exponents[target : target + width, i] += 1
+    """Every monomial of degree <= n_max in p variables as (exponents, offsets): `exponents` is (K, p)
+    and read-only, and degree n owns rows offsets[n]:offsets[n + 1], in ascending lex order."""
+    exponents = np.concatenate([_degree_rows(p, n) for n in range(n_max + 1)])
     exponents.flags.writeable = False
-    return exponents, offsets, tuple(links)
-
-
-def graded_tables(points, n_max: int):
-    """Yield (rows, table) over row chunks of `points` (m, p): `rows` is the
-    chunk's slice of the points and table[k, j] is x^alpha_k at its j-th
-    point, for the rows alpha_k of graded_monomials(p, n_max)[0].
-
-    Every entry past the constant row is one multiply of an entry of lower
-    degree by a coordinate, and each table holds about CHUNK_ELEMENTS
-    entries, so memory stays bounded however many points there are.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    exponents, _, links = graded_monomials(pts.shape[1], n_max)
-    step = max(1, CHUNK_ELEMENTS // len(exponents))
-    for start in range(0, pts.shape[0], step):
-        chunk = slice(start, start + step)
-        coords = pts[chunk].T
-        table = np.empty((len(exponents), coords.shape[1]))
-        table[0] = 1.0
-        for target, source, width, i in links:
-            np.multiply(table[source : source + width], coords[i], out=table[target : target + width])
-        yield chunk, table
+    return exponents, tuple(math.comb(p + n - 1, p) for n in range(n_max + 2))
 
 
 def _validated_terms(nvars, terms, coerce):

@@ -193,14 +193,17 @@ def evaluated_projection(f, n_max, q):
     """Series coefficients of boundary data f by evaluating every orthonormal
     member on the nodes of the degree-q product rule: sum_nodes w f Y.
 
-    Uses the package's rule and bases, but not its graded moment pass.
+    Uses the package's rule and the members' power-basis rows, but neither its
+    transform nor its member recurrence.
     """
     from hyperharm.geometry import sphere_quadrature
     from hyperharm.harmonic import orthonormalize
+    from hyperharm.polyalg import evaluate_monomials
 
     rule = sphere_quadrature(f.p, q)
     weighted = rule.weights * f.values_at(rule.nodes)
+    bases = (orthonormalize(f.p, n) for n in range(n_max + 1))
     return tuple(
-        tuple(float(v) for v in orthonormalize(f.p, n).evaluate_members(rule.nodes).T @ weighted)
-        for n in range(n_max + 1)
+        tuple(float(v) for v in evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted)
+        for b in bases
     )

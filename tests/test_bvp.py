@@ -17,9 +17,9 @@ from hyperharm.bvp import (
     series_eval,
 )
 from hyperharm.geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
-from hyperharm.harmonic import legendre_harmonic, orthonormalize
+from hyperharm.harmonic import harmonic_chunks, legendre_harmonic, orthonormalize, sphere_transform
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, graded_monomials, graded_tables
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, evaluate_monomials
 
 
 def _monomial(p, alpha, coeff=1):
@@ -387,17 +387,31 @@ def test_projection_norm_bound_violation_is_an_input_error():
 
 
 def test_norm_bound_message_states_what_it_measured():
-    # at n_max = 100 the degree-202 rule is exact; the float members' power-basis
-    # coefficients (about 5.7e28) lose their digits to cancellation instead
+    # polynomial data builds no rule: at n_max = 100 the members' power-basis rows
+    # (entries near 5.7e28) lose their digits to cancellation
     with pytest.raises(ValueError, match="norm bound") as info:
-        project_boundary(builtin_boundary(2, "exponential"), 100)
+        project_boundary(builtin_boundary(2, "coordinate"), 100)
     message = str(info.value)
     found = re.search(r"coeff_sq_sum (\S+) > f_norm_sq (\S+);", message)
     assert found, message
     coeff_sq_sum, f_norm_sq = map(float, found.groups())
-    # |exp(x_1)|^2 on S^1 is 2 pi I_0(2)
-    assert coeff_sq_sum > f_norm_sq and f_norm_sq == pytest.approx(14.32305687810051, rel=1e-5)
-    assert "quadrature" in message and "cancellation" in message
+    # |x_1|^2 on S^1 is pi
+    assert coeff_sq_sum > f_norm_sq + 1e-8 and f_norm_sq == pytest.approx(math.pi, rel=1e-14)
+    assert "cancellation" in message and "quadrature" not in message
+
+
+def test_high_degree_callable_solves_match_the_kernel():
+    # the power-basis route refused (2, 100) on the norm bound and read 2.2e-8 at (3, 56)
+    rng = np.random.default_rng(79)
+    for p, n_max in ((2, 100), (3, 56)):
+        f = builtin_boundary(p, "exponential")
+        misses = orthonormalize.cache_info().misses
+        sol = project_boundary(f, n_max)
+        assert orthonormalize.cache_info().misses == misses
+        assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-12 and sol.projection_error <= 1e-13, p
+        pts = oracles.unit_vectors(rng, p, 8) * rng.uniform(0.0, 0.8, size=(8, 1))
+        pts[0] *= 0.8 / np.linalg.norm(pts[0])
+        assert np.max(np.abs(poisson_eval(f, pts, quad_degree=64) - series_eval(sol, pts))) <= 1e-13, p
 
 
 def test_callable_projection_rule_follows_n_max():
@@ -405,8 +419,7 @@ def test_callable_projection_rule_follows_n_max():
     for n_max in (19, 20, 60):
         sol = project_boundary(f, n_max)
         assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-8
-        # degree-60 float members lose digits to cancellation, not to the rule
-        assert sol.projection_error <= 1e-7, n_max
+        assert sol.projection_error <= 1e-13, n_max
     # up to n_max 19 the default degree-40 rule is unchanged
     default, fixed = project_boundary(f, 19), project_boundary(f, 19, quad_degree=40)
     assert default.quad_degree == 40 and default.coeffs == fixed.coeffs
@@ -421,38 +434,41 @@ def test_moment_projection_matches_member_evaluation(p, n_max, q):
     want = oracles.evaluated_projection(f, n_max, q)
     assert max(abs(a - b) for ra, rb in zip(sol.coeffs, want) for a, b in zip(ra, rb)) <= 1e-13
     # the rule is the product of p - 2 t axes and phi, each of several nodes, so
-    # from p = 4 on the moment pass lifts through two t levels or more
+    # from p = 4 on the transform passes through two t levels or more
     axes = [nodes for nodes, _ in _rule_axes(p, q)]
     assert len(axes) == p - 1 and min(map(len, axes)) > 1
     assert math.prod(map(len, axes)) == len(sphere_quadrature(p, q))
 
 
-# q below 2 n_max + 2 leaves the rule inexact for the products, but both passes sum the same rule
+# q below 2 n_max + 2 leaves the rule inexact for the products, but both routes sum the same rule
 @pytest.mark.parametrize(
     "p, n_max, q", [(2, 8, 40), (3, 8, 20), (4, 6, 10), (5, 4, 8), (6, 3, 6), (3, 0, 4), (6, 0, 2)]
 )
-def test_axis_moments_match_the_graded_tables(p, n_max, q, monkeypatch):
+def test_axis_moments_match_the_graded_tables(p, n_max, q):
+    """The transform's axis-by-axis sums against the members' power-basis rows on every node."""
     rng = np.random.default_rng(10 + p)
     u = oracles.unit_vectors(rng, p, 1)[0]
     f = BoundaryData.from_callable(p, lambda x: np.exp(x @ u) + x[:, 0] * x[:, -1])
     rule = sphere_quadrature(p, q)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
-    want = sum(t @ weighted[rows] for rows, t in graded_tables(rule.nodes, n_max))
-    # these rules fit one slab of the outermost axis; a budget of 1 makes one slab per node
-    for budget in (CHUNK_ELEMENTS, 1):
-        monkeypatch.setattr(bvp, "CHUNK_ELEMENTS", budget)
-        moments, f_norm_sq = bvp._rule_moments(f, n_max, q)
-        assert moments.shape == (len(graded_monomials(p, n_max)[0]),)
-        assert np.max(np.abs(moments - want)) <= 1e-14 * np.max(np.abs(want)), budget
-        assert f_norm_sq == float(weighted @ vals)
+    want = np.concatenate([evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted
+                           for b in map(orthonormalize, [p] * (n_max + 1), range(n_max + 1))])
+    axes = [nodes for nodes, _ in _rule_axes(p, q)]
+    got = sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    coeffs, f_norm_sq = bvp._rule_transform(f, n_max, q)
+    assert np.array_equal(coeffs, got) and f_norm_sq == float(weighted @ vals)
 
 
 def test_high_degree_callable_projection_at_p4():
-    # 46,376 moments on rules of 65,536 and 71,874 nodes
+    # 10,416 coefficients on rules of 65,536 and 71,874 nodes, and no basis built
+    misses = orthonormalize.cache_info().misses
     sol = project_boundary(builtin_boundary(4, "exponential"), 30)
-    assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-8
-    assert sol.projection_error <= 1e-10
+    assert orthonormalize.cache_info().misses == misses
+    assert sol.coeff_sq_sum <= sol.f_norm_sq + 1e-12
+    assert sol.projection_error <= 1e-13
 
 
 def test_polynomial_moments_are_exact():
@@ -507,15 +523,24 @@ def test_float_polynomial_data_is_converted_exactly():
     }
 
 
-def test_series_row_is_formed_once_per_solution():
-    sol = project_boundary(builtin_boundary(4, "exponential"), 4)
-    row = sol.series_row
-    assert sol.series_row is row
-    want = np.concatenate([np.asarray(c) @ basis.coeffs for basis, c in zip(sol.bases, sol.coeffs)])
-    assert row.tobytes() == want.tobytes()
-    x = np.array([0.3, -0.2, 0.1, 0.4])
-    [(_, table)] = graded_tables(x[None, :], 4)
-    assert series_eval(sol, x) == float((want @ table)[0])
+def _chunk_rows(p, n_max):
+    """Points per chunk of harmonic_chunks: the length of a first chunk of CHUNK_ELEMENTS points."""
+    return next(harmonic_chunks(np.zeros((CHUNK_ELEMENTS, p)), p, n_max))[0].stop
+
+
+def test_member_batch_across_a_chunk_boundary_matches_single_points():
+    rng = np.random.default_rng(8)
+    count = _chunk_rows(4, 6) + 5
+    pts = oracles.unit_vectors(rng, 4, count) * rng.uniform(0.0, 1.0, size=(count, 1))
+    chunks = list(harmonic_chunks(pts, 4, 6))
+    assert len(chunks) > 1 and chunks[-1][0].stop >= count
+    batch = np.hstack([values for _, values in chunks])
+    for i in (0, chunks[0][0].stop - 1, chunks[0][0].stop, count - 1):
+        [(_, single)] = harmonic_chunks(pts[i], 4, 6)
+        assert np.array_equal(batch[:, i], single[:, 0]), i
+    assert list(harmonic_chunks(pts[:0], 4, 6)) == []
+    with pytest.raises(ValueError):
+        next(harmonic_chunks(pts[:, :3], 4, 6))
 
 
 def test_series_batch_beyond_one_chunk_matches_single_points():
@@ -524,10 +549,10 @@ def test_series_batch_beyond_one_chunk_matches_single_points():
     )
     sol = project_boundary(f, 6)
     rng = np.random.default_rng(7)
-    count = 2 * CHUNK_ELEMENTS // len(graded_monomials(4, 6)[0]) + 5
+    count = 2 * _chunk_rows(4, 6) + 5
     pts = oracles.unit_vectors(rng, 4, count) * rng.uniform(0.0, 1.0, size=(count, 1))
     batch = series_eval(sol, pts)
     single = np.array([series_eval(sol, x) for x in pts])
     assert np.max(np.abs(batch - single)) <= 1e-14
     # at the centre only the constant term survives
-    assert series_eval(sol, np.zeros(4)) == sol.coeffs[0][0] * sol.bases[0].coeffs[0, 0]
+    assert series_eval(sol, np.zeros(4)) == sol.coeffs[0][0] * orthonormalize(4, 0).evaluate_members(np.zeros(4))[0, 0]

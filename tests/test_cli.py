@@ -587,6 +587,25 @@ def test_callable_data_above_the_default_rule_degree_solves(tmp_path):
     assert abs_diff <= 1e-12
 
 
+def test_high_degree_callable_solve_matches_the_kernel(tmp_path, capsys):
+    # the power-basis route refused n_max 80 at p = 3 on the norm bound (exit 2)
+    points = 0.8 * np.random.default_rng(83).uniform(-1.0, 1.0, size=(6, 3)) / math.sqrt(3)
+    points[0] = [0.0, 0.48, 0.64]
+    problem = {
+        "p": 3,
+        "n_max": 80,
+        "boundary": {"type": "builtin", "name": "exponential"},
+        "eval_points": points.tolist(),
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert run(["solve", "--problem", str(path)]) == 0
+    lines = _out(capsys)[0].splitlines()
+    col = lines[1].split(",").index("abs_diff")
+    diffs = [float(line.split(",")[col]) for line in lines[2:]]
+    assert len(diffs) == len(points) and max(diffs) <= 1e-13
+
+
 def test_solve_columns_match_single_point_solvers(tmp_path, capsys):
     terms = [
         {"alpha": [1, 1, 0], "num": 3, "den": 4},

@@ -224,23 +224,24 @@ def test_basis_bytes_are_pinned(p, n):
 
 
 def _rule_gram_error(basis, members=slice(None)):
-    """max |G - I| for the chosen members on the degree-(2n + 2) product rule."""
+    """max |G - I| for the chosen members on the degree-(2n + 2) product rule, summed chunk by chunk."""
     rule = sphere_quadrature(basis.p, 2 * basis.n + 2)
-    vals = evaluate_monomials(rule.nodes, basis.exponents, basis.coeffs[members])
-    return np.max(np.abs(vals.T @ (rule.weights[:, None] * vals) - np.eye(vals.shape[1])))
+    gram = 0.0
+    for rows, vals in harmonic.harmonic_chunks(rule.nodes, basis.p, basis.n, basis.n):
+        vals = vals[members]
+        gram = gram + vals @ (rule.weights[rows, None] * vals.T)
+    return np.max(np.abs(gram - np.eye(len(gram))))
 
 
 def test_high_degree_bases_stay_orthonormal():
-    # the float Cholesky of non-orthogonal members read 1.0e-6 at (3, 40), 0.11 at
-    # (3, 56) and could not build from (3, 57)
-    assert _rule_gram_error(orthonormalize(3, 40)) <= 1e-11
-    assert _rule_gram_error(orthonormalize(3, 60)) <= 1e-8
-    # every 8th member at (4, 30): all 961 on the 65,536-node rule take about 15 s
-    assert _rule_gram_error(orthonormalize(4, 30), slice(None, None, 8)) <= 1e-12
-    for p, n in ((3, 80), (2, 400)):
+    # the power-basis rows read 3.7e-12 at (3, 40) and 3.0e-9 at (3, 60), and the
+    # float Cholesky before them 1.0e-6 at (3, 40)
+    for p, n in ((3, 40), (3, 60), (3, 80), (2, 400)):
         basis = orthonormalize(p, n)
         assert basis.coeffs.shape == (count_harmonic(p, n), count_homogeneous(p, n))
-        assert np.isfinite(basis.coeffs).all()
+        assert _rule_gram_error(basis) <= 1e-13, (p, n)
+    # every 8th member at (4, 30), on the 65,536-node rule
+    assert _rule_gram_error(orthonormalize(4, 30), slice(None, None, 8)) <= 1e-13
 
 
 def test_stored_support_is_the_exact_support():
@@ -394,10 +395,26 @@ def test_matrix_evaluation_matches_per_member_evaluation():
         assert np.max(np.abs(single[0] - direct)) <= 1e-13 * np.max(np.abs(basis.coeffs))
 
 
+@pytest.mark.parametrize("p", range(2, 7))
+def test_evaluator_matches_the_power_basis_rows(p):
+    # every member of degree <= 8 in one call, against the coefficient rows each basis keeps
+    rng = np.random.default_rng(40 + p)
+    pts = rng.normal(size=(30, p))
+    pts *= (rng.random(30) ** 0.5 / np.linalg.norm(pts, axis=1))[:, None]
+    got = np.hstack([values for _, values in harmonic.harmonic_chunks(pts, p, 8)])
+    start = 0
+    for n in range(9):
+        basis = orthonormalize(p, n)
+        want = evaluate_monomials(pts, basis.exponents, basis.coeffs)
+        block = got[start : start + len(basis.coeffs)].T
+        assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(basis.coeffs)), (p, n)
+        start += len(basis.coeffs)
+    assert start == len(got)
+
+
 def test_matrix_evaluation_across_a_chunk_boundary():
     basis = orthonormalize(4, 6)
-    # a chunk's table and temporaries are 2K + n + 1 entries per point
-    rows = CHUNK_ELEMENTS // (2 * len(basis.exponents) + basis.n + 1)
-    pts = np.random.default_rng(32).normal(size=(rows + 1, 4))
+    pts = np.random.default_rng(32).normal(size=(CHUNK_ELEMENTS // 100, 4))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
+    assert len(list(harmonic.harmonic_chunks(pts, 4, 6, 6))) > 1
     _assert_matrix_evaluation_matches(basis, pts)

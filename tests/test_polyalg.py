@@ -14,7 +14,6 @@ from hyperharm.polyalg import (
     check_orthogonal,
     evaluate_monomials,
     graded_monomials,
-    graded_tables,
     monomial_table,
     random_orthogonal,
 )
@@ -257,31 +256,13 @@ def test_monomial_table_matches_powers():
 
 @pytest.mark.parametrize("p, n_max", [(1, 5), (2, 7), (3, 4), (5, 3), (6, 0)])
 def test_graded_monomials_list_every_degree_in_lex_order(p, n_max):
-    exponents, offsets, links = graded_monomials(p, n_max)
+    exponents, offsets = graded_monomials(p, n_max)
     assert not exponents.flags.writeable
     for n in range(n_max + 1):
         block = [tuple(a) for a in exponents[offsets[n] : offsets[n + 1]].tolist()]
         every = sorted(a for a in itertools.product(range(n + 1), repeat=p) if sum(a) == n)
         assert block == every
-    # each link multiplies a lower-degree block by one coordinate
-    for target, source, width, i in links:
-        step = exponents[target : target + width] - exponents[source : source + width]
-        assert (step == np.eye(p, dtype=int)[i]).all()
-    assert sum(width for _, _, width, _ in links) == len(exponents) - 1
-
-
-def test_graded_tables_match_powers_across_chunks():
-    rng = np.random.default_rng(10)
-    exponents = graded_monomials(3, 6)[0]
-    rows = polyalg.CHUNK_ELEMENTS // len(exponents)
-    pts = rng.uniform(-1.0, 1.0, size=(2 * rows + 3, 3))
-    chunks = list(graded_tables(pts, 6))
-    assert [chunk.start for chunk, _ in chunks] == [0, rows, 2 * rows]
-    got = np.hstack([table for _, table in chunks])
-    assert got.shape == (len(exponents), len(pts))
-    want = (pts[:, None, :] ** exponents[None, :, :]).prod(axis=2).T
-    assert np.max(np.abs(got - want)) <= 1e-15
-    assert list(graded_tables(pts[:0], 6)) == []
+    assert offsets[-1] == len(exponents)
 
 
 def test_evaluate_monomials_shapes_and_chunks():
