@@ -21,15 +21,16 @@ an axis at a time (Driscoll & Healy, Adv. Appl. Math. 15, 1994: the semi-naive t
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
-from .orthopoly import _jacobi_alpha_beta
+from .orthopoly import RULE_BYTES_LIMIT, _jacobi_alpha_beta
 from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, graded_monomials
 from .polyalg import count_harmonic, count_homogeneous  # re-exported
 
@@ -80,12 +81,16 @@ def _ladder(d: int, j: int, s: int):
 
 def _members(p: int, n: int):
     """The degree-n members in p variables: one integer matrix over the degree-n monomials, and Fischer norms.
+    A matrix past RULE_BYTES_LIMIT, at 8 bytes an entry, is refused before any work.
 
     At p = 1 they are 1 and x_1.  Member (j, h)'s profile is c_t = (-1)^t j0!/(j0+2t)! times the factor
     prod_{K-t < i <= K} 2i(2i+2j+p-3) of Lap'^t(|x'|^2K h), as coprime integers; its norm is sum_t c_t^2
     (j0+2t)! times its rung's."""
     if p == 1:
         return np.ones((int(n < 2), 1)), (1,) * (n < 2)
+    if 8 * count_harmonic(p, n) * count_homogeneous(p, n) > RULE_BYTES_LIMIT:
+        raise ValueError(f"a degree-{n} basis in {p} variables needs more than {RULE_BYTES_LIMIT >> 20} MiB at "
+                         "8 bytes per coefficient, a floor: coefficients kept as Python ints take more")
     blocks, norms, fact = [], [], [math.factorial(k) for k in range(n + 1)]
     for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
         j0, half = (n - j) % 2, (n - j) // 2
@@ -112,14 +117,34 @@ def _members(p: int, n: int):
     return matrix, tuple(norms)
 
 
+def _polynomial(cls, p: int, exponents: np.ndarray, row: np.ndarray):
+    """sum_k row[k] x^exponents[k] as a `cls`, from the row's nonzeros alone."""
+    support = np.flatnonzero(row)
+    return cls(p, dict(zip(map(tuple, exponents[support].tolist()), row[support].tolist())))
+
+
 @lru_cache(maxsize=32)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
     """The degree-n members as integer ExactPolynomials, in basis order (see the module docstring)."""
     count_harmonic(p, n)  # validates p and n
     matrix, _ = _members(p, n)
-    monos = list(map(tuple, _degree_rows(p, n).tolist()))
-    rows = _as(matrix, object).tolist()
-    return tuple(ExactPolynomial(p, {a: c for a, c in zip(monos, row) if c}) for row in rows)
+    rows = matrix if matrix.dtype == object else matrix.astype(np.int64)  # float64 entries are integers below 2^53
+    return tuple(map(partial(_polynomial, ExactPolynomial, p, _degree_rows(p, n)), rows))
+
+
+class _Members(Sequence):
+    """A basis's members as FloatPolynomials, each built from its coefficient row on first access and kept."""
+
+    def __init__(self, p: int, exponents: np.ndarray, coeffs: np.ndarray):
+        self._len = len(coeffs)
+        self._member = lru_cache(maxsize=None)(lambda i: _polynomial(FloatPolynomial, p, exponents, coeffs[i]))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        index = range(self._len)[i]  # negative indices, slices and IndexError, as a tuple's
+        return tuple(map(self._member, index)) if isinstance(i, slice) else self._member(index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +154,8 @@ class HarmonicBasis:
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
     float matrix over all K degree-n monomials in ascending lex order (the
     degree-n rows of ``graded_monomials``), shared by all N members.
+    ``members`` builds member i as a FloatPolynomial on demand, from the
+    nonzeros of its row only; ``len(members)`` builds none.
     The raw members are orthogonal: their exact Gram matrix is the
     PiRational ``gram_scale`` times the diagonal ``gram_blocks``, one
     positive integer per member, its Fischer norm sum_alpha alpha! c_alpha^2;
@@ -143,13 +170,9 @@ class HarmonicBasis:
     gram_blocks: tuple
 
     @cached_property
-    def members(self) -> tuple:
-        """One FloatPolynomial per member, from the matrix's nonzero entries."""
-        monos = [tuple(int(a) for a in alpha) for alpha in self.exponents]
-        return tuple(
-            FloatPolynomial(self.p, {alpha: c for alpha, c in zip(monos, row) if c})
-            for row in self.coeffs
-        )
+    def members(self) -> Sequence:
+        """The members as FloatPolynomials, each built on first access (see above)."""
+        return _Members(self.p, self.exponents, self.coeffs)
 
     def evaluate_members(self, points) -> np.ndarray:
         """Member values at (m, p) points (or one (p,) point) as an (m, N) array, by `harmonic_chunks`."""
@@ -246,9 +269,9 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     gram_scale N_i, formed without converting the integer N_i to float.
     """
     count_harmonic(p, n)  # validates p and n
+    coeffs, norms = _members(p, n)
     # each degree-2n monomial integral over the sphere is this times an integer
     scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
-    coeffs, norms = _members(p, n)
     roots = []
     for norm in norms:
         # sqrt(q) = 2^e sqrt(q / 4^e) with q / 4^e in [1/4, 4); int / int is correctly rounded
@@ -271,10 +294,7 @@ def legendre_harmonic(p: int, n: int) -> ExactPolynomial:
     Homogenizes the exact degree-n Legendre coefficients: a_k t^k becomes
     a_k x_1^k |x|^(n-k), and parity guarantees n-k is even throughout.
     """
-    if p < 2:
-        raise ValueError("dimension must be at least 2")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    count_harmonic(p, n)  # validates p and n
     coeffs = _legendre.legendre_coeffs(p, n).coeffs
     radius_sq = ExactPolynomial(
         p, {tuple(2 if i == j else 0 for i in range(p)): Fraction(1) for j in range(p)}

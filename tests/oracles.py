@@ -111,6 +111,13 @@ def closed_form_members(p, n, lower):
             yield terms, sum(math.prod(map(math.factorial, a)) * v * v for a, v in terms.items())
 
 
+def dense_row_terms(exponents, matrix):
+    """Each row of a coefficient matrix over the monomials `exponents` as a {exponent: coefficient}
+    dict, by scanning every entry of the row, zeros included."""
+    monos = [tuple(int(a) for a in alpha) for alpha in exponents]
+    return [{alpha: c for alpha, c in zip(monos, row) if c} for row in matrix]
+
+
 def object_gram_blocks(p, n, members):
     """Sphere Gram blocks of degree-n members in Python integers, one per parity class.
 

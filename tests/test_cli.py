@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import hyperharm
+from hyperharm import harmonic
 from hyperharm.bvp import MONOMIAL_BUDGET, BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
 from hyperharm.legendre import funk_hecke_coeff
+from hyperharm.orthopoly import RULE_BYTES_LIMIT
 from hyperharm.polyalg import ExactPolynomial
 
 
@@ -102,6 +104,24 @@ def test_basis_beyond_a_double_exits_2(capsys):
     # below it is built from the bottom, so no recursion limit is reached first
     assert run(["basis", "--p", "2", "--n", "2200"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw", [[], ["--raw"]])
+@pytest.mark.parametrize("p, n", [(3, 100000), (5, 30)])
+def test_oversized_basis_exits_2_at_once(monkeypatch, capsys, raw, p, n):
+    # a (10416, 46376) matrix at (5, 30) is 3.9 GB as float64: refused before the build's first
+    # steps, the factorial table and the ladder of lower-dimensional members
+    def no_build(*args):
+        raise AssertionError("a basis build started")
+
+    monkeypatch.setattr(harmonic.math, "factorial", no_build)
+    monkeypatch.setattr(harmonic, "_ladder", no_build)
+    start = time.perf_counter()
+    assert run(["basis", "--p", str(p), "--n", str(n)] + raw) == 2
+    assert time.perf_counter() - start < 2.0
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {RULE_BYTES_LIMIT >> 20} MiB" in err
 
 
 def test_quadrature_csv_round_trips(capsys):

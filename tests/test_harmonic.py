@@ -157,6 +157,40 @@ def test_orthonormality_and_parity_in_dimensions_five_and_six():
                 assert len(np.unique(parities, axis=0)) == 1, (p, n)
 
 
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (4, 3), (6, 3)])
+def test_members_are_built_on_demand_from_their_rows(monkeypatch, p, n):
+    built = []
+
+    class Counting(harmonic.FloatPolynomial):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harmonic, "FloatPolynomial", Counting)
+    basis = orthonormalize.__wrapped__(p, n)  # a fresh basis, none of its members built
+    members = basis.members
+    assert len(members) == count_harmonic(p, n) and not built
+    want = oracles.dense_row_terms(basis.exponents, basis.coeffs)
+    for i in range(len(members)):
+        assert type(members[i]) is Counting and len(built) == i + 1
+        # the same terms in the same order, each coefficient the matrix entry bit for bit
+        assert list(members[i].terms.items()) == list(want[i].items()), (p, n, i)
+        assert members[i] is members[i] and members[i - len(members)] is members[i]
+    assert len(built) == len(members)  # every member built once, through FloatPolynomial
+    assert members[-1] is members[len(members) - 1]
+    assert members[1:4] == tuple(members[i] for i in range(1, min(4, len(members))))
+    assert members[::-2] == tuple(members[i] for i in range(len(members) - 1, -1, -2))
+    assert tuple(members) == members[:] and members[len(members):] == ()
+    for index in (len(members), -len(members) - 1):
+        with pytest.raises(IndexError):
+            members[index]
+    assert len(built) == len(members)
+    # the exact members come from the same helper over the integer matrix
+    matrix = harmonic._as(harmonic._members(p, n)[0], object)
+    want = oracles.dense_row_terms(basis.exponents, matrix)
+    assert [member.terms for member in harmonic_basis_raw(p, n)] == want
+
+
 def test_orthonormalize_is_cached():
     assert orthonormalize(3, 4) is orthonormalize(3, 4)
     assert harmonic_basis_raw(4, 3) is harmonic_basis_raw(4, 3)
