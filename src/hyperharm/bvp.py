@@ -2,9 +2,9 @@
 
 Two independent solution routes are implemented.  The spherical-harmonic
 series (`project_boundary`, `series_eval`) sums the orthonormal members,
-evaluated by their own recurrence, with coefficients from the exact sphere
-moments of polynomial data times the members' power-basis rows, or from
-the semi-naive transform of callable data on a product rule.  The kernel
+evaluated by their own recurrence, with coefficients from exact sphere
+integrals of polynomial data against the integer members, up to its degree
+only, or from the semi-naive transform of callable data on a product rule.  The kernel
 integral is zonal about x0 / |x0|, so it runs on a per-point rule aligned
 with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|> times a rule on
 S^{p-2} (`poisson_eval`).  The kernel route uses no harmonic basis or
@@ -17,17 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import orthopoly
-from .geometry import (PiRational, _rule_axes, monomial_sphere_integral, solid_angle, solid_angle_exact,
-                       sphere_quadrature)
-from .harmonic import harmonic_chunks, orthonormalize, sphere_transform
+from .geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
+from .harmonic import _as, _gram_scale, _members, _sqrt_pi, harmonic_chunks, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial, FloatPolynomial, count_harmonic, graded_monomials
+from .polyalg import ExactPolynomial, FloatPolynomial, _degree_rows, count_harmonic
 
 __all__ = [
     "BoundaryData",
@@ -47,8 +46,8 @@ DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of member
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
 KERNEL_CHUNK_NODES = 1 << 16
-# the C(n_max + p, p) graded monomials of degree <= n_max that a projection
-# runs over; p = 4, n_max = 30 has 46,376
+# a bound on n_max alone: no route builds the C(n_max + p, p) monomials of
+# degree <= n_max that it counts (p = 4, n_max = 30 has 46,376)
 MONOMIAL_BUDGET = 100_000
 
 
@@ -140,35 +139,42 @@ def _rule_transform(f: BoundaryData, n_max: int, quad_degree: int):
     return sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max), float(weighted @ vals)
 
 
-def _exact_moments(poly: ExactPolynomial, n_max: int):
-    """Graded sphere moments of polynomial data and |f|^2, each rounded once:
-    monomial integrals are exact and cached by exponent, and the terms of
-    each integral are summed exactly before one conversion."""
-    integral = lru_cache(maxsize=None)(monomial_sphere_integral)  # this call's, by exponent
-    # every nonzero monomial integral over S^{p-1} carries the solid angle's power of pi
-    pi_half = solid_angle_exact(poly.nvars).pi_half
+def _exact_transform(poly: ExactPolynomial, n_max: int):
+    """The coefficients of polynomial data and its |f|^2 from exact sphere integrals, each rounded once.
 
-    def rounded(q, alpha):  # the integral of q x^alpha
-        total = sum(c * integral(tuple(a + b for a, b in zip(alpha, beta))).coeff
-                    for beta, c in q.terms.items())
-        return float(PiRational(total, pi_half))
-
-    exponents = graded_monomials(poly.nvars, n_max)[0].tolist()
-    return np.array([rounded(poly, a) for a in exponents]), rounded(poly * poly, [0] * poly.nvars)
+    Coefficient i of degree n is <f, raw_i> / sqrt(gram_scale N_i), <f, raw_i> summed in integers over
+    one denominator.  f|_S is a sum of harmonics of degree <= deg f (P_n = H_n + |x|^2 P_{n-2}), so every
+    coefficient above that degree is 0.0 and nothing is formed for it."""
+    p = poly.nvars
+    pi_half = _gram_scale(p, 0).pi_half  # every nonzero sphere integral's
+    f_norm_sq = sum(c * monomial_sphere_integral(a).coeff for a, c in (poly * poly).terms.items())
+    flat, top = np.zeros(sum(count_harmonic(p, n) for n in range(n_max + 1))), 0
+    for n in range(min(n_max, poly.degree()) + 1):
+        (matrix, norms), rows, scale = _members(p, n), _degree_rows(p, n), _gram_scale(p, n).coeff
+        moments = {}  # k: the integral of f x^rows[k] over pi's power; x^gamma's is 0 unless gamma is even
+        for beta, c in poly.terms.items():
+            for k in np.flatnonzero(((rows + beta) % 2 == 0).all(axis=1)).tolist():
+                moments[k] = moments.get(k, 0) + c * monomial_sphere_integral(rows[k] + beta).coeff
+        den = math.lcm(*(m.denominator for m in moments.values()))
+        ints = np.array([m.numerator * (den // m.denominator) for m in moments.values()], dtype=object)
+        dots = (_as(matrix[:, list(moments)], object) @ ints).tolist()
+        for a, v in zip(dots, norms):
+            root = _sqrt_pi(a * a * scale.denominator, den * den * scale.numerator * v, pi_half)
+            flat[top] = -root if a < 0 else root
+            top += 1
+    return flat, float(PiRational(f_norm_sq, pi_half))
 
 
 def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None) -> BvpSolution:
     """Expand boundary data over the orthonormal harmonics of degree <= n_max.
 
-    Polynomial data builds no rule: <f, Y> is Y's power-basis row times the
-    data's sphere moments over every monomial of degree <= n_max, exact and
-    rounded once, as is f_norm_sq; projection_error is 0.0, and quad_degree
-    (by default n_max plus the data's degree, the least degree of a product
-    rule exact for the products) is only checked against that least degree.
-    Callable data goes through `harmonic.sphere_transform`, which builds no
-    basis, on the product rule of degree quad_degree (default
-    max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error is the
-    largest coefficient change on the rule of degree quad_degree + 2.  More
+    Polynomial data builds no rule and no basis: `_exact_transform` gives coefficients rounded
+    once and exactly 0.0 above the data's degree, and f_norm_sq rounded once; projection_error is
+    0.0, and quad_degree (by default n_max plus the data's degree, the least degree of a product
+    rule exact for the products) is only checked against that least degree.  Callable data goes
+    through `harmonic.sphere_transform` on the product rule of degree quad_degree (default
+    max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error is the largest coefficient change
+    on the rule of degree quad_degree + 2, and coeff_sq_sum past f_norm_sq is a ValueError.  More
     than MONOMIAL_BUDGET graded monomials is a ValueError, before any work.
     """
     if n_max < 0:
@@ -185,23 +191,20 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
         quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree
         flat, f_norm_sq = _rule_transform(f, n_max, quad_degree)
         projection_error = float(np.max(np.abs(flat - _rule_transform(f, n_max, quad_degree + 2)[0])))
-        cause = f"the degree-{quad_degree} quadrature is too low for this boundary data"
     else:
         required = n_max + max(f.degree, 0)
         quad_degree = required if quad_degree is None else quad_degree
         if quad_degree < required:
             raise ValueError(f"quadrature degree {quad_degree} cannot integrate the products "
                              f"exactly; need at least {required}")
-        moments, f_norm_sq = _exact_moments(f.polynomial, n_max)
-        flat = np.concatenate([orthonormalize(f.p, n).coeffs @ m for n, m in
-                               enumerate(np.split(moments, graded_monomials(f.p, n_max)[1][1:-1]))])
-        cause = f"the float power-basis rows lose their digits to cancellation at n_max {n_max}"
+        flat, f_norm_sq = _exact_transform(f.polynomial, n_max)
     ends = np.cumsum([count_harmonic(f.p, n) for n in range(n_max + 1)])
     coeffs = tuple(tuple(row.tolist()) for row in np.split(flat, ends[:-1]))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
-    if coeff_sq_sum > f_norm_sq + 1e-8:
+    if f.polynomial is None and coeff_sq_sum > f_norm_sq + 1e-8:
         raise ValueError(f"projection coefficients violate the norm bound: coeff_sq_sum {coeff_sq_sum!r} > "
-                         f"f_norm_sq {f_norm_sq!r}; {cause}")
+                         f"f_norm_sq {f_norm_sq!r}; the degree-{quad_degree} quadrature is too low for this "
+                         "boundary data")
     return BvpSolution(p=f.p, n_max=n_max, coeffs=coeffs, quad_degree=quad_degree,
                        projection_error=projection_error, coeff_sq_sum=coeff_sq_sum, f_norm_sq=f_norm_sq)
 

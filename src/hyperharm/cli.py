@@ -343,7 +343,8 @@ def _check_bvp(p, n_top, samples, rng):
         a = bvp_mod.series_eval(sol, pts)
         b = bvp_mod.poisson_eval(f, pts, quad_degree=64)
         worst = max(worst, float(np.max(np.abs(a - b))))
-    for _ in range(5):
+    # the image-charge closed form needs p >= 3; its samples come last, so they move nothing before them
+    for _ in range(5 if p >= 3 else 0):
         xb = _unit(rng, p)
         x0 = rng.normal(size=p)
         x0 *= 0.6 * rng.random() / np.linalg.norm(x0)

@@ -31,7 +31,7 @@ import numpy as np
 from . import legendre as _legendre
 from .geometry import PiRational, gamma_half, solid_angle
 from .orthopoly import RULE_BYTES_LIMIT, _jacobi_alpha_beta
-from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, graded_monomials
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows
 from .polyalg import count_harmonic, count_homogeneous  # re-exported
 
 __all__ = [
@@ -152,8 +152,8 @@ class HarmonicBasis:
     """Orthonormal degree-n spherical harmonics with their exact ancestry.
 
     Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
-    float matrix over all K degree-n monomials in ascending lex order (the
-    degree-n rows of ``graded_monomials``), shared by all N members.
+    float matrix over all K degree-n monomials in ascending lex order
+    (``polyalg._degree_rows``, read-only), shared by all N members.
     ``members`` builds member i as a FloatPolynomial on demand, from the
     nonzeros of its row only; ``len(members)`` builds none.
     The raw members are orthogonal: their exact Gram matrix is the
@@ -261,6 +261,19 @@ def sphere_transform(grid: np.ndarray, axes: list, n_max: int) -> np.ndarray:
     return coeffs
 
 
+def _gram_scale(p: int, n: int) -> PiRational:
+    """Each degree-2n monomial integral over S^{p-1} is this times an integer; its pi power is Omega_p's."""
+    return PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
+
+
+def _sqrt_pi(num: int, den: int, pi_half: int) -> float:
+    """sqrt(num / den pi^(pi_half / 2)) for integers num >= 0, den > 0 of any size, neither made a float:
+    sqrt(q) = 2^e sqrt(q / 4^e) with q / 4^e in [1/4, 4), and int / int is correctly rounded."""
+    e = (num.bit_length() - den.bit_length()) // 2
+    q = num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den
+    return math.ldexp(math.sqrt(math.pi ** (pi_half / 2) * q), e)
+
+
 @lru_cache(maxsize=32)
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
@@ -270,22 +283,14 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """
     count_harmonic(p, n)  # validates p and n
     coeffs, norms = _members(p, n)
-    # each degree-2n monomial integral over the sphere is this times an integer
-    scale = PiRational(Fraction(2, 2**n), p) / gamma_half(2 * n + p)
-    roots = []
-    for norm in norms:
-        # sqrt(q) = 2^e sqrt(q / 4^e) with q / 4^e in [1/4, 4); int / int is correctly rounded
-        num, den = scale.coeff.numerator * norm, scale.coeff.denominator
-        e = (num.bit_length() - den.bit_length()) // 2
-        q = num / (den << 2 * e) if e >= 0 else (num << -2 * e) / den
-        roots.append(math.ldexp(math.sqrt(math.pi ** (scale.pi_half / 2) * q), e))
+    scale = _gram_scale(p, n)
+    roots = [_sqrt_pi(scale.coeff.numerator * norm, scale.coeff.denominator, scale.pi_half) for norm in norms]
     # Python ints are correctly rounded too; float64 entries stay in place
     coeffs = coeffs.astype(float, copy=False)
     coeffs /= np.array(roots)[:, None]
     # the basis is cached and shared by every caller
     coeffs.flags.writeable = False
-    exponents = graded_monomials(p, n)[0][-count_homogeneous(p, n) :]
-    return HarmonicBasis(p, n, exponents, coeffs, scale, norms)
+    return HarmonicBasis(p, n, _degree_rows(p, n), coeffs, scale, norms)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

@@ -9,8 +9,7 @@ irrational entries, so rotated polynomials are always FloatPolynomials.
 
 :func:`evaluate_monomials` evaluates float coefficients over a monomial
 list, a polynomial's terms; the harmonic members have their own evaluator,
-`harmonic.harmonic_chunks`.  :func:`graded_monomials` lists every monomial
-up to a degree, for the exact sphere moments of polynomial data.
+`harmonic.harmonic_chunks`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +29,6 @@ __all__ = [
     "count_harmonic",
     "count_homogeneous",
     "evaluate_monomials",
-    "graded_monomials",
     "monomial_table",
     "random_orthogonal",
 ]
@@ -146,18 +143,11 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
 
 
 def _degree_rows(d: int, m: int) -> np.ndarray:
-    """Degree-m exponents in d variables, ascending lex: gaps between d - 1 bars in m + d - 1 places."""
+    """Degree-m exponents in d variables, ascending lex, read-only: gaps between d - 1 bars in m + d - 1 places."""
     bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
-    return np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
-
-
-@lru_cache(maxsize=32)
-def graded_monomials(p: int, n_max: int):
-    """Every monomial of degree <= n_max in p variables as (exponents, offsets): `exponents` is (K, p)
-    and read-only, and degree n owns rows offsets[n]:offsets[n + 1], in ascending lex order."""
-    exponents = np.concatenate([_degree_rows(p, n) for n in range(n_max + 1)])
-    exponents.flags.writeable = False
-    return exponents, tuple(math.comb(p + n - 1, p) for n in range(n_max + 2))
+    rows = np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
+    rows.flags.writeable = False
+    return rows
 
 
 def _validated_terms(nvars, terms, coerce):

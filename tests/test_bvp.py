@@ -387,17 +387,87 @@ def test_projection_norm_bound_violation_is_an_input_error():
 
 
 def test_norm_bound_message_states_what_it_measured():
-    # polynomial data builds no rule: at n_max = 100 the members' power-basis rows
-    # (entries near 5.7e28) lose their digits to cancellation
+    # degree-60 harmonics on a degree-40 rule: the rule's coefficients break Bessel's inequality
     with pytest.raises(ValueError, match="norm bound") as info:
-        project_boundary(builtin_boundary(2, "coordinate"), 100)
+        project_boundary(builtin_boundary(2, "exponential"), 60, quad_degree=40)
     message = str(info.value)
     found = re.search(r"coeff_sq_sum (\S+) > f_norm_sq (\S+);", message)
     assert found, message
     coeff_sq_sum, f_norm_sq = map(float, found.groups())
-    # |x_1|^2 on S^1 is pi
-    assert coeff_sq_sum > f_norm_sq + 1e-8 and f_norm_sq == pytest.approx(math.pi, rel=1e-14)
-    assert "cancellation" in message and "quadrature" not in message
+    # exp(2 x_1) on S^1 integrates to 2 pi I_0(2), I_0(2) = sum_k 1 / k!^2
+    assert coeff_sq_sum > f_norm_sq + 1e-8
+    assert f_norm_sq == pytest.approx(2 * math.pi * sum(1 / math.factorial(k) ** 2 for k in range(30)), rel=1e-14)
+    assert "degree-40 quadrature" in message and "cancellation" not in message
+
+
+# pi to 60 digits, so that the exact side of a squared coefficient is good to far below one rounding
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _sphere_mean(alpha):
+    """The mean of x^alpha over S^{p-1}: prod (alpha_i - 1)!! / (p (p + 2) .. (p + |alpha| - 2)) when every
+    alpha_i is even, else 0."""
+    if any(a % 2 for a in alpha):
+        return Fraction(0)
+    num = math.prod(math.prod(range(a - 1, 0, -2)) for a in alpha)
+    return Fraction(num, math.prod(range(len(alpha), len(alpha) + sum(alpha), 2)))
+
+
+def _solid_angle(p):
+    """Omega_p = 2 pi^(p/2) / Gamma(p/2), exact up to PI."""
+    m = p // 2
+    rational = Fraction(2, math.factorial(m - 1)) if p % 2 == 0 else Fraction(2 * 4**m * math.factorial(m),
+                                                                              math.factorial(2 * m))
+    return rational * PI**m
+
+
+def _inner(f, g):
+    """The mean of f g over the sphere, exact."""
+    return sum(cf * cg * _sphere_mean(tuple(a + b for a, b in zip(af, ag)))
+               for af, cf in f.terms.items() for ag, cg in g.terms.items())
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_polynomial_coefficients_are_exact_until_one_rounding(p):
+    # terms of degrees 0..4 of both parities: f|_S lies in the harmonics of degree <= 4
+    x1, x2, xp = (ExactPolynomial.variable(p, i) for i in (0, 1, p - 1))
+    poly = (-Fraction(5, 7) * x1 + Fraction(1, 3) + Fraction(3, 2) * x1 * xp + 2 * x2 * x2 * xp
+            - Fraction(1, 9) * x1 * x1 * xp * xp + Fraction(5, 11) * x2**4)
+    assert poly.degree() == 4 and len(poly.terms) == 6
+    sol = project_boundary(BoundaryData.from_polynomial(poly), 7)
+    for n, row in enumerate(sol.coeffs):
+        if n > 4:
+            assert all(c == 0.0 for c in row), n
+            continue
+        # the oracle's members are positive multiples of the package's, in the same order
+        members = oracles.slice_recursion_basis(p, n)
+        assert len(members) == len(row)
+        for i, (c, m) in enumerate(zip(row, members)):
+            a = _inner(poly, m)
+            if a == 0:
+                assert c == 0.0, (n, i)
+                continue
+            exact = _solid_angle(p) * a * a / _inner(m, m)
+            assert abs(Fraction(c) ** 2 / exact - 1) <= 4.5e-16, (n, i)
+            assert (c > 0) == (a > 0), (n, i)
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 100), (3, 70)])
+def test_coordinate_data_solves_at_high_degree(p, n_max):
+    # the float power-basis rows refused (2, 100) on the norm bound and read 3.1e-7 off degree 1 at (3, 70)
+    sol = project_boundary(builtin_boundary(p, "coordinate"), n_max)
+    assert all(c == 0.0 for n, row in enumerate(sol.coeffs) if n != 1 for c in row)
+    # x_1 is the last degree-1 member, and its coefficient is |x_1|, sqrt(Omega_p / p)
+    *others, c = sol.coeffs[1]
+    assert others == [0.0] * (p - 1)
+    assert abs(c - math.sqrt(solid_angle(p) / p)) <= math.ulp(c)
+
+
+def test_polynomial_solve_builds_no_basis():
+    misses = orthonormalize.cache_info().misses
+    sol = project_boundary(builtin_boundary(3, "coordinate-squared"), 40)
+    assert orthonormalize.cache_info().misses == misses
+    assert all(c == 0.0 for row in sol.coeffs[3:] for c in row)
 
 
 def test_high_degree_callable_solves_match_the_kernel():

@@ -235,6 +235,13 @@ def test_verify_degree_options_set_their_checks_n_range(capsys):
     assert rows["orthogonality"].split(",")[2] == "0..2"
 
 
+def test_verify_bvp_accepts_the_circle(capsys):
+    # the Green's function's closed form needs p >= 3, so at p = 2 the check samples series against kernel alone
+    rows = _verify_rows(["bvp", "--p", "2"], capsys)
+    _, p_range, _, residual, tolerance, passed = rows["bvp"].split(",")
+    assert (p_range, passed) == ("2", "true") and float(residual) <= float(tolerance)
+
+
 def test_verify_recurrence_has_no_dimension(capsys):
     rows = _verify_rows(["recurrence", "--p", "4"], capsys)
     assert rows["recurrence"].split(",")[1:3] == ["1", "0..8"]

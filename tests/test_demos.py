@@ -40,7 +40,7 @@ def _run(demo):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         capture_output=True,
         text=True,
         timeout=120,

@@ -16,7 +16,7 @@ from hyperharm.harmonic import (
     orthonormalize,
 )
 from hyperharm.legendre import dimension_shift, legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, evaluate_monomials, graded_monomials, random_orthogonal
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, _degree_rows, evaluate_monomials, random_orthogonal
 
 
 def test_homogeneous_count_matches_enumeration():
@@ -229,7 +229,7 @@ def test_class_rows_match_the_per_member_closed_form(p, n):
         return [{a: int(c) for a, c in h.terms.items()} for h in harmonic_basis_raw(p - 1, j)]
 
     matrix, norms = harmonic._members(p, n)
-    monos = list(map(tuple, graded_monomials(p, n)[0][-count_homogeneous(p, n) :].tolist()))
+    monos = list(map(tuple, _degree_rows(p, n).tolist()))
     want = list(oracles.closed_form_members(p, n, lower))
     assert matrix.shape == (count_harmonic(p, n), len(monos)) == (len(want), len(monos))
     for row, norm, (terms, want_norm) in zip(harmonic._as(matrix, object).tolist(), norms, want):

@@ -11,9 +11,10 @@ from hyperharm import polyalg
 from hyperharm.polyalg import (
     ExactPolynomial,
     FloatPolynomial,
+    _degree_rows,
     check_orthogonal,
+    count_homogeneous,
     evaluate_monomials,
-    graded_monomials,
     monomial_table,
     random_orthogonal,
 )
@@ -256,13 +257,12 @@ def test_monomial_table_matches_powers():
 
 @pytest.mark.parametrize("p, n_max", [(1, 5), (2, 7), (3, 4), (5, 3), (6, 0)])
 def test_graded_monomials_list_every_degree_in_lex_order(p, n_max):
-    exponents, offsets = graded_monomials(p, n_max)
-    assert not exponents.flags.writeable
     for n in range(n_max + 1):
-        block = [tuple(a) for a in exponents[offsets[n] : offsets[n + 1]].tolist()]
+        rows = _degree_rows(p, n)
+        assert not rows.flags.writeable
+        assert rows.shape == (count_homogeneous(p, n), p)
         every = sorted(a for a in itertools.product(range(n + 1), repeat=p) if sum(a) == n)
-        assert block == every
-    assert offsets[-1] == len(exponents)
+        assert list(map(tuple, rows.tolist())) == every
 
 
 def test_evaluate_monomials_shapes_and_chunks():
@@ -288,7 +288,7 @@ def test_evaluation_working_set_stays_within_the_chunk_budget():
     # counting only the table let a wide evaluation hold twice CHUNK_ELEMENTS
     rng = np.random.default_rng(12)
     for p, degree in ((5, 4), (3, 12), (2, 40)):
-        exps = graded_monomials(p, degree)[0]
+        exps = np.concatenate([_degree_rows(p, n) for n in range(degree + 1)])
         coeffs = rng.normal(size=len(exps))
         pts = rng.normal(size=(30000, p))
         tracemalloc.start()
