@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import orthopoly
-from .geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
+from .geometry import PiRational, _rule_axes, gamma_half, solid_angle, sphere_quadrature
 from .harmonic import _as, _gram_scale, _members, _sqrt_pi, harmonic_chunks, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
@@ -139,22 +139,33 @@ def _rule_transform(f: BoundaryData, n_max: int, quad_degree: int):
     return sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max), float(weighted @ vals)
 
 
+def _sphere_moments(p: int, alphas) -> dict:
+    """{k: monomial_sphere_integral(alphas[k]).coeff} over the exponents k with no odd entry, the others' being 0:
+    2 prod_i (a_i - 1)!! / (2^(|a|/2) Gamma((|a| + p)/2)), from one double-factorial table and one factor per |a|."""
+    alphas = np.array(alphas, dtype=np.int64).reshape(-1, p)
+    table = np.array([math.prod(range(a - 1, 0, -2)) for a in range(alphas.max(initial=0) + 1)], dtype=object)
+    even = np.flatnonzero((alphas % 2 == 0).all(axis=1)).tolist()
+    degrees = alphas[even].sum(axis=1).tolist()
+    factor = {d: Fraction(2, 2 ** (d // 2)) / gamma_half(d + p).coeff for d in set(degrees)}
+    return {k: x * factor[d] for k, x, d in zip(even, table[alphas[even]].prod(axis=1).tolist(), degrees)}
+
+
 def _exact_transform(poly: ExactPolynomial, n_max: int):
     """The coefficients of polynomial data and its |f|^2 from exact sphere integrals, each rounded once.
 
     Coefficient i of degree n is <f, raw_i> / sqrt(gram_scale N_i), <f, raw_i> summed in integers over
     one denominator.  f|_S is a sum of harmonics of degree <= deg f (P_n = H_n + |x|^2 P_{n-2}), so every
     coefficient above that degree is 0.0 and nothing is formed for it."""
-    p = poly.nvars
+    p, square = poly.nvars, list((poly * poly).terms.items())
     pi_half = _gram_scale(p, 0).pi_half  # every nonzero sphere integral's
-    f_norm_sq = sum(c * monomial_sphere_integral(a).coeff for a, c in (poly * poly).terms.items())
+    f_norm_sq = sum(m * square[k][1] for k, m in _sphere_moments(p, [a for a, _ in square]).items())
     flat, top = np.zeros(sum(count_harmonic(p, n) for n in range(n_max + 1))), 0
     for n in range(min(n_max, poly.degree()) + 1):
         (matrix, norms), rows, scale = _members(p, n), _degree_rows(p, n), _gram_scale(p, n).coeff
-        moments = {}  # k: the integral of f x^rows[k] over pi's power; x^gamma's is 0 unless gamma is even
+        moments = {}  # k: the integral of f x^rows[k] over pi's power
         for beta, c in poly.terms.items():
-            for k in np.flatnonzero(((rows + beta) % 2 == 0).all(axis=1)).tolist():
-                moments[k] = moments.get(k, 0) + c * monomial_sphere_integral(rows[k] + beta).coeff
+            for k, m in _sphere_moments(p, rows + beta).items():
+                moments[k] = moments.get(k, 0) + c * m
         den = math.lcm(*(m.denominator for m in moments.values()))
         ints = np.array([m.numerator * (den // m.denominator) for m in moments.values()], dtype=object)
         dots = (_as(matrix[:, list(moments)], object) @ ints).tolist()

@@ -10,7 +10,8 @@ sum_alpha alpha! f_alpha g_alpha, which for harmonic f, g of degree n is the sph
 over one pi-power scale (Axler, Bourdon & Ramey, GTM 137, ch. 5), and a member's Fischer norm is
 its h's times one integer per (p, n, j).  So the exact Gram matrix is that scale times a diagonal
 of integers, which a basis keeps as ``gram_scale`` and ``gram_blocks`` and nowhere else, and
-orthonormalizing divides each member by the square root of its entry.
+orthonormalizing divides each member by the square root of its entry.  `orthonormalize` forms only
+that Gram, from the integers alone; ``exponents`` and ``coeffs`` are built at their first access.
 
 Floats do not use ``coeffs``: member (j, h) is h(x') r^(n-j) Q_{n-j}(x_p / r), Q_k orthonormal for
 (1 - t^2)^((p-3)/2+j), so `harmonic_chunks` runs Q's recurrence in (x_p, |x|^2) a dimension at a time from
@@ -79,19 +80,13 @@ def _ladder(d: int, j: int, s: int):
     return rung, norms
 
 
-def _members(p: int, n: int):
-    """The degree-n members in p variables: one integer matrix over the degree-n monomials, and Fischer norms.
-    A matrix past RULE_BYTES_LIMIT, at 8 bytes an entry, is refused before any work.
-
-    At p = 1 they are 1 and x_1.  Member (j, h)'s profile is c_t = (-1)^t j0!/(j0+2t)! times the factor
-    prod_{K-t < i <= K} 2i(2i+2j+p-3) of Lap'^t(|x'|^2K h), as coprime integers; its norm is sum_t c_t^2
-    (j0+2t)! times its rung's."""
-    if p == 1:
-        return np.ones((int(n < 2), 1)), (1,) * (n < 2)
-    if 8 * count_harmonic(p, n) * count_homogeneous(p, n) > RULE_BYTES_LIMIT:
-        raise ValueError(f"a degree-{n} basis in {p} variables needs more than {RULE_BYTES_LIMIT >> 20} MiB at "
-                         "8 bytes per coefficient, a floor: coefficients kept as Python ints take more")
-    blocks, norms, fact = [], [], [math.factorial(k) for k in range(n + 1)]
+@lru_cache(maxsize=64)
+def _slices(p: int, n: int) -> tuple:
+    """Per j with degree-n members in p > 1 variables: j, j0 = (n-j) mod 2, member (j, h)'s profile c_t, t <= K =
+    (n-j-j0)/2, as coprime integers, and its norm over h's.  c_t is (-1)^t j0!/(j0+2t)! times the factor R_K/R_(K-t)
+    of Lap'^t(|x'|^2K h), R_s = prod_{i<=s} 2i(2i+2j+p-3) the norm of |x'|^2s h over h's (`_ladder`), so c_t
+    (j0+2t)! R_(K-t) is +-(n-j)! c_K and the norm, sum_t c_t^2 (j0+2t)! R_(K-t), is (n-j)! |c_K| sum_t |c_t|."""
+    fact, out = [math.factorial(k) for k in range(n + 1)], []
     for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
         j0, half = (n - j) % 2, (n - j) // 2
         ints, factor = [], 1
@@ -99,22 +94,40 @@ def _members(p: int, n: int):
             ints.append((-1) ** t * fact[j0 + 2 * half] // fact[j0 + 2 * t] * factor)
             factor *= 2 * (half - t) * (2 * (half - t) + 2 * j + p - 3)
         divisor = math.gcd(*ints)
-        ints = [c // divisor for c in ints]
-        # in ascending s, so that each rung finds the one below it cached and the recursion stays shallow
-        rungs = [_ladder(p - 1, j, s) for s in range(half + 1)][::-1]
-        weights = [c * c * fact[j0 + 2 * t] for t, c in enumerate(ints)]
-        norms += [sum(w * v for w, v in zip(weights, column)) for column in zip(*(rung[1] for rung in rungs))]
-        blocks.append((j0, ints, rungs))
-    dtype = _dtype(p - 1, norms)
+        ints = tuple(c // divisor for c in ints)
+        out.append((j, j0, ints, fact[n - j] * abs(ints[-1]) * sum(map(abs, ints))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _norms(p: int, n: int) -> tuple:
+    """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j.
+    A basis whose matrix passes RULE_BYTES_LIMIT, at 8 bytes an entry, is refused here before any other work."""
+    if p == 1:
+        return (1,) * (n < 2)
+    if 8 * count_harmonic(p, n) * count_homogeneous(p, n) > RULE_BYTES_LIMIT:
+        raise ValueError(f"a degree-{n} basis in {p} variables needs more than {RULE_BYTES_LIMIT >> 20} MiB at "
+                         "8 bytes per coefficient, a floor: coefficients kept as Python ints take more")
+    return tuple(weight * v for j, _, _, weight in _slices(p, n) for v in _norms(p - 1, j))
+
+
+def _members(p: int, n: int):
+    """The degree-n members in p variables: one integer matrix over the degree-n monomials, and `_norms`.
+    At p = 1 they are 1 and x_1; member (j, h) is sum_t c_t x_p^(j0+2t) |x'|^2(K-t) h (`_slices`)."""
+    norms = _norms(p, n)  # refuses an oversized basis first
+    if p == 1:
+        return np.ones((len(norms), 1)), norms
+    dtype, top = _dtype(p - 1, norms), 0
     matrix = np.zeros((len(norms), count_homogeneous(p, n)), dtype)
     # the monomials x^beta x_p^e of one e are in the lex order of beta, as a rung's columns are
     powers = _degree_rows(p, n)[:, -1]
-    top = 0
-    for j0, ints, rungs in blocks:
+    for j, j0, ints, _ in _slices(p, n):
+        # in ascending s, so that each rung finds the one below it cached and the recursion stays shallow
+        rungs = [_ladder(p - 1, j, s) for s in range(len(ints))][::-1]
         for t, (c, (rung, _)) in enumerate(zip(ints, rungs)):
             matrix[top : top + len(rung), powers == j0 + 2 * t] = c * _as(rung, dtype)
         top += len(rungs[0][0])
-    return matrix, tuple(norms)
+    return matrix, norms
 
 
 def _polynomial(cls, p: int, exponents: np.ndarray, row: np.ndarray):
@@ -135,9 +148,9 @@ def harmonic_basis_raw(p: int, n: int) -> tuple:
 class _Members(Sequence):
     """A basis's members as FloatPolynomials, each built from its coefficient row on first access and kept."""
 
-    def __init__(self, p: int, exponents: np.ndarray, coeffs: np.ndarray):
-        self._len = len(coeffs)
-        self._member = lru_cache(maxsize=None)(lambda i: _polynomial(FloatPolynomial, p, exponents, coeffs[i]))
+    def __init__(self, b: HarmonicBasis):
+        self._len = len(b.gram_blocks)
+        self._member = lru_cache(maxsize=None)(lambda i: _polynomial(FloatPolynomial, b.p, b.exponents, b.coeffs[i]))
 
     def __len__(self) -> int:
         return self._len
@@ -151,28 +164,35 @@ class _Members(Sequence):
 class HarmonicBasis:
     """Orthonormal degree-n spherical harmonics with their exact ancestry.
 
-    Member i is sum_k coeffs[i, k] x^exponents[k]: one read-only (N, K)
-    float matrix over all K degree-n monomials in ascending lex order
-    (``polyalg._degree_rows``, read-only), shared by all N members.
-    ``members`` builds member i as a FloatPolynomial on demand, from the
-    nonzeros of its row only; ``len(members)`` builds none.
-    The raw members are orthogonal: their exact Gram matrix is the
-    PiRational ``gram_scale`` times the diagonal ``gram_blocks``, one
-    positive integer per member, its Fischer norm sum_alpha alpha! c_alpha^2;
-    every off-diagonal entry is exactly 0.
+    A basis is made holding only its exact Gram: the raw members are orthogonal, and their Gram matrix is the
+    PiRational ``gram_scale`` times the diagonal ``gram_blocks``, each member's Fischer norm sum_alpha alpha! c_alpha^2.
+    Member i is sum_k coeffs[i, k] x^exponents[k], over all K degree-n monomials in lex order; the read-only (N, K)
+    ``coeffs`` and ``exponents`` are each built at their first access, and a member's first access builds both.
+    ``members`` builds member i as a FloatPolynomial on demand from its row's nonzeros; ``len(members)`` and
+    ``evaluate_members`` build no matrix.
     """
 
     p: int
     n: int
-    exponents: np.ndarray
-    coeffs: np.ndarray
     gram_scale: PiRational
     gram_blocks: tuple
+
+    exponents = cached_property(lambda self: _degree_rows(self.p, self.n))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Raw member i over sqrt(gram_scale N_i), formed without converting the integer N_i to float."""
+        scale = self.gram_scale
+        roots = [_sqrt_pi(scale.coeff.numerator * v, scale.coeff.denominator, scale.pi_half) for v in self.gram_blocks]
+        coeffs = _members(self.p, self.n)[0].astype(float, copy=False)  # Python ints are correctly rounded too
+        coeffs /= np.array(roots)[:, None]
+        coeffs.flags.writeable = False  # the basis is cached and shared by every caller
+        return coeffs
 
     @cached_property
     def members(self) -> Sequence:
         """The members as FloatPolynomials, each built on first access (see above)."""
-        return _Members(self.p, self.exponents, self.coeffs)
+        return _Members(self)
 
     def evaluate_members(self, points) -> np.ndarray:
         """Member values at (m, p) points (or one (p,) point) as an (m, N) array, by `harmonic_chunks`."""
@@ -279,18 +299,11 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 
     Member i is raw member i over the square root of its exact Gram entry
-    gram_scale N_i, formed without converting the integer N_i to float.
+    gram_scale N_i.  Only that Gram is formed here (`_norms`, no matrix).
     """
     count_harmonic(p, n)  # validates p and n
-    coeffs, norms = _members(p, n)
-    scale = _gram_scale(p, n)
-    roots = [_sqrt_pi(scale.coeff.numerator * norm, scale.coeff.denominator, scale.pi_half) for norm in norms]
-    # Python ints are correctly rounded too; float64 entries stay in place
-    coeffs = coeffs.astype(float, copy=False)
-    coeffs /= np.array(roots)[:, None]
-    # the basis is cached and shared by every caller
-    coeffs.flags.writeable = False
-    return HarmonicBasis(p, n, _degree_rows(p, n), coeffs, scale, norms)
+    norms = _norms(p, n)  # refuses an oversized basis before any other work
+    return HarmonicBasis(p, n, _gram_scale(p, n), norms)
 
 
 def legendre_harmonic(p: int, n: int) -> ExactPolynomial:

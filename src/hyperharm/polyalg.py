@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -142,8 +143,9 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
 def _degree_rows(d: int, m: int) -> np.ndarray:
-    """Degree-m exponents in d variables, ascending lex, read-only: gaps between d - 1 bars in m + d - 1 places."""
+    """Degree-m exponents in d variables in ascending lex, cached read-only: gaps of d - 1 bars in m + d - 1 places."""
     bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)
     rows = np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1
     rows.flags.writeable = False

@@ -19,7 +19,7 @@ from hyperharm.bvp import (
 from hyperharm.geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import harmonic_chunks, legendre_harmonic, orthonormalize, sphere_transform
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, evaluate_monomials
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, evaluate_monomials
 
 
 def _monomial(p, alpha, coeff=1):
@@ -626,3 +626,16 @@ def test_series_batch_beyond_one_chunk_matches_single_points():
     assert np.max(np.abs(batch - single)) <= 1e-14
     # at the centre only the constant term survives
     assert series_eval(sol, np.zeros(4)) == sol.coeffs[0][0] * orthonormalize(4, 0).evaluate_members(np.zeros(4))[0, 0]
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_sphere_moments_are_the_exact_monomial_integrals(p):
+    # the table-and-factor moments of the exact transform, entry by entry against geometry's integral
+    for n in range(7):
+        rows = _degree_rows(p, n)
+        for beta in [(0,) * p, (1,) + (0,) * (p - 1), (2,) * p, tuple(range(p)), (3,) + (1,) * (p - 1)]:
+            moments = bvp._sphere_moments(p, rows + beta)
+            for k, alpha in enumerate((rows + beta).tolist()):
+                want = monomial_sphere_integral(alpha).coeff
+                assert moments.get(k, 0) == want and (k in moments) == (want != 0), (p, n, alpha)
+    assert bvp._sphere_moments(p, []) == {}

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -97,8 +98,10 @@ def test_members_are_the_gelfand_tsetlin_harmonics(p):
 
 def _assert_gram_is_the_stored_diagonal(p, n):
     """The full sphere Gram of the raw members, summed monomial by monomial in Python
-    integers by the oracle, is diag(gram_blocks): positive integers, exactly 0 off it."""
-    norms = orthonormalize(p, n).gram_blocks
+    integers by the oracle, is diag(gram_blocks): positive integers, exactly 0 off it.  The
+    diagonal is `_norms`', from no matrix."""
+    norms = harmonic._norms(p, n)
+    assert orthonormalize(p, n).gram_blocks == norms
     assert len(norms) == count_harmonic(p, n) and all(type(v) is int and v > 0 for v in norms)
     blocks = list(oracles.object_gram_blocks(p, n, harmonic_basis_raw(p, n)))
     assert sorted(i for indices, _ in blocks for i in indices) == list(range(len(norms)))
@@ -191,6 +194,46 @@ def test_members_are_built_on_demand_from_their_rows(monkeypatch, p, n):
     assert [member.terms for member in harmonic_basis_raw(p, n)] == want
 
 
+NORM_CASES = [(p, n) for p in range(2, 6) for n in range(13)] + [(p, n) for p in (6, 7) for n in range(9)]
+
+
+def test_norms_are_the_fischer_norms_of_the_integer_members():
+    # sum_alpha alpha! c_alpha^2 over each row of the integer matrix, which `_norms` never builds
+    for p, n in NORM_CASES:
+        matrix, alphas = harmonic._as(harmonic._members(p, n)[0], object), _degree_rows(p, n).tolist()
+        want = [0] * count_harmonic(p, n)
+        for i, k in zip(*np.nonzero(matrix)):
+            want[i] += matrix[i, k] ** 2 * math.prod(map(math.factorial, alphas[k]))
+        assert harmonic._norms(p, n) == tuple(want) == orthonormalize(p, n).gram_blocks, (p, n)
+
+
+@pytest.mark.parametrize("first", ["coeffs", "member"])
+def test_orthonormalize_builds_the_gram_alone(monkeypatch, first):
+    p, n = 6, 7
+
+    def no_build(*args):
+        raise AssertionError("a coefficient matrix was built")
+
+    monkeypatch.setattr(harmonic, "_ladder", no_build)
+    monkeypatch.setattr(harmonic, "_members", no_build)
+    basis = orthonormalize.__wrapped__(p, n)  # a fresh basis
+    assert len(basis.members) == count_harmonic(p, n) == len(basis.gram_blocks)
+    assert basis.gram_scale == orthonormalize(p, n).gram_scale
+    xi = np.eye(p)[0]
+    assert basis.evaluate_members(xi).shape == (1, count_harmonic(p, n))
+    assert abs(addition_theorem_eval(basis, xi, xi) - legendre_eval(p, n, 1.0)) <= 1e-10
+    monkeypatch.undo()
+    built, members = [], harmonic._members
+    monkeypatch.setattr(harmonic, "_members", lambda *args: built.append(args) or members(*args))
+    if first == "member":
+        basis.members[3]
+        assert built.count((p, n)) == 1
+    coeffs = basis.coeffs
+    assert basis.coeffs is coeffs and basis.members[3] is basis.members[3] and built.count((p, n)) == 1
+    assert not coeffs.flags.writeable and coeffs.tobytes() == orthonormalize(p, n).coeffs.tobytes()
+    assert basis.exponents is _degree_rows(p, n)
+
+
 def test_orthonormalize_is_cached():
     assert orthonormalize(3, 4) is orthonormalize(3, 4)
     assert harmonic_basis_raw(4, 3) is harmonic_basis_raw(4, 3)
@@ -200,6 +243,11 @@ def test_basis_caches_are_bounded():
     for cached in (orthonormalize, harmonic_basis_raw):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 100
+    # the exponent rows, the profiles, the norms and the ladder rungs that bases are built from
+    for cached in (_degree_rows, harmonic._slices, harmonic._norms, harmonic._ladder):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096
+    assert _degree_rows(5, 4) is _degree_rows(5, 4) and not _degree_rows(5, 4).flags.writeable
     # a p=4 session up to degree 6 keeps all seven of its bases
     first = [orthonormalize(4, n) for n in range(7)]
     assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
