@@ -46,8 +46,9 @@ DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of member
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
 KERNEL_CHUNK_NODES = 1 << 16
-# a bound on n_max alone: no route builds the C(n_max + p, p) monomials of
-# degree <= n_max that it counts (p = 4, n_max = 30 has 46,376)
+# a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
+# (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables: at p = 2 the circle table is
+# 2 n_max + 1 members by the phi nodes, 891 x 894 at the largest n_max and the default degree
 MONOMIAL_BUDGET = 100_000
 
 
@@ -231,7 +232,7 @@ def series_eval(sol: BvpSolution, x):
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != sol.p:
         raise ValueError("point dimension does not match the solution")
-    if np.any(np.sqrt((pts * pts).sum(axis=1)) > 1 + 1e-12):  # the 2-norm, as np.linalg.norm forms it
+    if not np.all(np.sqrt((pts * pts).sum(axis=1)) <= 1 + 1e-12):  # the 2-norm, as np.linalg.norm forms it; NaN fails
         raise ValueError("series solution is defined on the closed unit ball")
     total = np.empty(pts.shape[0])
     for rows, values in harmonic_chunks(pts, sol.p, sol.n_max):
@@ -247,10 +248,10 @@ def green_function(p: int, x, x0) -> float:
     x0 = np.asarray(x0, dtype=float)
     if x.shape != (p,) or x0.shape != (p,):
         raise ValueError("points must have dimension p")
-    if np.linalg.norm(x) > 1 + 1e-12:
+    if not np.linalg.norm(x) <= 1 + 1e-12:  # NaN fails, here and for x0
         raise ValueError("x must lie in the closed unit ball")
     r0 = float(np.linalg.norm(x0))
-    if r0 >= 1:
+    if not r0 < 1:
         raise ValueError("x0 must lie in the open unit ball")
     rho = float(np.linalg.norm(x - x0))
     if rho == 0.0:

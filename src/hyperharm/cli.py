@@ -59,14 +59,11 @@ def _csv(header, rows, meta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
+def _fraction_str(value) -> str:
+    """`json.dumps`' hook: a Fraction is written as its str, and anything else it cannot write raises."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, text: str) -> None:
@@ -79,7 +76,7 @@ def _emit(args, text: str) -> None:
 
 def _render(args, doc, header, rows, meta=None) -> None:
     if args.format == "json":
-        text = json.dumps(_jsonable(doc), indent=2) + "\n"
+        text = json.dumps(doc, indent=2, default=_fraction_str) + "\n"
     else:
         text = _csv(header, rows, meta)
     _emit(args, text)

@@ -11,7 +11,7 @@ over one pi-power scale (Axler, Bourdon & Ramey, GTM 137, ch. 5), and a member's
 its h's times one integer per (p, n, j).  So the exact Gram matrix is that scale times a diagonal
 of integers, which a basis keeps as ``gram_scale`` and ``gram_blocks`` and nowhere else, and
 orthonormalizing divides each member by the square root of its entry.  `orthonormalize` forms only
-that Gram, from the integers alone; ``exponents`` and ``coeffs`` are built at their first access.
+that Gram, from the integers alone; ``coeffs`` is built at its first access and kept by the basis.
 
 Floats do not use ``coeffs``: member (j, h) is h(x') r^(n-j) Q_{n-j}(x_p / r), Q_k orthonormal for
 (1 - t^2)^((p-3)/2+j), so `harmonic_chunks` runs Q's recurrence in (x_p, |x|^2) a dimension at a time from
@@ -61,7 +61,7 @@ def _as(matrix: np.ndarray, dtype) -> np.ndarray:
     return matrix.astype(np.int64).astype(object) if dtype is object and matrix.dtype != object else matrix
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # rung s is read by rung s + 1 and by `_members(d + 1, n)` for every n >= j + 2s
 def _ladder(d: int, j: int, s: int):
     """|x|^2s times the degree-j members in d variables: matrix over the degree-(j + 2s) monomials, norms.
 
@@ -80,7 +80,6 @@ def _ladder(d: int, j: int, s: int):
     return rung, norms
 
 
-@lru_cache(maxsize=64)
 def _slices(p: int, n: int) -> tuple:
     """Per j with degree-n members in p > 1 variables: j, j0 = (n-j) mod 2, member (j, h)'s profile c_t, t <= K =
     (n-j-j0)/2, as coprime integers, and its norm over h's.  c_t is (-1)^t j0!/(j0+2t)! times the factor R_K/R_(K-t)
@@ -99,7 +98,7 @@ def _slices(p: int, n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # (p - 1, j) is read by every degree n >= j, and (p, n) again by `_members`
 def _norms(p: int, n: int) -> tuple:
     """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j.
     A basis whose matrix passes RULE_BYTES_LIMIT, at 8 bytes an entry, is refused here before any other work."""
@@ -136,7 +135,6 @@ def _polynomial(cls, p: int, exponents: np.ndarray, row: np.ndarray):
     return cls(p, dict(zip(map(tuple, exponents[support].tolist()), row[support].tolist())))
 
 
-@lru_cache(maxsize=32)
 def harmonic_basis_raw(p: int, n: int) -> tuple:
     """The degree-n members as integer ExactPolynomials, in basis order (see the module docstring)."""
     count_harmonic(p, n)  # validates p and n
@@ -166,8 +164,8 @@ class HarmonicBasis:
 
     A basis is made holding only its exact Gram: the raw members are orthogonal, and their Gram matrix is the
     PiRational ``gram_scale`` times the diagonal ``gram_blocks``, each member's Fischer norm sum_alpha alpha! c_alpha^2.
-    Member i is sum_k coeffs[i, k] x^exponents[k], over all K degree-n monomials in lex order; the read-only (N, K)
-    ``coeffs`` and ``exponents`` are each built at their first access, and a member's first access builds both.
+    Member i is sum_k coeffs[i, k] x^exponents[k], over all K degree-n monomials in lex order (`_degree_rows`); the
+    read-only (N, K) ``coeffs`` is built at its first access, a member's first access included, and kept.
     ``members`` builds member i as a FloatPolynomial on demand from its row's nonzeros; ``len(members)`` and
     ``evaluate_members`` build no matrix.
     """
@@ -177,7 +175,7 @@ class HarmonicBasis:
     gram_scale: PiRational
     gram_blocks: tuple
 
-    exponents = cached_property(lambda self: _degree_rows(self.p, self.n))
+    exponents = property(lambda self: _degree_rows(self.p, self.n))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -186,7 +184,7 @@ class HarmonicBasis:
         roots = [_sqrt_pi(scale.coeff.numerator * v, scale.coeff.denominator, scale.pi_half) for v in self.gram_blocks]
         coeffs = _members(self.p, self.n)[0].astype(float, copy=False)  # Python ints are correctly rounded too
         coeffs /= np.array(roots)[:, None]
-        coeffs.flags.writeable = False  # the basis is cached and shared by every caller
+        coeffs.flags.writeable = False  # shared by every member and reader of the basis
         return coeffs
 
     @cached_property
@@ -217,7 +215,7 @@ def _profiles(x: np.ndarray, r2, steps: np.ndarray, x1) -> np.ndarray:
     return table[1:]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # read again by every `harmonic_chunks` call and by both rules of a callable projection
 def _plan(p: int, n_max: int, n_min: int):
     """Per (k, j, level q - 2, 1), -4 beta_k and G_k's scale: with P_k monic for (1 - t^2)^((q-3)/2+j),
     F_k = 2^k r^k P_k(x_q / r) obeys F_{k+1} = 2 x_q F_k - 4 beta_k |x|^2 F_{k-1} (bounded like Chebyshev's
@@ -294,7 +292,6 @@ def _sqrt_pi(num: int, den: int, pi_half: int) -> float:
     return math.ldexp(math.sqrt(math.pi ** (pi_half / 2) * q), e)
 
 
-@lru_cache(maxsize=32)
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 
@@ -335,7 +332,7 @@ def addition_theorem_eval(basis: HarmonicBasis, xi, eta) -> float:
     for v in (xi, eta):
         if v.shape != (basis.p,):
             raise ValueError("points must have the basis dimension")
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_SPHERE_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_SPHERE_TOL:  # NaN fails
             raise ValueError("points must lie on the unit sphere")
     vals = basis.evaluate_members(np.vstack([xi, eta]))
     scale = solid_angle(basis.p) / count_harmonic(basis.p, basis.n)

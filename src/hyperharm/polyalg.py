@@ -143,7 +143,7 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # every `_ladder` rung, `_members` and `HarmonicBasis.exponents` read it
 def _degree_rows(d: int, m: int) -> np.ndarray:
     """Degree-m exponents in d variables in ascending lex, cached read-only: gaps of d - 1 bars in m + d - 1 places."""
     bars = np.array(list(combinations(range(m + d - 1), d - 1)), dtype=np.int64)

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -170,7 +172,7 @@ def test_members_are_built_on_demand_from_their_rows(monkeypatch, p, n):
             super().__init__(*args)
 
     monkeypatch.setattr(harmonic, "FloatPolynomial", Counting)
-    basis = orthonormalize.__wrapped__(p, n)  # a fresh basis, none of its members built
+    basis = orthonormalize(p, n)  # a fresh basis, none of its members built
     members = basis.members
     assert len(members) == count_harmonic(p, n) and not built
     want = oracles.dense_row_terms(basis.exponents, basis.coeffs)
@@ -216,7 +218,7 @@ def test_orthonormalize_builds_the_gram_alone(monkeypatch, first):
 
     monkeypatch.setattr(harmonic, "_ladder", no_build)
     monkeypatch.setattr(harmonic, "_members", no_build)
-    basis = orthonormalize.__wrapped__(p, n)  # a fresh basis
+    basis = orthonormalize(p, n)  # a fresh basis
     assert len(basis.members) == count_harmonic(p, n) == len(basis.gram_blocks)
     assert basis.gram_scale == orthonormalize(p, n).gram_scale
     xi = np.eye(p)[0]
@@ -234,23 +236,23 @@ def test_orthonormalize_builds_the_gram_alone(monkeypatch, first):
     assert basis.exponents is _degree_rows(p, n)
 
 
-def test_orthonormalize_is_cached():
-    assert orthonormalize(3, 4) is orthonormalize(3, 4)
-    assert harmonic_basis_raw(4, 3) is harmonic_basis_raw(4, 3)
-
-
 def test_basis_caches_are_bounded():
-    for cached in (orthonormalize, harmonic_basis_raw):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 100
-    # the exponent rows, the profiles, the norms and the ladder rungs that bases are built from
-    for cached in (_degree_rows, harmonic._slices, harmonic._norms, harmonic._ladder):
+    # the exponent rows, the norms, the ladder rungs and the recurrence plans that bases are built and evaluated from
+    for cached in (_degree_rows, harmonic._norms, harmonic._ladder, harmonic._plan):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 4096
     assert _degree_rows(5, 4) is _degree_rows(5, 4) and not _degree_rows(5, 4).flags.writeable
-    # a p=4 session up to degree 6 keeps all seven of its bases
-    first = [orthonormalize(4, n) for n in range(7)]
-    assert all(orthonormalize(4, n) is basis for n, basis in enumerate(first))
+
+
+def test_a_dropped_basis_is_freed():
+    basis = orthonormalize(5, 6)
+    basis.members[0]  # builds the coefficients too
+    refs = weakref.ref(basis), weakref.ref(basis.coeffs)
+    del basis
+    gc.collect()  # the members and the basis refer to each other
+    assert [ref() for ref in refs] == [None, None]
+    raw = harmonic_basis_raw(5, 6)
+    assert raw == harmonic_basis_raw(5, 6) and raw is not harmonic_basis_raw(5, 6)
 
 
 # each id keeps its case's size label: how many 26-bit primes the Gram took
@@ -401,6 +403,10 @@ def test_addition_theorem_rejects_off_sphere_points():
     basis = orthonormalize(3, 2)
     with pytest.raises(ValueError):
         addition_theorem_eval(basis, np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    e = np.array([1.0, 0.0, 0.0])
+    for xi, eta in ((np.array([np.nan, 0.0, 0.0]), e), (e, np.full(3, np.nan))):
+        with pytest.raises(ValueError, match="on the unit sphere"):
+            addition_theorem_eval(basis, xi, eta)
 
 
 def _raw_rows(raw, basis):
