@@ -3,13 +3,14 @@
 Two independent solution routes are implemented.  The spherical-harmonic
 series (`project_boundary`, `series_eval`) sums the orthonormal members,
 evaluated by their own recurrence, with coefficients from exact sphere
-integrals of polynomial data against the integer members, up to its degree
-only, or from the semi-naive transform of callable data on a product rule.  The kernel
-integral is zonal about x0 / |x0|, so it runs on a per-point rule aligned
-with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|> times a rule on
-S^{p-2} (`poisson_eval`).  The kernel route uses no harmonic basis or
-monomial table, so the two routes share no machinery beyond quadrature
-building blocks and their agreement is a meaningful end-to-end check.
+integrals of polynomial data against the members, by a recursion in the
+dimension with no member matrix, or from the semi-naive transform of callable
+data on a product rule.  The kernel integral is zonal about x0 / |x0|, so it
+runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in
+t = <xi, x0 / |x0|> times a rule on S^{p-2}, the data evaluated once per batch
+of points (`poisson_eval`).  The kernel route uses no harmonic basis, so the
+routes share no machinery beyond quadrature building blocks and their
+agreement is a meaningful end-to-end check.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import orthopoly
-from .geometry import PiRational, _rule_axes, gamma_half, solid_angle, sphere_quadrature
-from .harmonic import _as, _gram_scale, _members, _sqrt_pi, harmonic_chunks, sphere_transform
+from .geometry import PiRational, _rule_axes, solid_angle, sphere_quadrature
+from .harmonic import _gram_scale, _member_integrals, _norms, _sqrt_pi, harmonic_chunks, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial, FloatPolynomial, _degree_rows, count_harmonic
+from .polyalg import ExactPolynomial, FloatPolynomial, count_harmonic
 
 __all__ = [
     "BoundaryData",
@@ -40,12 +41,13 @@ __all__ = [
 ]
 
 DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of members integrate exactly
-# kernel rule: error target relative to the kernel's peak, a cap on the t
-# nodes (one Gauss rule of 2048 nodes takes ~1.6 s), and the boundary points
-# per data call, which bounds memory for callable data on fine slice rules
+# kernel rule: error target relative to the kernel's peak, a cap on the t nodes (one Gauss rule of 2048
+# nodes takes ~1.6 s), the boundary points per data call, which bounds its memory, and per block of t rows
+# whose ring sums are one matrix-vector product (`poisson_eval`)
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
-KERNEL_CHUNK_NODES = 1 << 16
+KERNEL_CHUNK_NODES = 1 << 13
+KERNEL_SUM_NODES = 1 << 16
 # a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
 # (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables: at p = 2 the circle table is
 # 2 n_max + 1 members by the phi nodes, 891 x 894 at the largest n_max and the default degree
@@ -140,38 +142,22 @@ def _rule_transform(f: BoundaryData, n_max: int, quad_degree: int):
     return sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max), float(weighted @ vals)
 
 
-def _sphere_moments(p: int, alphas) -> dict:
-    """{k: monomial_sphere_integral(alphas[k]).coeff} over the exponents k with no odd entry, the others' being 0:
-    2 prod_i (a_i - 1)!! / (2^(|a|/2) Gamma((|a| + p)/2)), from one double-factorial table and one factor per |a|."""
-    alphas = np.array(alphas, dtype=np.int64).reshape(-1, p)
-    table = np.array([math.prod(range(a - 1, 0, -2)) for a in range(alphas.max(initial=0) + 1)], dtype=object)
-    even = np.flatnonzero((alphas % 2 == 0).all(axis=1)).tolist()
-    degrees = alphas[even].sum(axis=1).tolist()
-    factor = {d: Fraction(2, 2 ** (d // 2)) / gamma_half(d + p).coeff for d in set(degrees)}
-    return {k: x * factor[d] for k, x, d in zip(even, table[alphas[even]].prod(axis=1).tolist(), degrees)}
-
-
 def _exact_transform(poly: ExactPolynomial, n_max: int):
     """The coefficients of polynomial data and its |f|^2 from exact sphere integrals, each rounded once.
 
-    Coefficient i of degree n is <f, raw_i> / sqrt(gram_scale N_i), <f, raw_i> summed in integers over
-    one denominator.  f|_S is a sum of harmonics of degree <= deg f (P_n = H_n + |x|^2 P_{n-2}), so every
-    coefficient above that degree is 0.0 and nothing is formed for it."""
-    p, square = poly.nvars, list((poly * poly).terms.items())
+    Coefficient i of degree n is <f, raw_i> / sqrt(gram_scale N_i), <f, raw_i> summed over f's terms from
+    `harmonic._member_integrals` (|f|^2 over f^2's, at degree 0).  f|_S is a sum of harmonics of degree <= deg f
+    (P_n = H_n + |x|^2 P_{n-2}), so every coefficient above that degree is 0.0 and nothing is formed for it."""
+    p, memo = poly.nvars, {}
     pi_half = _gram_scale(p, 0).pi_half  # every nonzero sphere integral's
-    f_norm_sq = sum(m * square[k][1] for k, m in _sphere_moments(p, [a for a, _ in square]).items())
+    f_norm_sq = sum(c * _member_integrals(p, 0, beta, memo)[0] for beta, c in (poly * poly).terms.items())
     flat, top = np.zeros(sum(count_harmonic(p, n) for n in range(n_max + 1))), 0
     for n in range(min(n_max, poly.degree()) + 1):
-        (matrix, norms), rows, scale = _members(p, n), _degree_rows(p, n), _gram_scale(p, n).coeff
-        moments = {}  # k: the integral of f x^rows[k] over pi's power
-        for beta, c in poly.terms.items():
-            for k, m in _sphere_moments(p, rows + beta).items():
-                moments[k] = moments.get(k, 0) + c * m
-        den = math.lcm(*(m.denominator for m in moments.values()))
-        ints = np.array([m.numerator * (den // m.denominator) for m in moments.values()], dtype=object)
-        dots = (_as(matrix[:, list(moments)], object) @ ints).tolist()
-        for a, v in zip(dots, norms):
-            root = _sqrt_pi(a * a * scale.denominator, den * den * scale.numerator * v, pi_half)
+        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # `_norms` refuses an oversized basis first
+        columns = [(c, _member_integrals(p, n, beta, memo)) for beta, c in poly.terms.items()]
+        for i, v in enumerate(norms):
+            a = sum(c * m[i] for c, m in columns if m[i])
+            root = _sqrt_pi(a.numerator**2 * scale.denominator, a.denominator**2 * scale.numerator * v, pi_half)
             flat[top] = -root if a < 0 else root
             top += 1
     return flat, float(PiRational(f_norm_sq, pi_half))
@@ -272,22 +258,24 @@ def _slice_rule(p: int, degree: int):
     return rule.nodes, rule.weights
 
 
-def _t_rule(p: int, r: float, degree: int):
+def _t_rule(p: int, r: float, degree: int, weight: orthopoly.Weight | None = None):
     """Gauss-Gegenbauer rule in t = <xi, u> for the kernel about a point at radius r.
 
     The kernel's pole t* = (1 + r^2) / (2r) sets the Bernstein ellipse 1/r,
     so m nodes leave an error of order r^(2m).  m brings it under KERNEL_TOL
     times the kernel's peak (1 + r) / (1 - r)^(p-1), adds (degree + 2) // 2
-    nodes for the data's polynomial part, is rounded up to a multiple of 8
-    (few distinct rules to cache) and is capped at MAX_T_NODES, which only
-    points within about 0.01 of the sphere reach.
+    nodes for the data's polynomial part, is rounded up to a multiple of 8 of
+    3 significant bits (8, 16, .., 64, 80, 96, 112, 128, 160, ..: less than
+    25% more above 64), so that few rules are built, and is capped at
+    MAX_T_NODES, which only points within about 0.01 of the sphere reach.
     """
     m = (degree + 2) // 2
     if r > 0.0:
         m += math.ceil(math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r)))
-    m = min(-(-m // 8) * 8, MAX_T_NODES)
-    half = Fraction(p - 3, 2)
-    return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
+    unit = 1 << max(3, m.bit_length() - 3)
+    m = min(-(-m // unit) * unit, MAX_T_NODES)
+    # a sweep passes `weight`, (1 - t^2)^((p-3)/2), so that it builds it once
+    return orthopoly.gauss_rule(weight or orthopoly.Weight(Fraction(p - 3, 2), Fraction(p - 3, 2)), m)
 
 
 def _complement_frame(u: np.ndarray) -> np.ndarray:
@@ -322,8 +310,11 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     For polynomial data d is the data's degree, so the S^{p-2} rule is
     exact for every t; quad_degree, if given, must be at least that degree
     and is otherwise unused.  For callable data d is quad_degree, by
-    default DEFAULT_CALLABLE_DEGREE.  Each point's rule depends only on
-    that point, so a batch equals one call per point, bit for bit.
+    default DEFAULT_CALLABLE_DEGREE.  A point's ring sums are summed over
+    blocks of its t rows of at most KERNEL_SUM_NODES nodes; the data is
+    evaluated once per batch of blocks, in calls of at most KERNEL_CHUNK_NODES
+    nodes.  A batch equals one call per point, bit for bit, unless the data's
+    value at a node depends on its call (BLAS's sum over many terms can).
 
     The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
     of the sphere.  For data x_1 + x_1 x_2 the largest error against the
@@ -349,25 +340,38 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     if any(not r < 1.0 for r in radii):
         raise ValueError("kernel integral is defined for interior points only")
     eta, eta_weights = _slice_rule(p, degree)
-    rows_per_chunk = max(1, KERNEL_CHUNK_NODES // len(eta_weights))
+    rows_per_call, rows_per_sum = (max(1, cap // len(eta_weights)) for cap in (KERNEL_CHUNK_NODES, KERNEL_SUM_NODES))
+    weight = orthopoly.Weight(Fraction(p - 3, 2), Fraction(p - 3, 2))
     pole = np.eye(p)[-1]
-    out = np.empty(pts.shape[0])
-    for i, (x, r) in enumerate(zip(pts, radii)):
+    sums, pending = [], []  # per point its kernel's weights and ring sums; (a block's ring sums, its nodes)
+
+    def evaluate():
+        nodes = np.concatenate([block for _, block in pending]).reshape(-1, p)
+        vals = [f.values_at(nodes[i : i + KERNEL_CHUNK_NODES]) for i in range(0, len(nodes), KERNEL_CHUNK_NODES)]
+        vals, top = np.concatenate(vals).reshape(-1, len(eta_weights)), 0
+        for ring_sums, block in pending:
+            ring_sums[:] = vals[top : top + len(block)] @ eta_weights
+            top += len(block)
+        pending.clear()
+
+    for x, r in zip(pts, radii):
         u = x / r if r > 0.0 else pole
         # the S^{p-2} nodes as unit vectors orthogonal to u
         ring = eta @ _complement_frame(u).T
-        t_rule = _t_rule(p, r, degree)
+        t_rule = _t_rule(p, r, degree, weight)
         t = t_rule.nodes
         # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
         dist_sq = (1.0 - r) ** 2 + 2.0 * r * (1.0 - t)
         kernel = (1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0)
-        ring_sums = np.empty(len(t))
-        for start in range(0, len(t), rows_per_chunk):
-            tc = t[start : start + rows_per_chunk, None, None]
-            nodes = tc * u + np.sqrt(1.0 - tc * tc) * ring
-            vals = f.values_at(nodes.reshape(-1, p)).reshape(len(tc), -1)
-            ring_sums[start : start + len(tc)] = vals @ eta_weights
-        out[i] = np.dot(t_rule.weights * kernel, ring_sums)
+        sums.append((t_rule.weights * kernel, np.empty(len(t))))
+        for start in range(0, len(t), rows_per_sum):
+            tc = t[start : start + rows_per_sum, None, None]
+            if pending and sum(len(block) for _, block in pending) + len(tc) > rows_per_call:
+                evaluate()
+            pending.append((sums[-1][1][start : start + len(tc)], tc * u + np.sqrt(1.0 - tc * tc) * ring))
+    if pending:
+        evaluate()
+    out = np.array([np.dot(w, ring_sums) for w, ring_sums in sums])
     out /= solid_angle(p)
     return float(out[0]) if x0.ndim == 1 else out
 

@@ -98,6 +98,36 @@ def _slices(p: int, n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _beta(a: int, c: int) -> Fraction:
+    """int_{-1}^{1} t^a (1 - t^2)^((c - 2)/2) dt for even a, over pi when c is odd, from `gamma_half`'s rationals."""
+    return gamma_half(a + 1).coeff * gamma_half(c).coeff / gamma_half(a + 1 + c).coeff
+
+
+def _member_integrals(p: int, n: int, beta: tuple, memo: dict) -> tuple:
+    """The integrals of x^beta times each degree-n member over S^(p-1), in basis order, over Omega_p's power of pi
+    (every nonzero one carries it), with no member formed.  As x_p = t, x' = sqrt(1 - t^2) y, dsigma_(p-1) =
+    (1 - t^2)^((p-3)/2) dt dsigma_(p-2), (j, h)'s is h's against y^beta' times sum_s c_s B(beta_p + j0 + 2s, 2(K - s)
+    + |beta'| + j + p - 1) (`_slices`, `_beta`; B(a + 2, c - 2) = B(a, c) (a + 1)/(c - 2)); S^0 sums over +-1."""
+    if (p, n, beta) not in memo:  # `memo` is one caller's, and keeps `_slices` as well
+        if p > 1 and (p, n) not in memo:
+            memo[p, n] = _slices(p, n)
+        out = [2 * (1 - (beta[0] + n) % 2)] * (n < 2) if p == 1 else []
+        for j, j0, ints, _ in memo.get((p, n), ()):
+            below, a, c = _member_integrals(p - 1, j, beta[:-1], memo), beta[-1] + j0, sum(beta[:-1]) + j + p - 1
+            if a % 2 or not any(below):  # an odd integrand in t, or in y
+                out += [0] * len(below)
+                continue
+            b = _beta(a, c + 2 * len(ints) - 2)
+            factor = ints[0] * b
+            for s, c_s in enumerate(ints[1:]):
+                b *= Fraction(a + 2 * s + 1, c + 2 * (len(ints) - s) - 4)
+                factor += c_s * b
+            out += [factor * v for v in below]
+        memo[p, n, beta] = tuple(out)
+    return memo[p, n, beta]
+
+
 @lru_cache(maxsize=4096)  # (p - 1, j) is read by every degree n >= j, and (p, n) again by `_members`
 def _norms(p: int, n: int) -> tuple:
     """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j.

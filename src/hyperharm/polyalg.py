@@ -93,27 +93,27 @@ def random_orthogonal(p: int, seed: int = 0) -> np.ndarray:
 
 def monomial_table(points, exponents) -> np.ndarray:
     """Values x^alpha at each row x of `points` (m, p), one column per row
-    alpha of `exponents` (K, p): an (m, K) array.
+    alpha of `exponents` (K, p): a C-order (m, K) array.
 
     Built from per-coordinate power tables by repeated multiplication, so
-    no `pow` is taken; callers with many points should go through
-    :func:`evaluate_monomials`, which bounds the table's size.
+    no `pow` is taken.  Each monomial's values fill one contiguous row of a
+    (K, m) table, transposed once at the end; callers with many points
+    should go through :func:`evaluate_monomials`, which bounds its size.
     """
     pts = np.asarray(points, dtype=float)
     exps = np.asarray(exponents, dtype=np.int64)
-    table = np.ones((pts.shape[0], exps.shape[0]))
+    table = np.ones((exps.shape[0], pts.shape[0]))
     for i in range(exps.shape[1]):
         top = int(exps[:, i].max(initial=0))
         if not top:
             continue
         x = pts[:, i]
-        powers = np.empty((pts.shape[0], top + 1))
-        powers[:, 0] = 1.0
-        powers[:, 1] = x
+        powers = np.empty((top + 1, pts.shape[0]))
+        powers[0], powers[1] = 1.0, x
         for k in range(2, top + 1):
-            np.multiply(powers[:, k - 1], x, out=powers[:, k])
-        table *= powers[:, exps[:, i]]
-    return table
+            np.multiply(powers[k - 1], x, out=powers[k])
+        table *= powers[exps[:, i]]
+    return np.ascontiguousarray(table.T)
 
 
 def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
@@ -133,7 +133,8 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
             f"points of dimension {pts.shape[-1]} for monomials in {exps.shape[1]} variables"
         )
     # per point: the table's K entries, the same again for the gathered powers
-    # that multiply into it, and one coordinate's power table
+    # that multiply into it or for its transposed copy, and one coordinate's
+    # power table
     width = 2 * exps.shape[0] + int(exps.max(initial=0)) + 1
     rows = max(1, CHUNK_ELEMENTS // width)
     out = np.empty((pts.shape[0],) + coeffs.shape[:-1])

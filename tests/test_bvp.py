@@ -1,12 +1,14 @@
+import itertools
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import oracles
-from hyperharm import bvp, harmonic
+from hyperharm import bvp, harmonic, orthopoly
 from hyperharm.bvp import (
     BoundaryData,
     builtin_boundary,
@@ -19,7 +21,7 @@ from hyperharm.bvp import (
 from hyperharm.geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import harmonic_chunks, legendre_harmonic, orthonormalize, sphere_transform
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, evaluate_monomials
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, evaluate_monomials
 
 
 def _monomial(p, alpha, coeff=1):
@@ -217,11 +219,12 @@ def test_poisson_reproduces_scaled_harmonics():
 
 
 def test_poisson_batch_matches_single_points():
+    # the batch's one data call gives each point the bits of its own call
     f = builtin_boundary(3, "coordinate-squared")
     pts = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [-0.4, 0.1, 0.2]])
     batch = poisson_eval(f, pts)
     for x0, want in zip(pts, batch):
-        assert poisson_eval(f, x0) == pytest.approx(want, rel=1e-14)
+        assert poisson_eval(f, x0) == want
 
 
 def test_poisson_domain_errors():
@@ -292,6 +295,38 @@ def test_kernel_degree_below_the_data_degree_is_an_error():
     with pytest.raises(ValueError):
         poisson_eval(builtin_boundary(3, "exponential"), np.zeros(3), quad_degree=-1)
     assert poisson_eval(f, np.zeros(3), quad_degree=2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_t_rule_sizes_keep_three_significant_bits():
+    # sizes up to 64 are the multiples of 8 they always were; above, m is rounded up to 3 significant bits
+    # (below MAX_T_NODES, which |x| <= 0.95 does not reach)
+    for p, degree in ((2, 0), (3, 4), (5, 10)):
+        for r in np.linspace(0.0, 0.95, 96):
+            m = (degree + 2) // 2
+            if r > 0.0:
+                m += math.ceil(math.log(bvp.KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r)))
+            size = len(bvp._t_rule(p, r, degree))
+            if -(-m // 8) * 8 <= 64:
+                assert size == -(-m // 8) * 8, (p, degree, r)
+            else:
+                assert m <= size < 1.25 * m and len(bin(size)[2:].rstrip("0")) <= 3 and size % 8 == 0, (p, r)
+
+
+def test_kernel_sweep_builds_one_gauss_rule_per_distinct_t_size(monkeypatch):
+    p, degree = 4, 2
+    f = BoundaryData.from_polynomial(ExactPolynomial(p, {(1, 1, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(2)}))
+    rng = np.random.default_rng(79)
+    radii = np.linspace(0.05, 0.97, 40)
+    pts = oracles.unit_vectors(rng, p, 40) * radii[:, None]
+    bvp._slice_rule(p, degree)  # the slice's own product rule is built before the spies
+    built, weights, cached = [], [], orthopoly._gauss_rule_cached
+    monkeypatch.setattr(orthopoly, "_gauss_rule_cached",
+                        lru_cache(maxsize=None)(lambda a, b, m: built.append(m) or cached.__wrapped__(a, b, m)))
+    monkeypatch.setattr(orthopoly, "Weight", lambda *args, make=orthopoly.Weight: weights.append(args) or make(*args))
+    poisson_eval(f, pts)
+    assert len(weights) == 1
+    sizes = {len(bvp._t_rule(p, float(r), degree)) for r in np.linalg.norm(pts, axis=1)}
+    assert sorted(built) == sorted(sizes)
 
 
 def test_kernel_rule_stays_small_for_polynomial_data():
@@ -643,12 +678,51 @@ def test_series_batch_beyond_one_chunk_matches_single_points():
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_sphere_moments_are_the_exact_monomial_integrals(p):
-    # the table-and-factor moments of the exact transform, entry by entry against geometry's integral
-    for n in range(7):
-        rows = _degree_rows(p, n)
-        for beta in [(0,) * p, (1,) + (0,) * (p - 1), (2,) * p, tuple(range(p)), (3,) + (1,) * (p - 1)]:
-            moments = bvp._sphere_moments(p, rows + beta)
-            for k, alpha in enumerate((rows + beta).tolist()):
-                want = monomial_sphere_integral(alpha).coeff
-                assert moments.get(k, 0) == want and (k in moments) == (want != 0), (p, n, alpha)
-    assert bvp._sphere_moments(p, []) == {}
+    # the recursion's degree-0 integrals, which give f_norm_sq, against geometry's integral for beta in {0..4}^p
+    memo = {}
+    for beta in itertools.product(range(5), repeat=p):
+        assert harmonic._member_integrals(p, 0, beta, memo) == (monomial_sphere_integral(beta).coeff,), beta
+
+
+def _random_polynomial(rng, p, degree, count):
+    """`count` seeded terms of degree <= `degree` (one of degree exactly `degree`) with small rational coefficients."""
+    terms = {}
+    for k in range(count):
+        total = degree if k == 0 else int(rng.integers(0, degree + 1))
+        alpha = tuple(int(a) for a in rng.multinomial(total, [1 / p] * p))
+        terms[alpha] = Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 20)), int(rng.integers(1, 12)))
+    return ExactPolynomial(p, terms)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_polynomial_coefficients_are_the_raw_member_integrals_bit_for_bit(p):
+    # oracle: <f, raw> and <raw, raw> summed from geometry's monomial integrals over each raw member's terms,
+    # then <f, raw> / sqrt(<raw, raw>) rounded once, exactly as the transform rounds it
+    rng = np.random.default_rng(80 + p)
+    for _ in range(3):
+        poly = _random_polynomial(rng, p, int(rng.integers(0, 7 if p < 5 else 5)), 4)
+        sol = project_boundary(BoundaryData.from_polynomial(poly), poly.degree() + 1)
+        for n, row in enumerate(sol.coeffs):
+            if n > poly.degree():
+                assert all(c == 0.0 for c in row), n
+                continue
+            for c, raw in zip(row, harmonic.harmonic_basis_raw(p, n)):
+                dot, norm = (sum((a * b * monomial_sphere_integral(tuple(x + y for x, y in zip(alpha, beta)))
+                                  for alpha, a in raw.terms.items() for beta, b in g.terms.items()), PiRational(0))
+                             for g in (poly, raw))
+                exact = dot * dot / norm
+                root = harmonic._sqrt_pi(exact.coeff.numerator, exact.coeff.denominator, exact.pi_half)
+                assert c == (-root if dot.coeff < 0 else root), (poly, n)
+
+
+def test_polynomial_projection_builds_no_member_matrix(monkeypatch):
+    # 4 terms of degree 12 at p = 6: the recursion alone, no `_members` matrix and no `_ladder` rung
+    def no_build(*args):
+        raise AssertionError("a member matrix was built")
+
+    monkeypatch.setattr(harmonic, "_members", no_build)
+    monkeypatch.setattr(harmonic, "_ladder", no_build)
+    poly = _random_polynomial(np.random.default_rng(83), 6, 12, 4)
+    sol = project_boundary(BoundaryData.from_polynomial(poly), 12)
+    # f|_S lies in the harmonics of degree <= 12, so Parseval holds to rounding
+    assert sol.coeff_sq_sum == pytest.approx(sol.f_norm_sq, rel=1e-12)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -97,6 +98,35 @@ def test_basis_output_bytes_are_pinned(capsys, args):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == BASIS_DIGESTS[args]
+
+
+# sha256 prefixes of the stdout of `solve` on the byte-identity list: the README example and the benchmark's
+# `cli_session` seeded p = 4 problems, whose t rules all have at most 64 nodes.  Both routes' floats are
+# pinned, so the digests hold where the float sums (BLAS included) run in the order they did when pinned.
+README_SOLVE_DIGEST = "b392f885fe1cd40f"
+SEEDED_SOLVE_DIGESTS = {0: "0e66452e7ab94558", 1: "6448293ba6b4bc28", 2: "4667d1b5dab0a7ba"}
+
+
+def _solve_digest(capsys, path, *args):
+    assert run(["solve", "--problem", str(path), *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+def test_readme_solve_output_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(README_PROBLEM))
+    assert _solve_digest(capsys, path, "--degree", "64") == README_SOLVE_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_SOLVE_DIGESTS))
+def test_seeded_benchmark_solve_output_bytes_are_pinned(monkeypatch, tmp_path, capsys, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    session = workloads.WORKLOADS["cli_session"]
+    session.prepare(session.sizes["full"], seed, tmp_path)
+    assert _solve_digest(capsys, tmp_path / workloads.SEEDED_PROBLEM) == SEEDED_SOLVE_DIGESTS[seed]
 
 
 def test_basis_beyond_a_double_exits_2(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -66,3 +67,12 @@ def test_census_exact_lines_are_pinned():
     *exact, deviation = proc.stdout.splitlines(keepends=True)
     assert "".join(exact) == CENSUS_EXACT
     assert re.fullmatch(r"  quadrature gram deviation from identity: \d\.\d\de[-+]\d\d\n", deviation)
+
+
+def test_ball_dirichlet_output_bytes_are_pinned():
+    # every kernel rule of the demo has at most 64 t nodes; its printed floats hold where the float
+    # sums (BLAS included) run in the order they did when pinned
+    (demo,) = (path for path in DEMOS if path.name == "ball_dirichlet.py")
+    proc = _run(demo)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == "a184dd7b1b8edf03"

@@ -255,6 +255,30 @@ def test_monomial_table_matches_powers():
     assert monomial_table(pts, np.zeros((0, 4), dtype=int)).shape == (30, 0)
 
 
+def _column_table(pts, exps):
+    """The (m, K) table formed column-wise: each coordinate's powers gathered into a point-major table."""
+    table = np.ones((pts.shape[0], exps.shape[0]))
+    for i in range(exps.shape[1]):
+        top = int(exps[:, i].max(initial=0))
+        powers = np.ones((pts.shape[0], top + 1))
+        for k in range(1, top + 1):
+            powers[:, k] = powers[:, k - 1] * pts[:, i] if k > 1 else pts[:, i]
+        table *= powers[:, exps[:, i]]
+    return table
+
+
+def test_monomial_table_rows_give_the_column_formation_bit_for_bit():
+    # the same products in the same order, so the table and every `@ coeffs.T` keep their bits
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        p, count, m = (int(v) for v in rng.integers(1, [7, 30, 400]))
+        pts, exps = rng.normal(size=(m, p)), rng.integers(0, 9, size=(count, p))
+        got = monomial_table(pts, exps)
+        assert got.flags.c_contiguous and np.array_equal(got, _column_table(pts, exps))
+        coeffs = rng.normal(size=count)
+        assert np.array_equal(evaluate_monomials(pts, exps, coeffs), _column_table(pts, exps) @ coeffs)
+
+
 @pytest.mark.parametrize("p, n_max", [(1, 5), (2, 7), (3, 4), (5, 3), (6, 0)])
 def test_graded_monomials_list_every_degree_in_lex_order(p, n_max):
     for n in range(n_max + 1):
