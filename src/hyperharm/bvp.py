@@ -1,16 +1,13 @@
 """Dirichlet problem for the Laplacian on the unit ball.
 
-Two independent solution routes are implemented.  The spherical-harmonic
-series (`project_boundary`, `series_eval`) sums the orthonormal members,
-evaluated by their own recurrence, with coefficients from exact sphere
-integrals of polynomial data against the members, by a recursion in the
-dimension with no member matrix, or from the semi-naive transform of callable
-data on a product rule.  The kernel integral is zonal about x0 / |x0|, so it
-runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in
-t = <xi, x0 / |x0|> times a rule on S^{p-2}, the data evaluated once per batch
-of points (`poisson_eval`).  The kernel route uses no harmonic basis, so the
-routes share no machinery beyond quadrature building blocks and their
-agreement is a meaningful end-to-end check.
+Two independent solution routes are implemented.  The spherical-harmonic series (`project_boundary`,
+`series_eval`) sums the orthonormal members, evaluated by their own recurrence, with coefficients from exact
+sphere integrals of polynomial data against the members, by a recursion in the dimension with no member matrix,
+or from the semi-naive transform of callable data on a product rule.  The kernel integral is zonal about
+x0 / |x0|, so it runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|>
+times a rule on S^{p-2}, with the data evaluated once per batch of points (`poisson_eval`).  The kernel route
+uses no harmonic basis, so the routes share no machinery beyond quadrature building blocks and their agreement
+is a meaningful end-to-end check.
 """
 
 from __future__ import annotations
@@ -42,12 +39,12 @@ __all__ = [
 
 DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of members integrate exactly
 # kernel rule: error target relative to the kernel's peak, a cap on the t nodes (one Gauss rule of 2048
-# nodes takes ~1.6 s), the boundary points per data call, which bounds its memory, and per block of t rows
-# whose ring sums are one matrix-vector product (`poisson_eval`)
+# nodes takes ~1.6 s), the boundary points of one point's data call, which bounds its memory, and the nodes
+# up to which the calls of several points are batched into one (`poisson_eval`)
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
-KERNEL_CHUNK_NODES = 1 << 13
-KERNEL_SUM_NODES = 1 << 16
+KERNEL_CHUNK_NODES = 1 << 16
+KERNEL_BATCH_NODES = 1 << 11
 # a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
 # (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables: at p = 2 the circle table is
 # 2 n_max + 1 members by the phi nodes, 891 x 894 at the largest n_max and the default degree
@@ -91,9 +88,10 @@ class BoundaryData:
         """Polynomial degree, or None for callable data."""
         return self.polynomial.degree() if self.polynomial is not None else None
 
-    def values_at(self, points: np.ndarray) -> np.ndarray:
+    def values_at(self, points: np.ndarray, starts=(0,)) -> np.ndarray:
+        """The data at each row of `points`; a polynomial's rows from each of `starts` get a call's own bits."""
         if self.polynomial is not None:
-            return self.polynomial.evaluate_array(points)
+            return self.polynomial.evaluate_array(points, starts)
         vals = _values_on(self.func, points)
         if not np.all(np.isfinite(vals)):
             raise ValueError("boundary data is not finite at a quadrature node")
@@ -258,24 +256,22 @@ def _slice_rule(p: int, degree: int):
     return rule.nodes, rule.weights
 
 
-def _t_rule(p: int, r: float, degree: int, weight: orthopoly.Weight | None = None):
+def _t_rule(p: int, r: float, degree: int):
     """Gauss-Gegenbauer rule in t = <xi, u> for the kernel about a point at radius r.
 
     The kernel's pole t* = (1 + r^2) / (2r) sets the Bernstein ellipse 1/r,
     so m nodes leave an error of order r^(2m).  m brings it under KERNEL_TOL
     times the kernel's peak (1 + r) / (1 - r)^(p-1), adds (degree + 2) // 2
-    nodes for the data's polynomial part, is rounded up to a multiple of 8 of
-    3 significant bits (8, 16, .., 64, 80, 96, 112, 128, 160, ..: less than
-    25% more above 64), so that few rules are built, and is capped at
-    MAX_T_NODES, which only points within about 0.01 of the sphere reach.
+    nodes for the data's polynomial part, is rounded up to a multiple of 8
+    (few distinct rules to cache) and is capped at MAX_T_NODES, which only
+    points within about 0.01 of the sphere reach.
     """
     m = (degree + 2) // 2
     if r > 0.0:
         m += math.ceil(math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r)))
-    unit = 1 << max(3, m.bit_length() - 3)
-    m = min(-(-m // unit) * unit, MAX_T_NODES)
-    # a sweep passes `weight`, (1 - t^2)^((p-3)/2), so that it builds it once
-    return orthopoly.gauss_rule(weight or orthopoly.Weight(Fraction(p - 3, 2), Fraction(p - 3, 2)), m)
+    m = min(-(-m // 8) * 8, MAX_T_NODES)
+    half = (p - 3) / 2  # a float: exact, and cheaper to check and key than a Fraction
+    return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
 
 
 def _complement_frame(u: np.ndarray) -> np.ndarray:
@@ -289,9 +285,9 @@ def _complement_frame(u: np.ndarray) -> np.ndarray:
     head_sq = float(head @ head)
     if head_sq == 0.0:
         return np.eye(p)[:, :-1]
-    last = head_sq / (1.0 + u[-1]) if u[-1] > 0.0 else 1.0 - u[-1]
-    v = np.append(-head, last)
-    return np.eye(p)[:, :-1] - (2.0 / float(v @ v)) * np.outer(v, v[:-1])
+    v = -u
+    v[-1] = head_sq / (1.0 + u[-1]) if u[-1] > 0.0 else 1.0 - u[-1]
+    return np.eye(p)[:, :-1] - (2.0 / float(v @ v)) * (v[:, None] * v[:-1])
 
 
 def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
@@ -310,11 +306,10 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     For polynomial data d is the data's degree, so the S^{p-2} rule is
     exact for every t; quad_degree, if given, must be at least that degree
     and is otherwise unused.  For callable data d is quad_degree, by
-    default DEFAULT_CALLABLE_DEGREE.  A point's ring sums are summed over
-    blocks of its t rows of at most KERNEL_SUM_NODES nodes; the data is
-    evaluated once per batch of blocks, in calls of at most KERNEL_CHUNK_NODES
-    nodes.  A batch equals one call per point, bit for bit, unless the data's
-    value at a node depends on its call (BLAS's sum over many terms can).
+    default DEFAULT_CALLABLE_DEGREE.  The data is evaluated once per batch
+    of points (KERNEL_BATCH_NODES), each point's t rows with the bits of a
+    call of their own, so a batch equals one call per point, bit for bit,
+    unless callable data's value at a node depends on its call.
 
     The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
     of the sphere.  For data x_1 + x_1 x_2 the largest error against the
@@ -340,37 +335,36 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     if any(not r < 1.0 for r in radii):
         raise ValueError("kernel integral is defined for interior points only")
     eta, eta_weights = _slice_rule(p, degree)
-    rows_per_call, rows_per_sum = (max(1, cap // len(eta_weights)) for cap in (KERNEL_CHUNK_NODES, KERNEL_SUM_NODES))
-    weight = orthopoly.Weight(Fraction(p - 3, 2), Fraction(p - 3, 2))
+    rows_per_chunk = max(1, KERNEL_CHUNK_NODES // len(eta_weights))
     pole = np.eye(p)[-1]
-    sums, pending = [], []  # per point its kernel's weights and ring sums; (a block's ring sums, its nodes)
+    sums, batch, queued = [], [], 0  # per point its kernel's weights and ring sums; the t rows awaiting data
 
-    def evaluate():
-        nodes = np.concatenate([block for _, block in pending]).reshape(-1, p)
-        vals = [f.values_at(nodes[i : i + KERNEL_CHUNK_NODES]) for i in range(0, len(nodes), KERNEL_CHUNK_NODES)]
-        vals, top = np.concatenate(vals).reshape(-1, len(eta_weights)), 0
-        for ring_sums, block in pending:
-            ring_sums[:] = vals[top : top + len(block)] @ eta_weights
-            top += len(block)
-        pending.clear()
+    def evaluate(batch):  # one data call for the batch's (ring sums, nodes) chunks, each with its own run
+        bounds = np.cumsum([0] + [len(nodes) for _, nodes in batch])
+        nodes = np.concatenate([nodes for _, nodes in batch]).reshape(-1, p)
+        vals = f.values_at(nodes, bounds[:-1] * len(eta_weights)).reshape(-1, len(eta_weights))
+        for (ring_sums, _), start, stop in zip(batch, bounds, bounds[1:]):
+            ring_sums[:] = vals[start:stop] @ eta_weights
 
     for x, r in zip(pts, radii):
         u = x / r if r > 0.0 else pole
         # the S^{p-2} nodes as unit vectors orthogonal to u
         ring = eta @ _complement_frame(u).T
-        t_rule = _t_rule(p, r, degree, weight)
+        t_rule = _t_rule(p, r, degree)
         t = t_rule.nodes
         # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
         dist_sq = (1.0 - r) ** 2 + 2.0 * r * (1.0 - t)
         kernel = (1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0)
         sums.append((t_rule.weights * kernel, np.empty(len(t))))
-        for start in range(0, len(t), rows_per_sum):
-            tc = t[start : start + rows_per_sum, None, None]
-            if pending and sum(len(block) for _, block in pending) + len(tc) > rows_per_call:
-                evaluate()
-            pending.append((sums[-1][1][start : start + len(tc)], tc * u + np.sqrt(1.0 - tc * tc) * ring))
-    if pending:
-        evaluate()
+        for start in range(0, len(t), rows_per_chunk):
+            tc = t[start : start + rows_per_chunk, None, None]
+            if batch and (queued + len(tc)) * len(eta_weights) > KERNEL_BATCH_NODES:
+                evaluate(batch)
+                batch, queued = [], 0
+            batch.append((sums[-1][1][start : start + len(tc)], tc * u + np.sqrt(1.0 - tc * tc) * ring))
+            queued += len(tc)
+    if batch:
+        evaluate(batch)
     out = np.array([np.dot(w, ring_sums) for w, ring_sums in sums])
     out /= solid_angle(p)
     return float(out[0]) if x0.ndim == 1 else out

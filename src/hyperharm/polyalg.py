@@ -116,14 +116,17 @@ def monomial_table(points, exponents) -> np.ndarray:
     return np.ascontiguousarray(table.T)
 
 
-def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
+def evaluate_monomials(points, exponents, coeffs, starts=(0,)) -> np.ndarray:
     """sum_k coeffs[..., k] x^exponents[k] at each row x of `points`.
 
     `points` is (m, p) or a single (p,) point, `exponents` is (K, p) and
     `coeffs` is (K,) for one polynomial or (N, K) for N of them; the result
     is (m,) or (m, N).  Points are taken in row chunks whose table and
     temporaries hold about CHUNK_ELEMENTS entries, so memory beyond the
-    result stays bounded however many points there are.
+    result stays bounded however many points there are.  The rows from
+    each of `starts` (ascending from 0) to the next get the bits of a call
+    of their own: they share tables but not the sums over terms, which BLAS
+    can order by a row's place in its product.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     exps = np.asarray(exponents, dtype=np.int64)
@@ -138,9 +141,13 @@ def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
     width = 2 * exps.shape[0] + int(exps.max(initial=0)) + 1
     rows = max(1, CHUNK_ELEMENTS // width)
     out = np.empty((pts.shape[0],) + coeffs.shape[:-1])
-    for start in range(0, pts.shape[0], rows):
-        chunk = pts[start : start + rows]
-        out[start : start + rows] = monomial_table(chunk, exps) @ coeffs.T
+    bounds, table, first = [*starts, pts.shape[0]], pts[:0], 0
+    for start, end in zip(bounds, bounds[1:]):
+        for a, b in ((a, min(a + rows, end)) for a in range(start, end, rows)):
+            if b - first > len(table):
+                del table  # before the next one is built, so that one table is held at a time
+                table, first = monomial_table(pts[a : a + rows], exps), a
+            out[a:b] = table[a - first : b - first] @ coeffs.T
     return out
 
 
@@ -328,9 +335,9 @@ class _Polynomial:
             object.__setattr__(self, "_float_cache", cache)
         return cache
 
-    def evaluate_array(self, points) -> np.ndarray:
-        """Vectorized float evaluation at an (m, nvars) array of points."""
-        return evaluate_monomials(points, *self._float_arrays())
+    def evaluate_array(self, points, starts=(0,)) -> np.ndarray:
+        """Vectorized float evaluation at an (m, nvars) array of points (`starts` as in `evaluate_monomials`)."""
+        return evaluate_monomials(points, *self._float_arrays(), starts)
 
     # -- rotations ---------------------------------------------------
     def rotate(self, matrix) -> "FloatPolynomial":

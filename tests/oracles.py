@@ -9,6 +9,7 @@ tautology.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -214,3 +215,16 @@ def evaluated_projection(f, n_max, q):
         tuple(float(v) for v in evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted)
         for b in bases
     )
+
+
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:e[-+]\d+)?")
+
+
+def same_up_to_rounding(out: str, pinned: str, tol: float) -> bool:
+    """`out` is `pinned` byte for byte but for its numbers, each within `tol` of the pinned one.
+
+    For output whose floats come from BLAS sums, which can end in other bits
+    on another BLAS build or CPU: its words and layout are pinned exactly."""
+    got, want = _NUMBER.findall(out), _NUMBER.findall(pinned)
+    return (_NUMBER.split(out) == _NUMBER.split(pinned) and len(got) == len(want)
+            and all(abs(float(a) - float(b)) <= tol for a, b in zip(got, want)))

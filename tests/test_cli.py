@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import importlib
 import inspect
 import json
 import math
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 import hyperharm
+import oracles
 from hyperharm import harmonic
 from hyperharm.bvp import MONOMIAL_BUDGET, BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
@@ -100,33 +100,22 @@ def test_basis_output_bytes_are_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == BASIS_DIGESTS[args]
 
 
-# sha256 prefixes of the stdout of `solve` on the byte-identity list: the README example and the benchmark's
-# `cli_session` seeded p = 4 problems, whose t rules all have at most 64 nodes.  Both routes' floats are
-# pinned, so the digests hold where the float sums (BLAS included) run in the order they did when pinned.
-README_SOLVE_DIGEST = "b392f885fe1cd40f"
-SEEDED_SOLVE_DIGESTS = {0: "0e66452e7ab94558", 1: "6448293ba6b4bc28", 2: "4667d1b5dab0a7ba"}
+# the README `solve` example's stdout: its words and layout exactly, and its floats, which come from BLAS sums
+# in both routes, to 1e-14 (`tests/output_digests.py` compares the bytes of two commits on one machine)
+README_SOLVE_OUTPUT = """\
+# p=3 n_max=4 quad_degree=64
+x1,x2,x3,series_value,poisson_value,abs_diff
+0.20000000000000001,0.10000000000000001,0,0.20000000000000004,0.19999999999999954,4.9960036108132044e-16
+0,0,0.5,0,2.310649050288799e-18,2.310649050288799e-18
+"""
 
 
-def _solve_digest(capsys, path, *args):
-    assert run(["solve", "--problem", str(path), *args]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    return hashlib.sha256(out.encode()).hexdigest()[:16]
-
-
-def test_readme_solve_output_bytes_are_pinned(tmp_path, capsys):
+def test_readme_solve_output_is_pinned(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(README_PROBLEM))
-    assert _solve_digest(capsys, path, "--degree", "64") == README_SOLVE_DIGEST
-
-
-@pytest.mark.parametrize("seed", sorted(SEEDED_SOLVE_DIGESTS))
-def test_seeded_benchmark_solve_output_bytes_are_pinned(monkeypatch, tmp_path, capsys, seed):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    session = workloads.WORKLOADS["cli_session"]
-    session.prepare(session.sizes["full"], seed, tmp_path)
-    assert _solve_digest(capsys, tmp_path / workloads.SEEDED_PROBLEM) == SEEDED_SOLVE_DIGESTS[seed]
+    assert run(["solve", "--problem", str(path), "--degree", "64"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and oracles.same_up_to_rounding(out, README_SOLVE_OUTPUT, 1e-14), out
 
 
 def test_basis_beyond_a_double_exits_2(capsys):

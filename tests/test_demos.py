@@ -1,4 +1,3 @@
-import hashlib
 import os
 import re
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hyperharm
+import oracles
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -33,6 +33,42 @@ raw members for p=3, n=2 (each one has an exactly zero laplacian)
 orthonormalization at p=4, n=3
   members: 16
   exact gram rank: 16
+"""
+
+
+# ball_dirichlet.py's output
+BALL_DIRICHLET_OUTPUT = """\
+boundary data: 1 - 2*x1*x2*x3 + 3*x1^2
+expansion coefficients by degree:
+  n=0: +7.089815
+  n=1: +0.000000  +0.000000  +0.000000
+  n=2: +1.585331  +0.000000  +0.000000  +2.745874  +0.000000
+  n=3: +0.000000  +0.000000  +0.000000  +0.000000  -0.691895  +0.000000  +0.000000
+  n=4: +0.000000  +0.000000  +0.000000  +0.000000  +0.000000  +0.000000  +0.000000  +0.000000  +0.000000
+projection error report: 0.00e+00
+
+interior values, series vs kernel integral
+  |x|=0.160: +1.9744191771  +1.9744191771  diff 1.55e-15
+  |x|=0.428: +2.0592523140  +2.0592523140  diff 1.78e-15
+  |x|=0.401: +1.8417477309  +1.8417477309  diff 1.11e-15
+  |x|=0.654: +2.3214976649  +2.3214976649  diff 1.33e-15
+  |x|=0.492: +1.7659494074  +1.7659494074  diff 2.22e-16
+  |x|=0.428: +1.9061733926  +1.9061733926  diff 1.11e-15
+  |x|=0.418: +2.0697588320  +2.0697588320  diff 1.78e-15
+  |x|=0.279: +1.9282647505  +1.9282647505  diff 4.44e-16
+
+center value: +2.0000000000
+mean of 1 + 3 x1^2 - 2 x1 x2 x3 over the sphere is 1 + 3/3 = 2
+
+callable boundary data goes through the same pipeline
+  series:  1.5298198910
+  kernel:  1.5298198910
+  reported projection error: 1.09e-14
+
+green function boundary values (should be zero)
+  G(x, x0) = -0.00e+00
+  G(x, x0) = -0.00e+00
+  G(x, x0) = -0.00e+00
 """
 
 
@@ -69,10 +105,10 @@ def test_census_exact_lines_are_pinned():
     assert re.fullmatch(r"  quadrature gram deviation from identity: \d\.\d\de[-+]\d\d\n", deviation)
 
 
-def test_ball_dirichlet_output_bytes_are_pinned():
-    # every kernel rule of the demo has at most 64 t nodes; its printed floats hold where the float
-    # sums (BLAS included) run in the order they did when pinned
+def test_ball_dirichlet_output_is_pinned():
+    # words and layout exactly; the floats, from BLAS sums, to 1e-9, under the last printed digit of every
+    # value but the routes' gaps (`tests/output_digests.py` compares the bytes of two commits on one machine)
     (demo,) = (path for path in DEMOS if path.name == "ball_dirichlet.py")
     proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == "a184dd7b1b8edf03"
+    assert oracles.same_up_to_rounding(proc.stdout, BALL_DIRICHLET_OUTPUT, 1e-9), proc.stdout

@@ -279,6 +279,22 @@ def test_monomial_table_rows_give_the_column_formation_bit_for_bit():
         assert np.array_equal(evaluate_monomials(pts, exps, coeffs), _column_table(pts, exps) @ coeffs)
 
 
+def test_evaluate_monomials_runs_get_the_bits_of_their_own_calls(monkeypatch):
+    # BLAS can give a row of a product other bits at the product's end, so runs of odd lengths and many terms
+    # are each checked against a call of their own, also with runs longer than one chunk
+    rng = np.random.default_rng(10)
+    for trial in range(60):
+        if trial == 30:
+            monkeypatch.setattr(polyalg, "CHUNK_ELEMENTS", 1 << 10)
+        p, count = (int(v) for v in rng.integers(1, [6, 60]))
+        exps = rng.integers(0, 6, size=(count, p))
+        coeffs = rng.normal(size=count) if trial % 3 else rng.normal(size=(3, count))
+        sizes = rng.integers(1, 700, size=int(rng.integers(1, 10)))
+        pts, starts = rng.normal(size=(int(sizes.sum()), p)), np.cumsum(sizes) - sizes
+        want = np.concatenate([evaluate_monomials(pts[a : a + n], exps, coeffs) for a, n in zip(starts, sizes)])
+        assert np.array_equal(evaluate_monomials(pts, exps, coeffs, starts), want)
+
+
 @pytest.mark.parametrize("p, n_max", [(1, 5), (2, 7), (3, 4), (5, 3), (6, 0)])
 def test_graded_monomials_list_every_degree_in_lex_order(p, n_max):
     for n in range(n_max + 1):
