@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import orthopoly
-from .geometry import PiRational, _rule_axes, solid_angle, sphere_quadrature
+from .geometry import PiRational, solid_angle, sphere_quadrature
 from .harmonic import _gram_scale, _member_integrals, _norms, _sqrt_pi, harmonic_chunks, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
@@ -46,8 +46,7 @@ MAX_T_NODES = 2048
 KERNEL_CHUNK_NODES = 1 << 16
 KERNEL_BATCH_NODES = 1 << 11
 # a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
-# (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables: at p = 2 the circle table is
-# 2 n_max + 1 members by the phi nodes, 891 x 894 at the largest n_max and the default degree
+# (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables (`harmonic._transform_tables`)
 MONOMIAL_BUDGET = 100_000
 
 
@@ -136,8 +135,7 @@ def _rule_transform(f: BoundaryData, n_max: int, quad_degree: int):
     rule = sphere_quadrature(f.p, quad_degree)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
-    axes = [nodes for nodes, _ in _rule_axes(f.p, quad_degree)]
-    return sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max), float(weighted @ vals)
+    return sphere_transform(weighted, f.p, n_max, quad_degree), float(weighted @ vals)
 
 
 def _exact_transform(poly: ExactPolynomial, n_max: int):
@@ -151,7 +149,7 @@ def _exact_transform(poly: ExactPolynomial, n_max: int):
     f_norm_sq = sum(c * _member_integrals(p, 0, beta, memo)[0] for beta, c in (poly * poly).terms.items())
     flat, top = np.zeros(sum(count_harmonic(p, n) for n in range(n_max + 1))), 0
     for n in range(min(n_max, poly.degree()) + 1):
-        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # `_norms` refuses an oversized basis first
+        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # no member matrix, so MONOMIAL_BUDGET bounds it
         columns = [(c, _member_integrals(p, n, beta, memo)) for beta, c in poly.terms.items()]
         for i, v in enumerate(norms):
             a = sum(c * m[i] for c, m in columns if m[i])
@@ -208,18 +206,19 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
 def series_eval(sol: BvpSolution, x):
     """Value of the series solution at points of the closed unit ball.
 
-    x of shape (p,) returns a float; shape (m, p) returns an array.  The
-    members from `harmonic.harmonic_chunks` are homogeneous, so off the
-    sphere each carries its |x|^n, and x = 0 keeps the constant term alone.
+    x of shape (p,) returns a float; shape (m, p) returns an array.  Members
+    from `harmonic.harmonic_chunks` carry |x|^n off the sphere (x = 0 keeps the
+    constant term alone); x is checked once, |x| from the recurrence's sums.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     if pts.ndim != 2 or pts.shape[1] != sol.p:
         raise ValueError("point dimension does not match the solution")
-    if not np.all(np.sqrt((pts * pts).sum(axis=1)) <= 1 + 1e-12):  # the 2-norm, as np.linalg.norm forms it; NaN fails
+    sums = np.add.accumulate(pts * pts, axis=1)
+    if not (np.sqrt(sums[:, -1]) <= 1 + 1e-12).all():  # NaN fails
         raise ValueError("series solution is defined on the closed unit ball")
     total = np.empty(pts.shape[0])
-    for rows, values in harmonic_chunks(pts, sol.p, sol.n_max):
+    for rows, values in harmonic_chunks(pts, sol.p, sol.n_max, 0, sums):
         total[rows] = sol._vector @ values
     return float(total[0]) if x.ndim == 1 else total
 

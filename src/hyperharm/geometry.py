@@ -315,15 +315,13 @@ class QuadratureRule:
 def _rule_axes(p: int, degree: int) -> list:
     """The 1-D factors of the degree-`degree` product rule on S^{p-1}, as
     (nodes, weights) pairs: t = cos(theta_k) for k = p-2 down to 1, each a
-    Gauss rule for (1 - t^2)^((k-1)/2) with m = (degree + 2) // 2 nodes,
-    then phi, 2m equally spaced angles.  The rule's grid is their product
-    with phi varying fastest."""
+    Gauss rule of m = (degree + 2) // 2 nodes for (1 - t^2)^((k-1)/2), a float
+    exponent as in `bvp._t_rule`, then phi, 2m equally spaced angles, fastest
+    in their product grid.  Read once per cached rule and cached transform table."""
     m = (degree + 2) // 2
-    n_phi = 2 * m
-    t_rules = [orthopoly.gauss_rule(orthopoly.Weight(Fraction(k - 1, 2), Fraction(k - 1, 2)), m)
-               for k in range(p - 2, 0, -1)]
-    phi = TWO_PI * np.arange(n_phi) / n_phi
-    return [(rule.nodes, rule.weights) for rule in t_rules] + [(phi, np.full(n_phi, TWO_PI / n_phi))]
+    t_rules = [orthopoly.gauss_rule(orthopoly.Weight((k - 1) / 2, (k - 1) / 2), m) for k in range(p - 2, 0, -1)]
+    phi = TWO_PI * np.arange(2 * m) / (2 * m)
+    return [(rule.nodes, rule.weights) for rule in t_rules] + [(phi, np.full(2 * m, TWO_PI / (2 * m)))]
 
 
 @lru_cache(maxsize=6)

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import legendre as _legendre
-from .geometry import PiRational, gamma_half, solid_angle
+from .geometry import PiRational, _rule_axes, gamma_half, solid_angle
 from .orthopoly import RULE_BYTES_LIMIT, _jacobi_alpha_beta
 from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows
 from .polyalg import count_harmonic, count_homogeneous  # re-exported
@@ -130,22 +130,26 @@ def _member_integrals(p: int, n: int, beta: tuple, memo: dict) -> tuple:
 
 @lru_cache(maxsize=4096)  # (p - 1, j) is read by every degree n >= j, and (p, n) again by `_members`
 def _norms(p: int, n: int) -> tuple:
-    """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j.
-    A basis whose matrix passes RULE_BYTES_LIMIT, at 8 bytes an entry, is refused here before any other work."""
+    """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j."""
     if p == 1:
         return (1,) * (n < 2)
+    return tuple(weight * v for j, _, _, weight in _slices(p, n) for v in _norms(p - 1, j))
+
+
+def _basis_norms(p: int, n: int) -> tuple:
+    """`_norms`, after refusing a basis in p > 1 variables whose matrix passes RULE_BYTES_LIMIT at 8 bytes an entry."""
     if 8 * count_harmonic(p, n) * count_homogeneous(p, n) > RULE_BYTES_LIMIT:
         raise ValueError(f"a degree-{n} basis in {p} variables needs more than {RULE_BYTES_LIMIT >> 20} MiB at "
                          "8 bytes per coefficient, a floor: coefficients kept as Python ints take more")
-    return tuple(weight * v for j, _, _, weight in _slices(p, n) for v in _norms(p - 1, j))
+    return _norms(p, n)
 
 
 def _members(p: int, n: int):
     """The degree-n members in p variables: one integer matrix over the degree-n monomials, and `_norms`.
     At p = 1 they are 1 and x_1; member (j, h) is sum_t c_t x_p^(j0+2t) |x'|^2(K-t) h (`_slices`)."""
-    norms = _norms(p, n)  # refuses an oversized basis first
     if p == 1:
-        return np.ones((len(norms), 1)), norms
+        return np.ones((int(n < 2), 1)), _norms(p, n)
+    norms = _basis_norms(p, n)  # refuses an oversized basis before any other work
     dtype, top = _dtype(p - 1, norms), 0
     matrix = np.zeros((len(norms), count_homogeneous(p, n)), dtype)
     # the monomials x^beta x_p^e of one e are in the lex order of beta, as a rung's columns are
@@ -240,8 +244,7 @@ def _profiles(x: np.ndarray, r2, steps: np.ndarray, x1) -> np.ndarray:
     table[1, 1:2, 0] = x1
     for k in range(n_max):
         top = n_max - k  # degree j + k + 1 <= n_max
-        np.multiply(x2, table[k + 1, :top], out=table[k + 2, :top])
-        table[k + 2, :top] += steps[k, :top] * table[k, :top]
+        table[k + 2, :top] = x2 * table[k + 1, :top] + steps[k, :top] * table[k, :top]
     return table[1:]
 
 
@@ -275,37 +278,53 @@ def _plan(p: int, n_max: int, n_min: int):
     return steps, scales, tuple(gathers), members, scale
 
 
-def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0):
-    """Yield (rows, values) over row chunks of (m, p) `points`: values[c, i] is the c-th orthonormal member
-    of degree n_min..n_max, in basis order, at the chunk's i-th point, the product of its rows of one stacked
-    recurrence.  Nothing divides by |x|, and temporaries stay near CHUNK_ELEMENTS."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != p:
-        raise ValueError(f"points of dimension {pts.shape[-1]} for harmonics in {p} variables")
+def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0, sums=None):
+    """Yield (rows, values) over row chunks of (m, p) `points`: values[c, i] is the c-th orthonormal member of degree
+    n_min..n_max, in basis order, at the chunk's i-th point, the product of its rows of one stacked recurrence.  A
+    caller that has checked `points` as an (m, p) float array passes np.add.accumulate(points * points, axis=1) as
+    `sums`, and nothing is checked or formed again.  Nothing divides by |x|; temporaries stay near CHUNK_ELEMENTS."""
+    if sums is None:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != p:
+            raise ValueError(f"points of dimension {points.shape[-1]} for harmonics in {p} variables")
     steps, _, _, members, scale = _plan(p, n_max, n_min)
     # per point: the table, its steps times |x|^2 and a step's product, then the rows of each member and their product
     step = max(1, CHUNK_ELEMENTS // ((2 * n_max + 4) * steps[0].size + p * len(scale)))
-    for start in range(0, pts.shape[0], step):
-        chunk, coords = slice(start, start + step), pts[start : start + step].T
-        table = _profiles(coords[1:], np.cumsum(coords * coords, axis=0)[1:], steps, coords[0])
-        yield chunk, table.reshape(-1, coords.shape[1])[members].prod(axis=0) * scale
+    for start in range(0, points.shape[0], step):
+        chunk, coords = slice(start, start + step), points[start : start + step].T
+        r2 = np.add.accumulate(coords * coords, axis=0) if sums is None else sums[chunk].T
+        table = _profiles(coords[1:], r2[1:], steps, coords[0])
+        yield chunk, table.reshape(-1, coords.shape[1]).take(members, axis=0).prod(axis=0) * scale
 
 
-def sphere_transform(grid: np.ndarray, axes: list, n_max: int) -> np.ndarray:
-    """sum w f Y for each member Y of degree <= n_max, in basis order, from w f on the product rule `grid` with
-    node vectors `axes` (t of x_p .. x_3, then phi; `geometry._rule_axes`): phi against S^1's members, then
-    each t against the factors (1 - t^2)^(j/2) G_k(t), as x' = sqrt(1 - t^2) y.  No basis is formed."""
-    p, phi = len(axes) + 1, axes[-1]
-    circle = [values for _, values in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max)]
-    coeffs = grid @ np.hstack(circle).T
-    if p == 2:
-        return coeffs
-    t = np.array([np.zeros(len(axes[0]))] + axes[-2::-1])  # level 2's row is unused
-    steps, scales, gathers, _, _ = _plan(p, n_max, 0)
-    factors = _profiles(t, 1.0, steps, 0.0) * scales * np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
-    factors = factors.reshape(-1, t.shape[1])
-    for src, rows in gathers[1:]:
-        coeffs = np.einsum("ct,...tc->...c", factors[rows], coeffs[..., src])
+@lru_cache(maxsize=4)  # the two rules of a callable projection, for two (p, n_max, degree)
+def _transform_tables(p: int, n_max: int, degree: int):
+    """`sphere_transform`'s read-only tables on the degree-`degree` product rule, m = (degree + 2) // 2: S^1's members
+    at the phi nodes, (2m, 2 n_max + 1), then per t level its columns of the level below and its scaled factors at the
+    t nodes, (members, m).  An entry is m (4 n_max + 2 + sum_q sum_{n <= n_max} dim H_{<=n}(R^(q-1))) floats: 36 kB
+    at (4, 6, 40), and at most 7.6 MB, at (5, 23, 48), at the default degree of any n_max in `bvp.MONOMIAL_BUDGET`."""
+    axes = [nodes for nodes, _ in _rule_axes(p, degree)]
+    phi, levels = axes[-1], ()
+    circle = np.hstack([v for _, v in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max)]).T
+    if p > 2:
+        t = np.array([np.zeros(len(axes[0]))] + axes[-2::-1])  # level 2's row is unused
+        steps, scales, gathers, _, _ = _plan(p, n_max, 0)
+        powers = np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
+        factors = (_profiles(t, 1.0, steps, 0.0) * scales * powers).reshape(-1, t.shape[1])
+        levels = tuple((src, factors[rows]) for src, rows in gathers[1:])
+    for array in (circle,) + tuple(f for _, f in levels):
+        array.flags.writeable = False  # cached, so shared by every projection
+    return circle, levels
+
+
+def sphere_transform(values: np.ndarray, p: int, n_max: int, degree: int) -> np.ndarray:
+    """sum w f Y for each member Y of degree <= n_max, in basis order, from `values`, w f at the nodes of
+    `geometry.sphere_quadrature(p, degree)`: phi against S^1's members, then each t against the factors (1 - t^2)^(j/2)
+    G_k(t), as x' = sqrt(1 - t^2) y.  No basis is formed; the tables are built once per (p, n_max, degree) and kept."""
+    circle, levels = _transform_tables(p, n_max, degree)
+    coeffs = values.reshape((len(circle) // 2,) * (p - 2) + (len(circle),)) @ circle
+    for src, factors in levels:
+        coeffs = np.einsum("ct,...tc->...c", factors, coeffs[..., src])
     return coeffs
 
 
@@ -328,8 +347,7 @@ def orthonormalize(p: int, n: int) -> HarmonicBasis:
     Member i is raw member i over the square root of its exact Gram entry
     gram_scale N_i.  Only that Gram is formed here (`_norms`, no matrix).
     """
-    count_harmonic(p, n)  # validates p and n
-    norms = _norms(p, n)  # refuses an oversized basis before any other work
+    norms = _basis_norms(p, n)  # validates p and n, and refuses an oversized basis before any other work
     return HarmonicBasis(p, n, _gram_scale(p, n), norms)
 
 

@@ -1,0 +1,81 @@
+"""Figures the CI jobs print to stderr and do not gate, each probe in a fresh interpreter:
+
+- verify: the peak RSS of all verify checks;
+- ball: a cold criterion-08 ball solve (p = 5, 3 terms of degree 3, n_max 4, 50 points at |x| <= 0.8),
+  its time, peak RSS and the gap between the series and the kernel;
+- warm: a warm library session, the benchmark's `project_warm` op (callable harmonic data at p = 4,
+  n_max 6, then 50 one-point `series_eval` calls at |x| = 0.8), timed over 20 ops after one warm-up.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/ci_probes.py          # every probe
+    PYTHONPATH=src python tests/ci_probes.py warm     # one probe
+
+The file name keeps it out of pytest's collection.
+"""
+
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+VERIFY_CHECKS = "orthogonality addition generating-function funk-hecke quadrature recurrence harmonicity bvp"
+
+
+def _peak_rss() -> str:
+    return f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss} kB"
+
+
+def verify() -> str:
+    from hyperharm.cli import run
+
+    run(["verify", *VERIFY_CHECKS.split()])
+    return f"all verify checks: {_peak_rss()}"
+
+
+def ball() -> str:
+    from hyperharm import bvp
+    from hyperharm.polyalg import FloatPolynomial
+
+    terms = {(3, 0, 0, 0, 0): 0.75, (0, 1, 1, 0, 1): -0.625, (0, 0, 0, 2, 0): 0.5}
+    f = bvp.BoundaryData.from_polynomial(FloatPolynomial(5, terms))
+    x = np.random.default_rng(3).normal(size=(50, 5))
+    pts = np.linspace(0.016, 0.8, 50)[:, None] * x / np.linalg.norm(x, axis=1)[:, None]
+    start = time.perf_counter()
+    sol = bvp.project_boundary(f, 4)
+    gap = np.abs([bvp.series_eval(sol, x0) for x0 in pts] - bvp.poisson_eval(f, pts, quad_degree=68)).max()
+    return (f"cold ball solve, p = 5, degree 3, n_max 4, 50 points: {1e3 * (time.perf_counter() - start):.1f} ms, "
+            f"{_peak_rss()}, series vs kernel {gap:.1e}")
+
+
+def warm() -> str:
+    from hyperharm import bvp
+
+    rng = np.random.default_rng(5)
+    times, worst = [], 0.0
+    for op in range(21):
+        u, v = np.linalg.qr(rng.normal(size=(4, 2)))[0].T  # |u| = |v| and u orthogonal to v
+        x = rng.normal(size=(50, 4))
+        pts = 0.8 * x / np.linalg.norm(x, axis=1)[:, None]
+        exact = np.exp(pts @ u) * np.cos(pts @ v)  # harmonic, so it is the solution inside the ball
+        start = time.perf_counter()
+        sol = bvp.project_boundary(bvp.BoundaryData.from_callable(4, lambda y: np.exp(y @ u) * np.cos(y @ v)), 6)
+        series = [bvp.series_eval(sol, x0) for x0 in pts]
+        if op:  # the first op is the warm-up, which builds the rules and the transform's tables
+            times.append(time.perf_counter() - start)
+        worst = max(worst, float(np.abs(np.array(series) - exact).max()))
+    return (f"warm session, p = 4, n_max 6, projection and 50 one-point series calls: median "
+            f"{1e3 * statistics.median(times):.2f} ms over 20 ops (min {1e3 * min(times):.2f}), error {worst:.1e}")
+
+
+PROBES = {"verify": verify, "ball": ball, "warm": warm}
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print(PROBES[sys.argv[1]](), file=sys.stderr)
+    else:
+        for name in PROBES:  # the verify output goes nowhere; the figures go to stderr
+            subprocess.run([sys.executable, __file__, name], stdout=subprocess.DEVNULL, check=True)

@@ -145,6 +145,13 @@ def test_series_eval_domain():
         series_eval(sol, np.array([1.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
         series_eval(sol, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="point dimension"):
+        series_eval(sol, [0.5, 0.5, 0.0, 0.0])
+    # the bound is |x| <= 1 + 1e-12, from the running sums of squares the recurrence reads
+    edge = np.array([0.6, 0.0, 0.8])
+    assert series_eval(sol, edge * (1 + 5e-13)) == pytest.approx(series_eval(sol, edge), abs=1e-11)
+    with pytest.raises(ValueError, match="defined on the closed unit ball"):
+        series_eval(sol, edge * (1 + 2e-12))
     nan = np.array([np.nan, 0.0, 0.0])
     for x in (nan, np.vstack([np.zeros(3), nan])):
         with pytest.raises(ValueError, match="defined on the closed unit ball"):
@@ -572,12 +579,30 @@ def test_axis_moments_match_the_graded_tables(p, n_max, q):
     weighted = rule.weights * vals
     want = np.concatenate([evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted
                            for b in map(orthonormalize, [p] * (n_max + 1), range(n_max + 1))])
-    axes = [nodes for nodes, _ in _rule_axes(p, q)]
-    got = sphere_transform(weighted.reshape([len(x) for x in axes]), axes, n_max)
+    got = sphere_transform(weighted, p, n_max, q)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     coeffs, f_norm_sq = bvp._rule_transform(f, n_max, q)
     assert np.array_equal(coeffs, got) and f_norm_sq == float(weighted @ vals)
+
+
+def test_a_second_projection_builds_no_transform_table(monkeypatch):
+    """The circle and t tables depend on (p, n_max, degree) alone: a second callable projection only sums."""
+    calls = []
+
+    def spy(name):
+        real = getattr(harmonic, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("harmonic_chunks", "_profiles"):
+        monkeypatch.setattr(harmonic, name, spy(name))
+    f = builtin_boundary(4, "exponential")
+    harmonic._transform_tables.cache_clear()
+    first = project_boundary(f, 6)
+    assert "harmonic_chunks" in calls and "_profiles" in calls  # the spies see the build
+    calls.clear()
+    second = project_boundary(f, 6)
+    assert calls == [] and second == first
 
 
 def test_high_degree_callable_projection_at_p4(bases_built):
@@ -655,9 +680,14 @@ def test_member_batch_across_a_chunk_boundary_matches_single_points():
     for i in (0, chunks[0][0].stop - 1, chunks[0][0].stop, count - 1):
         [(_, single)] = harmonic_chunks(pts[i], 4, 6)
         assert np.array_equal(batch[:, i], single[:, 0]), i
+    # a caller's running sums of squares give the same bits as those formed per chunk
+    given = list(harmonic_chunks(pts, 4, 6, 0, np.add.accumulate(pts * pts, axis=1)))
+    assert [rows for rows, _ in given] == [rows for rows, _ in chunks]
+    assert np.array_equal(np.hstack([values for _, values in given]), batch)
     assert list(harmonic_chunks(pts[:0], 4, 6)) == []
-    with pytest.raises(ValueError):
-        next(harmonic_chunks(pts[:, :3], 4, 6))
+    for wrong in (pts[:, :3], pts[0, :3].tolist(), pts[None]):
+        with pytest.raises(ValueError, match="points of dimension"):
+            next(harmonic_chunks(wrong, 4, 6))
 
 
 def test_series_batch_beyond_one_chunk_matches_single_points():
@@ -724,4 +754,14 @@ def test_polynomial_projection_builds_no_member_matrix(monkeypatch):
     poly = _random_polynomial(np.random.default_rng(83), 6, 12, 4)
     sol = project_boundary(BoundaryData.from_polynomial(poly), 12)
     # f|_S lies in the harmonics of degree <= 12, so Parseval holds to rounding
+    assert sol.coeff_sq_sum == pytest.approx(sol.f_norm_sq, rel=1e-12)
+
+
+def test_polynomial_data_past_the_basis_byte_limit_solves():
+    # a degree-20 basis matrix at p = 5 would pass RULE_BYTES_LIMIT, but the exact route forms none:
+    # MONOMIAL_BUDGET bounds it, and x_1^20 at n_max 20 is within it
+    assert 8 * harmonic.count_harmonic(5, 20) * math.comb(24, 4) > orthopoly.RULE_BYTES_LIMIT
+    with pytest.raises(ValueError, match="MiB"):
+        orthonormalize(5, 20)
+    sol = project_boundary(BoundaryData.from_polynomial(_monomial(5, (20, 0, 0, 0, 0))), 20)
     assert sol.coeff_sq_sum == pytest.approx(sol.f_norm_sq, rel=1e-12)

@@ -244,6 +244,22 @@ def test_basis_caches_are_bounded():
     assert _degree_rows(5, 4) is _degree_rows(5, 4) and not _degree_rows(5, 4).flags.writeable
 
 
+def test_transform_tables_are_read_only_and_bounded():
+    # one entry per (p, n_max, degree), shared by every projection on that rule
+    maxsize = harmonic._transform_tables.cache_info().maxsize
+    assert maxsize is not None and 2 <= maxsize <= 8
+    circle, levels = harmonic._transform_tables(4, 6, 40)
+    assert harmonic._transform_tables(4, 6, 40)[0] is circle
+    assert circle.shape == (42, 13) and [factors.shape for _, factors in levels] == [(49, 21), (140, 21)]
+    for table in (circle,) + tuple(factors for _, factors in levels):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    for n_max in range(maxsize + 2):
+        harmonic._transform_tables(3, n_max, 8)
+    assert harmonic._transform_tables.cache_info().currsize == maxsize
+
+
 def test_a_dropped_basis_is_freed():
     basis = orthonormalize(5, 6)
     basis.members[0]  # builds the coefficients too
