@@ -87,10 +87,10 @@ class BoundaryData:
         """Polynomial degree, or None for callable data."""
         return self.polynomial.degree() if self.polynomial is not None else None
 
-    def values_at(self, points: np.ndarray, starts=(0,)) -> np.ndarray:
-        """The data at each row of `points`; a polynomial's rows from each of `starts` get a call's own bits."""
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """The data at each row of `points`; a polynomial's value at a row is that row's own, whatever the call."""
         if self.polynomial is not None:
-            return self.polynomial.evaluate_array(points, starts)
+            return self.polynomial.evaluate_array(points)
         vals = _values_on(self.func, points)
         if not np.all(np.isfinite(vals)):
             raise ValueError("boundary data is not finite at a quadrature node")
@@ -306,9 +306,9 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     exact for every t; quad_degree, if given, must be at least that degree
     and is otherwise unused.  For callable data d is quad_degree, by
     default DEFAULT_CALLABLE_DEGREE.  The data is evaluated once per batch
-    of points (KERNEL_BATCH_NODES), each point's t rows with the bits of a
-    call of their own, so a batch equals one call per point, bit for bit,
-    unless callable data's value at a node depends on its call.
+    of points (KERNEL_BATCH_NODES); polynomial data's value at every node is
+    its own, so a batch equals one call per point, bit for bit, unless
+    callable data's value at a node depends on its call.
 
     The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
     of the sphere.  For data x_1 + x_1 x_2 the largest error against the
@@ -338,10 +338,10 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     pole = np.eye(p)[-1]
     sums, batch, queued = [], [], 0  # per point its kernel's weights and ring sums; the t rows awaiting data
 
-    def evaluate(batch):  # one data call for the batch's (ring sums, nodes) chunks, each with its own run
+    def evaluate(batch):  # one data call for the batch's (ring sums, nodes) chunks
         bounds = np.cumsum([0] + [len(nodes) for _, nodes in batch])
         nodes = np.concatenate([nodes for _, nodes in batch]).reshape(-1, p)
-        vals = f.values_at(nodes, bounds[:-1] * len(eta_weights)).reshape(-1, len(eta_weights))
+        vals = f.values_at(nodes).reshape(-1, len(eta_weights))
         for (ring_sums, _), start, stop in zip(batch, bounds, bounds[1:]):
             ring_sums[:] = vals[start:stop] @ eta_weights
 

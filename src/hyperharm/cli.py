@@ -95,7 +95,10 @@ def _cmd_legendre(args) -> int:
     if args.eval is not None:
         if not np.isfinite(args.eval):
             raise ValueError("--eval must be a finite number")
-        value = float(legendre_eval(p, n, args.eval))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(legendre_eval(p, n, args.eval))
+        if not np.isfinite(value):
+            raise ValueError(f"the value at t = {args.eval!r} overflows a double")
         doc = {"p": p, "n": n, "t": args.eval, "value": value}
         _render(args, doc, ["p", "n", "t", "value"], [[p, n, args.eval, value]])
         return 0
@@ -211,7 +214,11 @@ def _parse_problem(doc, degree_override):
 
 def _cmd_solve(args) -> int:
     with open(args.problem) as fh:
-        p, n_max, f, pts, quad_degree = _parse_problem(json.load(fh), args.degree)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("the problem file nests too deeply") from None
+    p, n_max, f, pts, quad_degree = _parse_problem(doc, args.degree)
     sol = bvp_mod.project_boundary(f, n_max)
     series = bvp_mod.series_eval(sol, pts).tolist()
     kernel = bvp_mod.poisson_eval(f, pts, quad_degree=quad_degree).tolist()

@@ -8,8 +8,8 @@ one deliberately inexact operation: orthogonal matrices generally have
 irrational entries, so rotated polynomials are always FloatPolynomials.
 
 :func:`evaluate_monomials` evaluates float coefficients over a monomial
-list, a polynomial's terms; the harmonic members have their own evaluator,
-`harmonic.harmonic_chunks`.
+list, a polynomial's terms, each point by itself; the harmonic members have
+their own evaluator, `harmonic.harmonic_chunks`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 from numpy.random import default_rng
@@ -30,7 +30,6 @@ __all__ = [
     "count_harmonic",
     "count_homogeneous",
     "evaluate_monomials",
-    "monomial_table",
     "random_orthogonal",
 ]
 
@@ -91,63 +90,36 @@ def random_orthogonal(p: int, seed: int = 0) -> np.ndarray:
     return q
 
 
-def monomial_table(points, exponents) -> np.ndarray:
-    """Values x^alpha at each row x of `points` (m, p), one column per row
-    alpha of `exponents` (K, p): a C-order (m, K) array.
+def evaluate_monomials(points, exponents, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] x^exponents[k] at each row x of `points`: (m,) for
+    (m, p) points or a single (p,) point, (K, p) exponents and (K,) coeffs.
 
-    Built from per-coordinate power tables by repeated multiplication, so
-    no `pow` is taken.  Each monomial's values fill one contiguous row of a
-    (K, m) table, transposed once at the end; callers with many points
-    should go through :func:`evaluate_monomials`, which bounds its size.
-    """
-    pts = np.asarray(points, dtype=float)
-    exps = np.asarray(exponents, dtype=np.int64)
-    table = np.ones((exps.shape[0], pts.shape[0]))
-    for i in range(exps.shape[1]):
-        top = int(exps[:, i].max(initial=0))
-        if not top:
-            continue
-        x = pts[:, i]
-        powers = np.empty((top + 1, pts.shape[0]))
-        powers[0], powers[1] = 1.0, x
-        for k in range(2, top + 1):
-            np.multiply(powers[k - 1], x, out=powers[k])
-        table *= powers[exps[:, i]]
-    return np.ascontiguousarray(table.T)
-
-
-def evaluate_monomials(points, exponents, coeffs, starts=(0,)) -> np.ndarray:
-    """sum_k coeffs[..., k] x^exponents[k] at each row x of `points`.
-
-    `points` is (m, p) or a single (p,) point, `exponents` is (K, p) and
-    `coeffs` is (K,) for one polynomial or (N, K) for N of them; the result
-    is (m,) or (m, N).  Points are taken in row chunks whose table and
-    temporaries hold about CHUNK_ELEMENTS entries, so memory beyond the
-    result stays bounded however many points there are.  The rows from
-    each of `starts` (ascending from 0) to the next get the bits of a call
-    of their own: they share tables but not the sums over terms, which BLAS
-    can order by a row's place in its product.
+    Each row's value is formed from that row alone, so it has the same bits
+    in any call: a monomial is the product of its coordinates' powers, each
+    taken by repeated multiplication, in coordinate order, and the terms are
+    added one by one in term order.  Rows are taken in chunks whose power
+    tables and temporaries hold about CHUNK_ELEMENTS entries.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     exps = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != exps.shape[1]:
-        raise ValueError(
-            f"points of dimension {pts.shape[-1]} for monomials in {exps.shape[1]} variables"
-        )
-    # per point: the table's K entries, the same again for the gathered powers
-    # that multiply into it or for its transposed copy, and one coordinate's
-    # power table
-    width = 2 * exps.shape[0] + int(exps.max(initial=0)) + 1
-    rows = max(1, CHUNK_ELEMENTS // width)
-    out = np.empty((pts.shape[0],) + coeffs.shape[:-1])
-    bounds, table, first = [*starts, pts.shape[0]], pts[:0], 0
-    for start, end in zip(bounds, bounds[1:]):
-        for a, b in ((a, min(a + rows, end)) for a in range(start, end, rows)):
-            if b - first > len(table):
-                del table  # before the next one is built, so that one table is held at a time
-                table, first = monomial_table(pts[a : a + rows], exps), a
-            out[a:b] = table[a - first : b - first] @ coeffs.T
+        raise ValueError(f"points of dimension {pts.shape[-1]} for monomials in {exps.shape[1]} variables")
+    if coeffs.shape != exps.shape[:1]:
+        raise ValueError(f"coefficients of shape {coeffs.shape} for {exps.shape[0]} monomials")
+    tops = exps.max(axis=0, initial=0).tolist()
+    # per term its nonzero (coordinate, power) factors; per point the coordinates, their powers and two temporaries
+    terms = [(c, [(i, k) for i, k in enumerate(alpha) if k]) for alpha, c in zip(exps.tolist(), coeffs.tolist())]
+    rows = max(1, CHUNK_ELEMENTS // (sum(tops) + pts.shape[1] + 2))
+    out = np.zeros(pts.shape[0])
+    for a in range(0, pts.shape[0], rows):
+        powers = []  # powers[i][k] = x_i^k for k >= 1, each the one before times x_i; the last chunk's dropped
+        for x, top in zip(np.ascontiguousarray(pts[a : a + rows].T), tops):
+            powers.append([None, *accumulate(repeat(x, top - 1), np.multiply, initial=x)])
+        total = out[a : a + rows]
+        for c, factors in terms:
+            mono = [powers[i][k] for i, k in factors]
+            total += c * reduce(np.multiply, mono) if mono else c
     return out
 
 
@@ -335,9 +307,9 @@ class _Polynomial:
             object.__setattr__(self, "_float_cache", cache)
         return cache
 
-    def evaluate_array(self, points, starts=(0,)) -> np.ndarray:
-        """Vectorized float evaluation at an (m, nvars) array of points (`starts` as in `evaluate_monomials`)."""
-        return evaluate_monomials(points, *self._float_arrays(), starts)
+    def evaluate_array(self, points) -> np.ndarray:
+        """Vectorized float evaluation at an (m, nvars) array of points, each row's value its own."""
+        return evaluate_monomials(points, *self._float_arrays())
 
     # -- rotations ---------------------------------------------------
     def rotate(self, matrix) -> "FloatPolynomial":

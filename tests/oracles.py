@@ -197,22 +197,31 @@ def unit_vectors(rng, p, m):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def power_rows(points, exponents):
+    """The (m, K) values x^alpha at each row x of `points`, one column per row
+    alpha of `exponents`, each power taken by `pow`.  It shares nothing with
+    the package's evaluator, so `power_rows(x, exps) @ coeffs.T` checks it."""
+    table = np.ones((len(points), len(exponents)))
+    for i, column in enumerate(np.asarray(exponents).T):
+        table *= points[:, i : i + 1] ** column
+    return table
+
+
 def evaluated_projection(f, n_max, q):
     """Series coefficients of boundary data f by evaluating every orthonormal
     member on the nodes of the degree-q product rule: sum_nodes w f Y.
 
     Uses the package's rule and the members' power-basis rows, but neither its
-    transform nor its member recurrence.
+    transform nor its member recurrence nor its polynomial evaluator.
     """
     from hyperharm.geometry import sphere_quadrature
     from hyperharm.harmonic import orthonormalize
-    from hyperharm.polyalg import evaluate_monomials
 
     rule = sphere_quadrature(f.p, q)
     weighted = rule.weights * f.values_at(rule.nodes)
     bases = (orthonormalize(f.p, n) for n in range(n_max + 1))
     return tuple(
-        tuple(float(v) for v in evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted)
+        tuple(float(v) for v in (power_rows(rule.nodes, b.exponents) @ b.coeffs.T).T @ weighted)
         for b in bases
     )
 

@@ -21,7 +21,7 @@ from hyperharm.bvp import (
 from hyperharm.geometry import PiRational, _rule_axes, monomial_sphere_integral, solid_angle, sphere_quadrature
 from hyperharm.harmonic import harmonic_chunks, legendre_harmonic, orthonormalize, sphere_transform
 from hyperharm.legendre import legendre_eval
-from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, evaluate_monomials
+from hyperharm.polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial
 
 
 def _monomial(p, alpha, coeff=1):
@@ -226,15 +226,15 @@ def test_poisson_reproduces_scaled_harmonics():
 
 
 def test_poisson_batch_matches_single_points(monkeypatch):
-    # a batch's data calls give each point's nodes runs of their own (`values_at`'s `starts`), so every point
-    # gets the bits of its own call, also for data of many terms, whose BLAS sums can depend on a row's place
+    # polynomial data's value at a node is the node's own, so every point of a batch gets the bits of its own
+    # call, also for data of many terms
     many = _random_polynomial(np.random.default_rng(84), 4, 5, 12)
     assert len(many.terms) >= 8
     calls, values_at = [], BoundaryData.values_at
 
-    def spy(self, points, starts=(0,)):
-        calls.append(np.diff([*starts, len(points)]).tolist())
-        return values_at(self, points, starts)
+    def spy(self, points):
+        calls.append(len(points))
+        return values_at(self, points)
 
     monkeypatch.setattr(BoundaryData, "values_at", spy)
     rng = np.random.default_rng(85)
@@ -247,7 +247,7 @@ def test_poisson_batch_matches_single_points(monkeypatch):
         calls.clear()
         for x0, want in zip(pts, batch):
             assert poisson_eval(f, x0) == want
-        assert len(batch_calls) < len(calls) and sorted(sum(batch_calls, [])) == sorted(sum(calls, []))
+        assert len(batch_calls) < len(calls) and sum(batch_calls) == sum(calls)
 
 
 def test_poisson_domain_errors():
@@ -577,7 +577,7 @@ def test_axis_moments_match_the_graded_tables(p, n_max, q):
     rule = sphere_quadrature(p, q)
     vals = f.values_at(rule.nodes)
     weighted = rule.weights * vals
-    want = np.concatenate([evaluate_monomials(rule.nodes, b.exponents, b.coeffs).T @ weighted
+    want = np.concatenate([(oracles.power_rows(rule.nodes, b.exponents) @ b.coeffs.T).T @ weighted
                            for b in map(orthonormalize, [p] * (n_max + 1), range(n_max + 1))])
     got = sphere_transform(weighted, p, n_max, q)
     assert got.shape == want.shape

@@ -52,6 +52,19 @@ def test_legendre_eval_refuses_a_non_finite_argument(capsys, value):
     assert out == "" and err == "error: --eval must be a finite number\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_legendre_eval_refuses_a_value_beyond_a_double(capsys, fmt):
+    # the recurrence overflows to inf - inf here, so no value is printed
+    assert run(["legendre", "--p", "3", "--n", "3", "--eval", "1e308", "--format", fmt]) == 2
+    out, err = _out(capsys)
+    assert out == "" and err == "error: the value at t = 1e+308 overflows a double\n"
+    # a value near the top of the double range still prints
+    assert run(["legendre", "--p", "3", "--n", "400", "--eval", "3", "--format", fmt]) == 0
+    out, _ = _out(capsys)
+    value = json.loads(out)["value"] if fmt == "json" else float(out.splitlines()[1].split(",")[-1])
+    assert math.isfinite(value) and value > 4e304
+
+
 def test_legendre_coeffs_are_rational_cells(capsys):
     assert run(["legendre", "--p", "3", "--n", "2"]) == 0
     out, _ = _out(capsys)
@@ -595,6 +608,15 @@ def test_oversized_n_max_exits_2_at_once(tmp_path, capsys):
     assert run(["solve", "--problem", str(path)]) == 2
     assert time.perf_counter() - start < 0.1
     assert f"budget of {MONOMIAL_BUDGET} graded monomials" in capsys.readouterr().err
+
+
+def test_solve_with_a_deeply_nested_problem_file_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError, which is not an input error until the command names it one
+    path = tmp_path / "problem.json"
+    path.write_text("[" * 100_000)
+    assert run(["solve", "--problem", str(path)]) == 2
+    out, err = _out(capsys)
+    assert out == "" and err == "error: the problem file nests too deeply\n"
 
 
 def test_oversized_quadrature_exits_2_at_once(capsys):

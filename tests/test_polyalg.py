@@ -15,7 +15,6 @@ from hyperharm.polyalg import (
     check_orthogonal,
     count_homogeneous,
     evaluate_monomials,
-    monomial_table,
     random_orthogonal,
 )
 
@@ -244,15 +243,20 @@ def test_exact_and_float_kinds_share_one_core():
     assert q.max_abs_coeff() == Fraction(2)
 
 
-def test_monomial_table_matches_powers():
+def _single_monomials(pts, exps):
+    """The (m, K) table of the evaluator's single monomials, each with coefficient 1.0."""
+    return np.column_stack([evaluate_monomials(pts, [alpha], [1.0]) for alpha in exps])
+
+
+def test_single_monomials_match_powers():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(30, 4))
     exps = np.array([[0, 0, 0, 0], [3, 0, 1, 0], [0, 7, 0, 2], [1, 1, 1, 1], [0, 0, 12, 0]])
     want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2)
-    got = monomial_table(pts, exps)
+    got = _single_monomials(pts, exps)
     assert got.shape == (30, 5)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-14
-    assert monomial_table(pts, np.zeros((0, 4), dtype=int)).shape == (30, 0)
+    assert np.array_equal(evaluate_monomials(pts, np.zeros((0, 4), dtype=int), []), np.zeros(30))
 
 
 def _column_table(pts, exps):
@@ -267,32 +271,36 @@ def _column_table(pts, exps):
     return table
 
 
-def test_monomial_table_rows_give_the_column_formation_bit_for_bit():
-    # the same products in the same order, so the table and every `@ coeffs.T` keep their bits
+def test_single_monomials_give_the_column_formation_bit_for_bit():
+    # the same products in the same order: a monomial with coefficient 1.0 keeps the column's bits
     rng = np.random.default_rng(9)
     for _ in range(40):
         p, count, m = (int(v) for v in rng.integers(1, [7, 30, 400]))
         pts, exps = rng.normal(size=(m, p)), rng.integers(0, 9, size=(count, p))
-        got = monomial_table(pts, exps)
-        assert got.flags.c_contiguous and np.array_equal(got, _column_table(pts, exps))
-        coeffs = rng.normal(size=count)
-        assert np.array_equal(evaluate_monomials(pts, exps, coeffs), _column_table(pts, exps) @ coeffs)
+        assert np.array_equal(_single_monomials(pts, exps), _column_table(pts, exps))
 
 
-def test_evaluate_monomials_runs_get_the_bits_of_their_own_calls(monkeypatch):
-    # BLAS can give a row of a product other bits at the product's end, so runs of odd lengths and many terms
-    # are each checked against a call of their own, also with runs longer than one chunk
+def test_evaluate_monomials_slices_get_the_bits_of_the_full_call(monkeypatch):
+    # each row's value is formed from the row alone, so every contiguous slice of the points gets the bits of
+    # the full call at its rows, also for many terms and for slices across chunk boundaries
     rng = np.random.default_rng(10)
     for trial in range(60):
         if trial == 30:
             monkeypatch.setattr(polyalg, "CHUNK_ELEMENTS", 1 << 10)
-        p, count = (int(v) for v in rng.integers(1, [6, 60]))
+        p, count = (int(v) for v in rng.integers(1, [6, 61]))
         exps = rng.integers(0, 6, size=(count, p))
-        coeffs = rng.normal(size=count) if trial % 3 else rng.normal(size=(3, count))
-        sizes = rng.integers(1, 700, size=int(rng.integers(1, 10)))
-        pts, starts = rng.normal(size=(int(sizes.sum()), p)), np.cumsum(sizes) - sizes
-        want = np.concatenate([evaluate_monomials(pts[a : a + n], exps, coeffs) for a, n in zip(starts, sizes)])
-        assert np.array_equal(evaluate_monomials(pts, exps, coeffs, starts), want)
+        coeffs = rng.normal(size=count)
+        pts = rng.normal(size=(int(rng.integers(1, 2000)), p))
+        full = evaluate_monomials(pts, exps, coeffs)
+        for a, b in np.sort(rng.integers(0, len(pts) + 1, size=(8, 2)), axis=1):
+            assert np.array_equal(evaluate_monomials(pts[a:b], exps, coeffs), full[a:b]), (trial, a, b)
+
+
+def test_evaluate_monomials_refuses_coefficients_of_the_wrong_length():
+    pts, exps = np.ones((4, 3)), np.array([[2, 0, 1], [0, 1, 0], [1, 1, 1]])
+    for coeffs in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError):
+            evaluate_monomials(pts, exps, coeffs)
 
 
 @pytest.mark.parametrize("p, n_max", [(1, 5), (2, 7), (3, 4), (5, 3), (6, 0)])
@@ -309,23 +317,22 @@ def test_evaluate_monomials_shapes_and_chunks():
     rng = np.random.default_rng(8)
     exps = np.array([[2, 0, 1], [0, 1, 0], [1, 1, 1]])
     coeffs = np.array([[0.5, -2.0, 1.25], [1.0, 0.0, -3.0]])
-    # past the first chunk boundary: the width is 2K + top exponent + 1
+    # past the first chunk boundary: a chunk holds CHUNK_ELEMENTS // 9 points here
     rows = polyalg.CHUNK_ELEMENTS // 3 + 1
     pts = rng.uniform(-1.0, 1.0, size=(rows, 3))
     want = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs.T
-    got = evaluate_monomials(pts, exps, coeffs)
+    got = np.column_stack([evaluate_monomials(pts, exps, c) for c in coeffs])
     assert got.shape == (rows, 2)
     assert np.max(np.abs(got - want)) <= 1e-14
     one = evaluate_monomials(pts[-1], exps, coeffs[0])
     assert one.shape == (1,) and abs(one[0] - want[-1, 0]) <= 1e-14
-    assert evaluate_monomials(pts[:0], exps, coeffs).shape == (0, 2)
+    assert evaluate_monomials(pts[:0], exps, coeffs[0]).shape == (0,)
     with pytest.raises(ValueError):
-        evaluate_monomials(pts[:, :2], exps, coeffs)
+        evaluate_monomials(pts[:, :2], exps, coeffs[0])
 
 
 def test_evaluation_working_set_stays_within_the_chunk_budget():
-    # the table, the gathered powers multiplied into it and one power table:
-    # counting only the table let a wide evaluation hold twice CHUNK_ELEMENTS
+    # the coordinates, their power tables and the temporaries of a term
     rng = np.random.default_rng(12)
     for p, degree in ((5, 4), (3, 12), (2, 40)):
         exps = np.concatenate([_degree_rows(p, n) for n in range(degree + 1)])
