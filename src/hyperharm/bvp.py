@@ -5,7 +5,7 @@ Two independent solution routes are implemented.  The spherical-harmonic series 
 sphere integrals of polynomial data against the members, by a recursion in the dimension with no member matrix,
 or from the semi-naive transform of callable data on a product rule.  The kernel integral is zonal about
 x0 / |x0|, so it runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|>
-times a rule on S^{p-2}, with the data evaluated once per batch of points (`poisson_eval`).  The kernel route
+times a rule on S^{p-2}, in one array pass over the points of each t rule (`poisson_eval`).  The kernel route
 uses no harmonic basis, so the routes share no machinery beyond quadrature building blocks and their agreement
 is a meaningful end-to-end check.
 """
@@ -24,7 +24,7 @@ from .geometry import PiRational, solid_angle, sphere_quadrature
 from .harmonic import _gram_scale, _member_integrals, _norms, _sqrt_pi, harmonic_chunks, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
-from .polyalg import ExactPolynomial, FloatPolynomial, count_harmonic
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, count_harmonic
 
 __all__ = [
     "BoundaryData",
@@ -38,13 +38,10 @@ __all__ = [
 ]
 
 DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of members integrate exactly
-# kernel rule: error target relative to the kernel's peak, a cap on the t nodes (one Gauss rule of 2048
-# nodes takes ~1.6 s), the boundary points of one point's data call, which bounds its memory, and the nodes
-# up to which the calls of several points are batched into one (`poisson_eval`)
+# kernel rule: error target relative to the kernel's peak and a cap on the t nodes (one Gauss rule of 2048
+# nodes takes ~1.6 s); `poisson_eval` sizes its blocks by `polyalg.CHUNK_ELEMENTS`
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
-KERNEL_CHUNK_NODES = 1 << 16
-KERNEL_BATCH_NODES = 1 << 11
 # a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
 # (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables (`harmonic._transform_tables`)
 MONOMIAL_BUDGET = 100_000
@@ -273,20 +270,15 @@ def _t_rule(p: int, r: float, degree: int):
     return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
 
 
-def _complement_frame(u: np.ndarray) -> np.ndarray:
-    """First p-1 columns of the Householder H with H e_p = u: a basis of u's complement.
-
-    H = I - 2 v v^T / v^T v with v = e_p - u; 1 - u_p is formed as
-    |u_head|^2 / (1 + u_p) when u_p > 0 to avoid cancellation.
-    """
-    p = len(u)
-    head = u[:-1]
-    head_sq = float(head @ head)
-    if head_sq == 0.0:
-        return np.eye(p)[:, :-1]
+def _complement_frames(u: np.ndarray) -> np.ndarray:
+    """First p-1 columns of the Householder H with H e_p = u, per row u of a (G, p) array: bases of u's complement.
+    H = I - 2 v v^T / v^T v with v = e_p - u; 1 - u_p is |u_head|^2 / (1 + |u_p|) when u_p > 0, against cancellation
+    (|u_p|: no row divides by 0), and H = I where |u_head|^2 is 0.  A row's dots are BLAS calls of its own."""
+    head_sq = (u[:, None, :-1] @ u[:, :-1, None])[:, 0, 0]
     v = -u
-    v[-1] = head_sq / (1.0 + u[-1]) if u[-1] > 0.0 else 1.0 - u[-1]
-    return np.eye(p)[:, :-1] - (2.0 / float(v @ v)) * (v[:, None] * v[:-1])
+    v[:, -1] = np.where(u[:, -1] > 0.0, head_sq / (1.0 + np.abs(u[:, -1])), 1.0 - u[:, -1])
+    scale = 2.0 / np.where(head_sq > 0.0, (v[:, None] @ v[:, :, None])[:, 0, 0], np.inf)
+    return np.eye(u.shape[1], u.shape[1] - 1) - scale[:, None, None] * (v[:, :, None] * v[:, None, :-1])
 
 
 def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
@@ -298,17 +290,16 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     r = 0).  The sphere is sliced about u with the measure identity
     dsigma_{p-1} = (1 - t^2)^((p-3)/2) dt dsigma_{p-2}: a Gauss-Gegenbauer
     rule in t (see `_t_rule`) times a degree-d rule on S^{p-2} placed in
-    u's complement by `_complement_frame`, with nodes
-    xi = t u + sqrt(1 - t^2) H [eta; 0].  The kernel is evaluated once per
-    t node.
+    u's complement by `_complement_frames`, with nodes
+    xi = t u + sqrt(1 - t^2) H [eta; 0].
 
     For polynomial data d is the data's degree, so the S^{p-2} rule is
     exact for every t; quad_degree, if given, must be at least that degree
     and is otherwise unused.  For callable data d is quad_degree, by
-    default DEFAULT_CALLABLE_DEGREE.  The data is evaluated once per batch
-    of points (KERNEL_BATCH_NODES); polynomial data's value at every node is
-    its own, so a batch equals one call per point, bit for bit, unless
-    callable data's value at a node depends on its call.
+    default DEFAULT_CALLABLE_DEGREE.  The points of one t rule share blocks
+    of t nodes and data calls sized by `polyalg.CHUNK_ELEMENTS`, but each
+    point's sums are BLAS calls on its own nodes, so a batch equals one call
+    per point, bit for bit, unless callable data's values depend on the call.
 
     The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
     of the sphere.  For data x_1 + x_1 x_2 the largest error against the
@@ -334,37 +325,34 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     if any(not r < 1.0 for r in radii):
         raise ValueError("kernel integral is defined for interior points only")
     eta, eta_weights = _slice_rule(p, degree)
-    rows_per_chunk = max(1, KERNEL_CHUNK_NODES // len(eta_weights))
-    pole = np.eye(p)[-1]
-    sums, batch, queued = [], [], 0  # per point its kernel's weights and ring sums; the t rows awaiting data
-
-    def evaluate(batch):  # one data call for the batch's (ring sums, nodes) chunks
-        bounds = np.cumsum([0] + [len(nodes) for _, nodes in batch])
-        nodes = np.concatenate([nodes for _, nodes in batch]).reshape(-1, p)
-        vals = f.values_at(nodes).reshape(-1, len(eta_weights))
-        for (ring_sums, _), start, stop in zip(batch, bounds, bounds[1:]):
-            ring_sums[:] = vals[start:stop] @ eta_weights
-
-    for x, r in zip(pts, radii):
-        u = x / r if r > 0.0 else pole
-        # the S^{p-2} nodes as unit vectors orthogonal to u
-        ring = eta @ _complement_frame(u).T
-        t_rule = _t_rule(p, r, degree)
-        t = t_rule.nodes
-        # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
-        dist_sq = (1.0 - r) ** 2 + 2.0 * r * (1.0 - t)
-        kernel = (1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0)
-        sums.append((t_rule.weights * kernel, np.empty(len(t))))
-        for start in range(0, len(t), rows_per_chunk):
-            tc = t[start : start + rows_per_chunk, None, None]
-            if batch and (queued + len(tc)) * len(eta_weights) > KERNEL_BATCH_NODES:
-                evaluate(batch)
-                batch, queued = [], 0
-            batch.append((sums[-1][1][start : start + len(tc)], tc * u + np.sqrt(1.0 - tc * tc) * ring))
-            queued += len(tc)
-    if batch:
-        evaluate(batch)
-    out = np.array([np.dot(w, ring_sums) for w, ring_sums in sums])
+    size = len(eta_weights) * p  # entries of one t node's ring of nodes
+    groups = {}  # the points of each t rule, by its size
+    for i, rule in enumerate(_t_rule(p, r, degree) for r in radii):
+        groups.setdefault(len(rule.nodes), (rule, []))[1].append(i)
+    gap_sq = np.array([(1.0 - r) ** 2 for r in radii])  # Python's pow: np.square differs in ~0.1% of last bits
+    radii = np.array(radii)
+    out = np.empty(len(pts))
+    for rule, index in groups.values():
+        t = rule.nodes
+        rows = max(1, min(len(t), CHUNK_ELEMENTS // size))  # t nodes per block
+        step = max(1, CHUNK_ELEMENTS // (rows * size))  # points per data call
+        for at in range(0, len(index), step):
+            idx = index[at : at + step]
+            r = radii[idx][:, None]
+            u = np.divide(pts[idx], r, out=np.eye(1, p, p - 1).repeat(len(idx), 0), where=r > 0.0)  # e_p at r = 0
+            # the S^{p-2} nodes as unit vectors orthogonal to u
+            ring = (eta @ _complement_frames(u).transpose(0, 2, 1))[:, None]
+            # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
+            dist_sq = gap_sq[idx, None] + 2.0 * r * (1.0 - t)
+            weights = rule.weights * ((1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0))
+            ring_sums = np.empty_like(weights)
+            for start in range(0, len(t), rows):
+                tc = t[start : start + rows, None, None]
+                nodes = np.sqrt(1.0 - tc * tc) * ring
+                nodes += tc * u[:, None, None]
+                vals = f.values_at(nodes.reshape(-1, p)).reshape(len(idx), len(tc), -1)
+                ring_sums[:, start : start + rows] = vals @ eta_weights
+            out[idx] = (weights[:, None] @ ring_sums[:, :, None])[:, 0, 0]
     out /= solid_angle(p)
     return float(out[0]) if x0.ndim == 1 else out
 

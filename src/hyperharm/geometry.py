@@ -18,6 +18,7 @@ import numpy as np
 
 from . import orthopoly
 from .orthopoly import RULE_BYTES_LIMIT
+from .polyalg import CHUNK_ELEMENTS
 
 __all__ = [
     "PiRational",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-NORM_BLOCK_ROWS = 1 << 16  # rows renormalised at a time in sphere_quadrature
 
 
 @dataclass(frozen=True)
@@ -366,8 +366,8 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     weights = weights.reshape(-1)
     # rounding can leave |node| a hair off 1; renormalize so the invariant is
     # exact, in row blocks so the norm's squared temporary stays small
-    for start in range(0, len(nodes), NORM_BLOCK_ROWS):
-        block = nodes[start : start + NORM_BLOCK_ROWS]
+    for start in range(0, len(nodes), CHUNK_ELEMENTS // p):
+        block = nodes[start : start + CHUNK_ELEMENTS // p]
         block /= np.linalg.norm(block, axis=1)[:, None]
     return QuadratureRule(nodes, weights, exact_degree=2 * m - 1, p=p)
 

@@ -22,6 +22,7 @@ an axis at a time (Driscoll & Healy, Adv. Appl. Math. 15, 1994: the semi-naive t
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,9 +345,12 @@ def _sqrt_pi(num: int, den: int, pi_half: int) -> float:
 def orthonormalize(p: int, n: int) -> HarmonicBasis:
     """Orthonormal basis of degree-n spherical harmonics on S^{p-1}.
 
-    Member i is raw member i over the square root of its exact Gram entry
-    gram_scale N_i.  Only that Gram is formed here (`_norms`, no matrix).
+    Member i is raw member i over the square root of its exact Gram entry gram_scale N_i.  Only that Gram is formed
+    here (`_norms`, no matrix).  At p = 2 the raw members' integers are binomials C(n, k) over their gcd, at most
+    C(n, n // 2 - (n % 4 == 2)); past a double, which `coeffs` needs, the basis is refused before the slow `_norms`.
     """
+    if p == 2 and n >= 0 and math.comb(n, n // 2 - (n % 4 == 2)) > sys.float_info.max:
+        raise ValueError(f"a degree-{n} basis in 2 variables has integer coefficients past a double")
     norms = _basis_norms(p, n)  # validates p and n, and refuses an oversized basis before any other work
     return HarmonicBasis(p, n, _gram_scale(p, n), norms)
 

@@ -96,7 +96,7 @@ class LegendreTable:
 
 
 def legendre_eval(p: int, n: int, t):
-    """P_{n,p}(t) by the forward recurrence; t may be a scalar or array."""
+    """P_{n,p}(t) by the forward recurrence, t a scalar or array; a finite t whose value passes a double is refused."""
     p = _check_dim(p)
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -106,8 +106,12 @@ def legendre_eval(p: int, n: int, t):
     if n == 0:
         return float(prev) if scalar else prev
     cur = t.copy()
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + p - 2) * t * cur - k * prev) / (k + p - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + p - 2) * t * cur - k * prev) / (k + p - 2)
+    bad = np.isfinite(t) & ~np.isfinite(cur)
+    if bad.any():
+        raise ValueError(f"the value at t = {float(t[bad][0])!r} overflows a double")
     return float(cur) if scalar else cur
 
 
@@ -120,14 +124,18 @@ def _rodrigues_poly(p: int, n: int) -> Poly1D:
 
 
 def rodrigues_eval(p: int, n: int, t):
-    """P_{n,p}(t) through the derivative construction; exact polynomial inside."""
+    """P_{n,p}(t) by the derivative construction, exact inside; a finite t whose value passes a double is refused."""
     p = _check_dim(p)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     poly = _rodrigues_poly(p, n)
-    if isinstance(t, np.ndarray):
-        return poly(t)
-    return float(poly(float(t)))
+    t = t if isinstance(t, np.ndarray) else float(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.asarray(poly(t), dtype=float)
+    bad = np.isfinite(t) & ~np.isfinite(value)
+    if bad.any():
+        raise ValueError(f"the value at t = {float(np.asarray(t)[bad][0])!r} overflows a double")
+    return value if isinstance(t, np.ndarray) else float(value)
 
 
 def ode_residual(p: int, n: int, t):

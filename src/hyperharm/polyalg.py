@@ -35,8 +35,8 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 
-# entries per chunk in evaluate_monomials and harmonic.harmonic_chunks (2 MB of float64),
-# so no temporary grows with the number of points
+# entries per chunk in evaluate_monomials, harmonic.harmonic_chunks, the kernel's node blocks and the
+# sphere rule's renormalisation (2 MB of float64), so no temporary grows with the number of points
 CHUNK_ELEMENTS = 1 << 18
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -248,6 +249,69 @@ def test_poisson_batch_matches_single_points(monkeypatch):
         for x0, want in zip(pts, batch):
             assert poisson_eval(f, x0) == want
         assert len(batch_calls) < len(calls) and sum(batch_calls) == sum(calls)
+
+
+def _kernel_points(rng, p):
+    """r = 0, three points on one sphere of radius 0.5 (one t rule), the poles +-e_p and two more radii."""
+    pts = np.zeros((8, p))
+    pts[1:4] = 0.5 * oracles.unit_vectors(rng, p, 3)
+    pts[4, -1], pts[5, -1] = 0.3, -0.3
+    pts[6:] = oracles.unit_vectors(rng, p, 2) * np.array([[0.2], [0.7]])
+    return pts
+
+
+@pytest.mark.parametrize("p, quad_degree", [(3, None), (5, 20)])
+def test_callable_batch_matches_single_points(p, quad_degree):
+    # a point's values come only from its own nodes, whichever points share its t rule, blocks and data calls
+    f = BoundaryData.from_callable(p, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    pts = _kernel_points(np.random.default_rng(86), p)
+    degree = quad_degree or bvp.DEFAULT_CALLABLE_DEGREE
+    sizes = [len(bvp._t_rule(p, float(r), degree)) for r in np.linalg.norm(pts, axis=1)]
+    assert sizes[1] == sizes[2] == sizes[3] and len(set(sizes)) >= 4
+    batch = poisson_eval(f, pts, quad_degree=quad_degree)
+    assert [poisson_eval(f, x, quad_degree=quad_degree) for x in pts] == batch.tolist()
+
+
+def test_near_sphere_callable_batch_stays_within_the_chunk_budget():
+    # p = 4, degree 64: 2048 t nodes times 2178 ring nodes a point, 4.5M boundary nodes, evaluated in blocks
+    p, degree = 4, 64
+    f = builtin_boundary(p, "exponential")
+    pts = 0.99 * oracles.unit_vectors(np.random.default_rng(87), p, 6)
+    bvp._t_rule(p, 0.99, degree), bvp._slice_rule(p, degree)  # the cached rules are built before the count
+    tracemalloc.start()
+    try:
+        out = poisson_eval(f, pts, quad_degree=degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 8 * CHUNK_ELEMENTS and np.all(np.isfinite(out))
+
+
+def test_a_small_chunk_budget_splits_t_blocks_and_data_calls(monkeypatch):
+    # p = 3, degree 2: 4 ring nodes, 12 entries a t node.  At 2^9 entries a block holds 42 t nodes, so the
+    # 192-node rule at |x| = 0.9 takes 5 blocks, and two of the 16-node rules at |x| = 0.1 share a data call
+    p = 3
+    f = BoundaryData.from_polynomial(ExactPolynomial(p, {(1, 1, 0): Fraction(1), (0, 0, 2): Fraction(-3, 2)}))
+    rng = np.random.default_rng(88)
+    near, far = 0.1 * oracles.unit_vectors(rng, p, 4), 0.9 * oracles.unit_vectors(rng, p, 2)
+    want = poisson_eval(f, np.vstack([near, far]))
+    calls, values_at = [], BoundaryData.values_at
+
+    def spy(self, points):
+        calls.append(len(points))
+        return values_at(self, points)
+
+    monkeypatch.setattr(BoundaryData, "values_at", spy)
+    monkeypatch.setattr(bvp, "CHUNK_ELEMENTS", 1 << 9)
+    ring = len(bvp._slice_rule(p, 2)[1])
+    for pts, few, many in ((near, 2, 3), (far, 3, 10)):
+        calls.clear()
+        poisson_eval(f, pts)
+        sizes = [len(bvp._t_rule(p, float(r), 2)) for r in np.linalg.norm(pts, axis=1)]
+        assert len(set(sizes)) == 1 and sum(calls) == sum(sizes) * ring
+        assert max(calls) <= (1 << 9) // p and few <= len(calls) <= many, (calls, sizes)
+    got = poisson_eval(f, np.vstack([near, far]))
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_poisson_domain_errors():

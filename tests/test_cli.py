@@ -132,10 +132,18 @@ def test_readme_solve_output_is_pinned(tmp_path, capsys):
 
 
 def test_basis_beyond_a_double_exits_2(capsys):
-    # coefficients near C(2200, 1100) ~ 1e660 at p = 2; the ladder of 1100 rungs
-    # below it is built from the bottom, so no recursion limit is reached first
+    # coefficients near C(2200, 1100) ~ 1e660 at p = 2, refused before the basis is built
     assert run(["basis", "--p", "2", "--n", "2200"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_circle_basis_beyond_a_double_exits_2_at_once(capsys):
+    # the exact integers of a degree-5000 circle basis took 10 s to build before the overflow was found
+    start = time.perf_counter()
+    assert run(["basis", "--p", "2", "--n", "5000"]) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = _out(capsys)
+    assert out == "" and err == "error: a degree-5000 basis in 2 variables has integer coefficients past a double\n"
 
 
 @pytest.mark.parametrize("raw", [[], ["--raw"]])

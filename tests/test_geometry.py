@@ -7,7 +7,6 @@ import pytest
 import oracles
 from hyperharm import geometry
 from hyperharm.geometry import (
-    NORM_BLOCK_ROWS,
     PiRational,
     QuadratureRule,
     SphericalPoint,
@@ -21,6 +20,7 @@ from hyperharm.geometry import (
     spherical_to_cartesian,
     zonal_integral,
 )
+from hyperharm.polyalg import CHUNK_ELEMENTS
 
 
 def test_gamma_half_exact_values():
@@ -285,8 +285,8 @@ def test_zonal_integral_rejects_bad_input():
 
 
 def test_sphere_rule_matches_the_meshgrid_assembly():
-    # (4, 64) has more nodes than one renormalisation block
-    assert len(sphere_quadrature(4, 64).nodes) > NORM_BLOCK_ROWS
+    # (4, 64) has more nodes than one renormalisation block of CHUNK_ELEMENTS // p rows
+    assert len(sphere_quadrature(4, 64).nodes) > CHUNK_ELEMENTS // 4
     for p, degree in ((3, 0), (3, 9), (4, 7), (4, 20), (4, 64), (5, 12), (6, 6), (7, 4)):
         rule = sphere_quadrature(p, degree)
         nodes, weights = oracles.meshgrid_sphere_rule(p, degree)

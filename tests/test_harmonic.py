@@ -522,3 +522,22 @@ def test_matrix_evaluation_across_a_chunk_boundary():
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     assert len(list(harmonic.harmonic_chunks(pts, 4, 6, 6))) > 1
     _assert_matrix_evaluation_matches(basis, pts)
+
+
+def test_circle_basis_past_a_double_is_refused_before_any_build(monkeypatch):
+    # at p = 2 the raw members are the binomials C(n, k) of one parity of k over their gcd: n = 1029 is the
+    # largest degree whose integers all convert to a double
+    coeffs = orthonormalize(2, 1029).coeffs
+    assert np.all(np.isfinite(coeffs)) and np.abs(coeffs).max() > 8e307
+
+    def no_build(*args):
+        raise AssertionError("a basis build started")
+
+    monkeypatch.setattr(harmonic, "_ladder", no_build)
+    monkeypatch.setattr(harmonic, "_slices", no_build)
+    for n in (1030, 5000):
+        with pytest.raises(ValueError, match=f"^a degree-{n} basis in 2 variables has integer coefficients past"):
+            orthonormalize(2, n)
+    monkeypatch.undo()
+    # the raw basis keeps its integers exact, so it is not refused
+    assert max(abs(c) for m in harmonic_basis_raw(2, 1030) for c in m.terms.values()) == math.comb(1030, 514)

@@ -214,6 +214,21 @@ def test_dimension_validation():
         legendre_eval(0, 2, 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", [legendre_eval, rodrigues_eval])
+def test_values_past_a_double_are_refused(route):
+    # P_3(1e308) is about 2.5e924: the recurrence overflowed to NaN and Rodrigues' Horner sum to inf
+    with pytest.raises(ValueError, match=r"^the value at t = 1e\+308 overflows a double$"):
+        route(3, 3, 1e308)
+    # an array names its first such t, in row-major order; input that is not finite gives what it gives, unrefused
+    with pytest.raises(ValueError, match=r"t = -1e\+200 overflows"):
+        route(3, 3, np.array([[0.5, np.nan], [-1e200, 1e308]]))
+    values = route(3, 3, np.array([np.nan, 1e100, 0.5]))
+    assert np.isnan(values[0]) and values[1] == pytest.approx(2.5e300) and values[2] == -0.4375
+    assert not math.isfinite(route(3, 3, np.inf)) and route(3, 0, 1e308) == 1.0
+    assert math.isfinite(route(3, 40, 3.0)) and route(3, 40, 3.0) > 1e29
+
+
 def test_rule_and_table_caches_are_bounded():
     for cached in (legendre._coeff_rows, legendre._rodrigues_poly, orthopoly._gauss_rule_cached):
         maxsize = cached.cache_info().maxsize
