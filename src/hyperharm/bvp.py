@@ -21,7 +21,7 @@ import numpy as np
 
 from . import orthopoly
 from .geometry import PiRational, solid_angle, sphere_quadrature
-from .harmonic import _gram_scale, _member_integrals, _norms, _sqrt_pi, harmonic_chunks, sphere_transform
+from .harmonic import _gram_scale, _member_integrals, _member_values, _norms, _plan, _sqrt_pi, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _values_on
 from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, count_harmonic
@@ -204,20 +204,24 @@ def series_eval(sol: BvpSolution, x):
     """Value of the series solution at points of the closed unit ball.
 
     x of shape (p,) returns a float; shape (m, p) returns an array.  Members
-    from `harmonic.harmonic_chunks` carry |x|^n off the sphere (x = 0 keeps the
-    constant term alone); x is checked once, |x| from the recurrence's sums.
+    from `harmonic._member_values`, the chunk body of `harmonic.harmonic_chunks`,
+    carry |x|^n off the sphere (x = 0 keeps the constant term alone); x is
+    checked once, |x| from the recurrence's sums.  A one-point call runs the
+    chunk body a batch row runs, with no generator, so it returns the float of
+    its one-row batch.
     """
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    if pts.ndim != 2 or pts.shape[1] != sol.p:
+    if x.ndim > 2 or x.shape[-1:] != (sol.p,):
         raise ValueError("point dimension does not match the solution")
-    sums = np.add.accumulate(pts * pts, axis=1)
-    if not (np.sqrt(sums[:, -1]) <= 1 + 1e-12).all():  # NaN fails
+    coords = x.reshape(-1, sol.p).T
+    r2 = np.add.accumulate(coords * coords)
+    if r2.size and not math.sqrt(r2[-1].max()) <= 1 + 1e-12:  # NaN fails
         raise ValueError("series solution is defined on the closed unit ball")
-    total = np.empty(pts.shape[0])
-    for rows, values in harmonic_chunks(pts, sol.p, sol.n_max, 0, sums):
-        total[rows] = sol._vector @ values
-    return float(total[0]) if x.ndim == 1 else total
+    step, m = _plan(sol.p, sol.n_max, 0)[-1], coords.shape[1]  # the points a chunk holds
+    chunks = [(coords, r2)] if m <= step else [(coords[:, c : c + step], r2[:, c : c + step])
+                                              for c in range(0, m, step)]
+    total = [sol._vector @ _member_values(c, s, sol.p, sol.n_max, 0) for c, s in chunks]
+    return float(total[0][0]) if x.ndim == 1 else np.concatenate(total)
 
 
 def green_function(p: int, x, x0) -> float:

@@ -122,6 +122,7 @@ def solid_angle_exact(p: int) -> PiRational:
     return PiRational(Fraction(2) / g.coeff, p - g.pi_half)
 
 
+@lru_cache(maxsize=256)  # read per call by the kernel, Funk-Hecke and addition routes, and per point by Green's
 def solid_angle(p: int) -> float:
     return float(solid_angle_exact(p))
 

@@ -236,26 +236,29 @@ class HarmonicBasis:
         return out
 
 
-def _profiles(x: np.ndarray, r2, steps: np.ndarray, x1) -> np.ndarray:
-    """F[k, j, level, i] at rows x (level, i) of x_q and r^2 = r2, for j <= n_max - k; the rest is 0.  As
-    the recurrence is linear, level 2's j = 1 column starts from F_0 = x_1, so that it holds x_1 F_k."""
-    n_max = len(steps) - 1
-    table = np.zeros((n_max + 2,) + steps.shape[1:-1] + x.shape[-1:])  # F_{-1} = 0, then F_0 .. F_n_max
-    table[1], x2, steps = 1.0, 2.0 * x, steps * r2
-    table[1, 1:2, 0] = x1
-    for k in range(n_max):
-        top = n_max - k  # degree j + k + 1 <= n_max
-        table[k + 2, :top] = x2 * table[k + 1, :top] + steps[k, :top] * table[k, :top]
-    return table[1:]
+def _profiles(x: np.ndarray, r2, x1, steps: np.ndarray, index: tuple) -> np.ndarray:
+    """F[k, j, level, i] at rows x (level, i) of x_q and r^2 = r2, for j <= n_max - k; the rest is 0.  As the
+    recurrence is linear, level 2's j = 1 column starts from F_0 = x_1, so that it holds x_1 F_k.  Step k writes
+    2 x_q F_k + s_k r^2 F_{k-1} (F_{-1} = 0) into its own rows in place, by the indices `_plan` keeps."""
+    table = np.zeros(steps.shape[:-1] + x.shape[-1:])
+    table[0] = 1.0
+    x2, steps = table[0] * (2.0 * x), steps * r2  # 2 x_q in every column, so that each step's operands match
+    table[0, 1:2, 0] = x1
+    for below, at, row, top in index:  # F_{k-1} (none at k = 0), F_k and F_{k+1}, over j < top
+        out = np.multiply(x2[top], table[at], out=table[row])
+        if below:
+            out += steps[at] * table[below]
+    return table
 
 
-@lru_cache(maxsize=64)  # read again by every `harmonic_chunks` call and by both rules of a callable projection
+@lru_cache(maxsize=64)  # read again by every `harmonic_chunks` and `bvp.series_eval` call, and by the transform
 def _plan(p: int, n_max: int, n_min: int):
     """Per (k, j, level q - 2, 1), -4 beta_k and G_k's scale: with P_k monic for (1 - t^2)^((q-3)/2+j),
     F_k = 2^k r^k P_k(x_q / r) obeys F_{k+1} = 2 x_q F_k - 4 beta_k |x|^2 F_{k-1} (bounded like Chebyshev's
     U_k), and G_k = s_k F_k / (2^k sqrt(beta_0 .. beta_k)) is s_k r^k Q_k(x_q / r), s_k = (-1)^floor(k/2) making
     its x_q^j0 term positive.  Then per level, each member's h and its row in `_profiles`' flat table (degrees
-    n_min..n_max at p, all below), and per top member its rows and its scale, with S^0's 1/sqrt(2)."""
+    n_min..n_max at p, all below), and per top member its rows and its scale, with S^0's 1/sqrt(2).  Last, the
+    table rows of each step and the points a chunk holds."""
     width = 2 if p == 2 else n_max + 1
     steps, scales = np.zeros((2, n_max + 1, width, p - 1, 1))
     signs = np.where(np.arange(n_max + 1) % 4 < 2, 1.0, -1.0)
@@ -274,28 +277,34 @@ def _plan(p: int, n_max: int, n_min: int):
         gathers.append((np.array(src, dtype=np.intp), np.array(rows, dtype=np.intp)))
         members = gathers[-1][1][None] if q == 2 else np.vstack([members[:, gathers[-1][0]], gathers[-1][1]])
     scale = np.sqrt(0.5) * np.prod(scales.reshape(-1)[members], axis=0)[:, None]
+    tops = [slice(None, n_max - k) for k in range(n_max)]
+    index = tuple(((k - 1, top) if k else (), (k, top), (k + 1, top), top) for k, top in enumerate(tops))
+    # per point: the table, its steps times |x|^2, 2 x_q and a step's product, then each member's rows and their product
+    step = max(1, CHUNK_ELEMENTS // ((2 * n_max + 4) * steps[0].size + p * len(scale)))
     for array in sum(gathers, (steps, scales, members, scale)):
         array.flags.writeable = False  # cached, so shared by every call
-    return steps, scales, tuple(gathers), members, scale
+    return steps, scales, tuple(gathers), members, scale, index, step
 
 
-def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0, sums=None):
-    """Yield (rows, values) over row chunks of (m, p) `points`: values[c, i] is the c-th orthonormal member of degree
-    n_min..n_max, in basis order, at the chunk's i-th point, the product of its rows of one stacked recurrence.  A
-    caller that has checked `points` as an (m, p) float array passes np.add.accumulate(points * points, axis=1) as
-    `sums`, and nothing is checked or formed again.  Nothing divides by |x|; temporaries stay near CHUNK_ELEMENTS."""
-    if sums is None:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim != 2 or points.shape[1] != p:
-            raise ValueError(f"points of dimension {points.shape[-1]} for harmonics in {p} variables")
-    steps, _, _, members, scale = _plan(p, n_max, n_min)
-    # per point: the table, its steps times |x|^2 and a step's product, then the rows of each member and their product
-    step = max(1, CHUNK_ELEMENTS // ((2 * n_max + 4) * steps[0].size + p * len(scale)))
+def _member_values(coords: np.ndarray, r2: np.ndarray, p: int, n_max: int, n_min: int) -> np.ndarray:
+    """values[c, i]: the c-th orthonormal member of degree n_min..n_max, in basis order, at column i of (p, m)
+    `coords`, whose running sums of squares down each column are `r2`; the product of its rows of one stacked
+    recurrence.  Every caller's chunk is this body, so a point's values do not depend on the points beside it."""
+    steps, _, _, members, scale, index, _ = _plan(p, n_max, n_min)
+    table = _profiles(coords[1:], r2[1:], coords[0], steps, index)
+    return np.multiply.reduce(table.reshape(steps.size, -1).take(members, axis=0)) * scale
+
+
+def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0):
+    """Yield (rows, values) over row chunks of (m, p) `points`: values is `_member_values` at the chunk's points,
+    the body `bvp.series_eval` also runs.  Nothing divides by |x|; temporaries stay near CHUNK_ELEMENTS."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != p:
+        raise ValueError(f"points of dimension {points.shape[-1]} for harmonics in {p} variables")
+    step = _plan(p, n_max, n_min)[-1]
     for start in range(0, points.shape[0], step):
-        chunk, coords = slice(start, start + step), points[start : start + step].T
-        r2 = np.add.accumulate(coords * coords, axis=0) if sums is None else sums[chunk].T
-        table = _profiles(coords[1:], r2[1:], steps, coords[0])
-        yield chunk, table.reshape(-1, coords.shape[1]).take(members, axis=0).prod(axis=0) * scale
+        coords = points[start : start + step].T
+        yield slice(start, start + step), _member_values(coords, np.add.accumulate(coords * coords), p, n_max, n_min)
 
 
 @lru_cache(maxsize=4)  # the two rules of a callable projection, for two (p, n_max, degree)
@@ -309,9 +318,9 @@ def _transform_tables(p: int, n_max: int, degree: int):
     circle = np.hstack([v for _, v in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max)]).T
     if p > 2:
         t = np.array([np.zeros(len(axes[0]))] + axes[-2::-1])  # level 2's row is unused
-        steps, scales, gathers, _, _ = _plan(p, n_max, 0)
+        steps, scales, gathers, _, _, index, _ = _plan(p, n_max, 0)
         powers = np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
-        factors = (_profiles(t, 1.0, steps, 0.0) * scales * powers).reshape(-1, t.shape[1])
+        factors = (_profiles(t, 1.0, 0.0, steps, index) * scales * powers).reshape(-1, t.shape[1])
         levels = tuple((src, factors[rows]) for src, rows in gathers[1:])
     for array in (circle,) + tuple(f for _, f in levels):
         array.flags.writeable = False  # cached, so shared by every projection

@@ -4,7 +4,10 @@
 - ball: a cold criterion-08 ball solve (p = 5, 3 terms of degree 3, n_max 4, 50 points at |x| <= 0.8),
   its time, peak RSS and the gap between the series and the kernel;
 - warm: a warm library session, the benchmark's `project_warm` op (callable harmonic data at p = 4,
-  n_max 6, then 50 one-point `series_eval` calls at |x| = 0.8), timed over 20 ops after one warm-up.
+  n_max 6, then 50 one-point `series_eval` calls at |x| = 0.8), timed over 20 ops after one warm-up;
+- series: warm one-point calls, the median microseconds of a `series_eval` at the warm probe's (4, 6)
+  and the ball probe's (5, 4), and of a `poisson_eval` on the ball probe's data, over 15 repeats of
+  50 points each.
 
 Run from the root of a checkout:
 
@@ -71,7 +74,34 @@ def warm() -> str:
             f"{1e3 * statistics.median(times):.2f} ms over 20 ops (min {1e3 * min(times):.2f}), error {worst:.1e}")
 
 
-PROBES = {"verify": verify, "ball": ball, "warm": warm}
+def series() -> str:
+    from hyperharm import bvp
+    from hyperharm.polyalg import FloatPolynomial
+
+    rng = np.random.default_rng(5)
+    u, v = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
+    warm = bvp.project_boundary(bvp.BoundaryData.from_callable(4, lambda y: np.exp(y @ u) * np.cos(y @ v)), 6)
+    terms = {(3, 0, 0, 0, 0): 0.75, (0, 1, 1, 0, 1): -0.625, (0, 0, 0, 2, 0): 0.5}
+    f = bvp.BoundaryData.from_polynomial(FloatPolynomial(5, terms))
+    ball = bvp.project_boundary(f, 4)
+    calls = (("series (4, 6)", 4, warm, bvp.series_eval), ("series (5, 4)", 5, ball, bvp.series_eval),
+             ("kernel p = 5", 5, f, bvp.poisson_eval))
+    figures = []
+    for name, p, arg, call in calls:
+        x = rng.normal(size=(50, p))
+        pts = 0.8 * x / np.linalg.norm(x, axis=1)[:, None]
+        call(arg, pts[0])  # the kernel's first call builds its rules
+        times = []
+        for _ in range(15):
+            start = time.perf_counter()
+            for x0 in pts:
+                call(arg, x0)
+            times.append((time.perf_counter() - start) / len(pts))
+        figures.append(f"{name} {1e6 * statistics.median(times):.1f} us")
+    return f"warm one-point calls, median of 15 x 50: {', '.join(figures)}"
+
+
+PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series}
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:

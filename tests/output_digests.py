@@ -20,8 +20,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import hyperharm
-from hyperharm import cli
+from hyperharm import bvp, cli
+from hyperharm.polyalg import FloatPolynomial
 
 ROOT = Path(hyperharm.__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -49,6 +52,21 @@ def _command(argv) -> str:
     return f"{_digest(out.getvalue().encode())} exit {rc}: {' '.join(argv)}"
 
 
+def _one_point_series() -> str:
+    """One-point `series_eval` values at the inputs of `ci_probes.py`'s first warm op and of its ball probe."""
+    rng = np.random.default_rng(5)
+    u, v = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
+    x = rng.normal(size=(50, 4))
+    warm = bvp.project_boundary(bvp.BoundaryData.from_callable(4, lambda y: np.exp(y @ u) * np.cos(y @ v)), 6)
+    values = [bvp.series_eval(warm, x0) for x0 in 0.8 * x / np.linalg.norm(x, axis=1)[:, None]]
+    terms = {(3, 0, 0, 0, 0): 0.75, (0, 1, 1, 0, 1): -0.625, (0, 0, 0, 2, 0): 0.5}
+    ball = bvp.project_boundary(bvp.BoundaryData.from_polynomial(FloatPolynomial(5, terms)), 4)
+    x = np.random.default_rng(3).normal(size=(50, 5))
+    pts = np.linspace(0.016, 0.8, 50)[:, None] * x / np.linalg.norm(x, axis=1)[:, None]
+    values += [bvp.series_eval(ball, x0) for x0 in pts]
+    return f"{_digest(np.array(values).tobytes())} one-point series_eval, warm (4, 6) and ball (5, 4) probe inputs"
+
+
 def main() -> None:
     session, home = workloads.WORKLOADS["cli_session"], os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -62,6 +80,7 @@ def main() -> None:
             print(_digest(Path("rule.csv").read_bytes()), "rule.csv")
         finally:
             os.chdir(home)
+    print(_one_point_series())
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for demo in sorted((ROOT / "demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(demo)], capture_output=True, check=True, env=env)

@@ -744,10 +744,9 @@ def test_member_batch_across_a_chunk_boundary_matches_single_points():
     for i in (0, chunks[0][0].stop - 1, chunks[0][0].stop, count - 1):
         [(_, single)] = harmonic_chunks(pts[i], 4, 6)
         assert np.array_equal(batch[:, i], single[:, 0]), i
-    # a caller's running sums of squares give the same bits as those formed per chunk
-    given = list(harmonic_chunks(pts, 4, 6, 0, np.add.accumulate(pts * pts, axis=1)))
-    assert [rows for rows, _ in given] == [rows for rows, _ in chunks]
-    assert np.array_equal(np.hstack([values for _, values in given]), batch)
+    # the chunk body on every point at once, as `series_eval` runs it within a chunk, gives the same bits
+    coords = pts.T
+    assert np.array_equal(harmonic._member_values(coords, np.add.accumulate(coords * coords), 4, 6, 0), batch)
     assert list(harmonic_chunks(pts[:0], 4, 6)) == []
     for wrong in (pts[:, :3], pts[0, :3].tolist(), pts[None]):
         with pytest.raises(ValueError, match="points of dimension"):
@@ -768,6 +767,28 @@ def test_series_batch_beyond_one_chunk_matches_single_points():
     # at the centre only the constant term survives
     assert series_eval(sol, np.zeros(4)) == sol.coeffs[0][0] * orthonormalize(4, 0).evaluate_members(np.zeros(4))[0, 0]
 
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 8), (3, 40), (4, 6), (5, 4), (6, 3)])
+def test_one_point_series_value_is_its_batch_row_bit_for_bit(p, n_max):
+    rng = np.random.default_rng(p)
+    # callable data needs a sphere rule, which at p = 6 is too large for the default degree
+    f = builtin_boundary(p, "exponential") if p < 6 else BoundaryData.from_polynomial(_random_polynomial(rng, p, 3, 4))
+    sol = project_boundary(f, n_max)
+    pts = oracles.unit_vectors(rng, p, 8) * rng.uniform(0.0, 1.0, size=(8, 1))
+    pts[0], pts[1] = 0.0, oracles.unit_vectors(rng, p, 1)[0]
+    for x in pts:
+        value = series_eval(sol, x)
+        assert isinstance(value, float) and value == series_eval(sol, x[None])[0]
+        assert series_eval(sol, x.tolist()) == value
+    axis = np.eye(p, dtype=int)[-1]  # |x| = 1 in integers
+    assert series_eval(sol, axis) == series_eval(sol, axis.tolist()) == series_eval(sol, axis.astype(float))
+    for wrong in (np.float64(0.5), np.zeros(p + 1)):
+        with pytest.raises(ValueError, match="point dimension"):
+            series_eval(sol, wrong)
+    for outside in (np.full(p, np.nan), pts[1] * (1 + 2e-12)):
+        with pytest.raises(ValueError, match="defined on the closed unit ball"):
+            series_eval(sol, outside)
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_sphere_moments_are_the_exact_monomial_integrals(p):

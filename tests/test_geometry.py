@@ -60,6 +60,13 @@ def test_solid_angle_float_formula():
         solid_angle_exact(0)
 
 
+def test_cached_solid_angle_is_the_exact_value_rounded():
+    for p in range(1, 41):
+        assert solid_angle(p) == float(solid_angle_exact(p))
+    with pytest.raises(ValueError):
+        solid_angle(0)
+
+
 def test_pi_rational_arithmetic():
     third = PiRational(Fraction(1, 3), 2)
     assert float(third * 3) == pytest.approx(math.pi)
