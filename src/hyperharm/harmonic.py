@@ -89,10 +89,11 @@ def _slices(p: int, n: int) -> tuple:
     fact, out = [math.factorial(k) for k in range(n + 1)], []
     for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
         j0, half = (n - j) % 2, (n - j) // 2
-        ints, factor = [], 1
+        ints, factor, ratio = [], 1, fact[n - j]  # ratio = (n-j)!/(j0+2t)!, as j0! = 1
         for t in range(half + 1):
-            ints.append((-1) ** t * fact[j0 + 2 * half] // fact[j0 + 2 * t] * factor)
+            ints.append((-1) ** t * ratio * factor)
             factor *= 2 * (half - t) * (2 * (half - t) + 2 * j + p - 3)
+            ratio //= (j0 + 2 * t + 1) * (j0 + 2 * t + 2)
         divisor = math.gcd(*ints)
         ints = tuple(c // divisor for c in ints)
         out.append((j, j0, ints, fact[n - j] * abs(ints[-1]) * sum(map(abs, ints))))

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .polyalg import _Polynomial
+
 __all__ = [
     "Poly1D",
     "Weight",
@@ -32,21 +34,31 @@ __all__ = [
 RULE_BYTES_LIMIT = 1 << 28  # largest rule build: sphere nodes plus weights, or a Gauss eigenproblem
 
 
-class Poly1D:
-    """Univariate polynomial, coefficients ascending in the monomial basis.
+class Poly1D(_Polynomial):
+    """Univariate polynomial: the one-variable case of `polyalg`'s core, with
+    its coefficients also ascending in the monomial basis as `coeffs`.
 
     Coefficients may be exact (int, Fraction) or float; operations keep
     whatever arithmetic the inputs carry.  Trailing zeros are trimmed, so
-    the leading coefficient is nonzero unless the polynomial is zero.
+    the leading coefficient is nonzero unless the polynomial is zero, and
+    every zero below it is that coefficient's own zero.
     """
 
     __slots__ = ("coeffs",)
+    _coerce = _scalar = staticmethod(lambda c: c)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(1, {(k,): c for k, c in enumerate(coeffs) if c})
+
+    def _set(self, nvars: int, terms: dict):
+        super()._set(nvars, terms)
+        coeffs = []
+        if terms:
+            (top,), lead = next(reversed(terms.items()))
+            coeffs = [lead * 0] * (top + 1)
+            for (k,), c in terms.items():
+                coeffs[k] = c
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def x_power(cls, k: int) -> "Poly1D":
@@ -81,53 +93,6 @@ class Poly1D:
             result = result * x + c
         return result
 
-    def __add__(self, other):
-        other = other if isinstance(other, Poly1D) else Poly1D((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return Poly1D(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1D(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Poly1D) else Poly1D((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Poly1D((other,)) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly1D):
-            if not self.coeffs or not other.coeffs:
-                return Poly1D()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly1D(out)
-        return Poly1D(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Poly1D) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def deriv(self) -> "Poly1D":
         return Poly1D(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -159,9 +124,6 @@ class Poly1D:
 
     def __repr__(self):
         return f"Poly1D({list(self.coeffs)!r})"
-
-
-ONE = Poly1D((1,))
 
 
 @dataclass(frozen=True)

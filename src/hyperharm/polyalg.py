@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, repeat
+from operator import add
 
 import numpy as np
 from numpy.random import default_rng
@@ -188,11 +189,23 @@ class _Polynomial:
     __slots__ = ("nvars", "terms", "_float_cache")
 
     def __init__(self, nvars: int, terms=None):
-        object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(
-            self, "terms", _validated_terms(self.nvars, terms or {}, self._coerce)
-        )
-        object.__setattr__(self, "_float_cache", None)
+        nvars = int(nvars)
+        self._set(nvars, _validated_terms(nvars, terms or {}, self._coerce))
+
+    def _set(self, nvars: int, terms: dict):
+        self.nvars, self.terms, self._float_cache = nvars, terms, None
+
+    def _new(self, terms: dict, other=None):
+        """A ring result.  Terms formed from this kind's own coefficients were checked when those were,
+        so only their zeros are dropped and their keys sorted; terms formed with a polynomial of another
+        kind are checked as the constructor checks them."""
+        if other is not None and type(other) is not type(self):
+            terms = _validated_terms(self.nvars, terms, self._coerce)
+        else:
+            terms = {k: terms[k] for k in sorted(terms) if terms[k]}
+        out = object.__new__(type(self))
+        out._set(self.nvars, terms)
+        return out
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -204,47 +217,50 @@ class _Polynomial:
         return cls(nvars, {(0,) * nvars: cls._scalar(c)})
 
     # -- ring operations ----------------------------------------------
-    def _check_same_space(self, other):
+    def __add__(self, other):
+        terms = dict(self.terms)
+        zero = self._coerce(0)
+        if not isinstance(other, _Polynomial):
+            key = (0,) * self.nvars
+            terms[key] = terms.get(key, zero) + self._scalar(other)
+            return self._new(terms)
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different variable counts")
-
-    def __add__(self, other):
-        if isinstance(other, _Polynomial):
-            self._check_same_space(other)
-            zero = self._coerce(0)
-            terms = dict(self.terms)
-            for a, c in other.terms.items():
-                terms[a] = terms.get(a, zero) + c
-            return type(self)(self.nvars, terms)
-        return self + self.constant(self.nvars, other)
+        for a, c in other.terms.items():
+            terms[a] = terms.get(a, zero) + c
+        return self._new(terms, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.nvars, {a: -c for a, c in self.terms.items()})
+        return self._new({a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, _Polynomial) else -self._scalar(other))
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
-        if isinstance(other, _Polynomial):
-            self._check_same_space(other)
-            zero = self._coerce(0)
-            terms: dict = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    terms[key] = terms.get(key, zero) + ca * cb
-            return type(self)(self.nvars, terms)
-        c = self._coerce(other)
-        return type(self)(self.nvars, {a: v * c for a, v in self.terms.items()})
+        if not isinstance(other, _Polynomial):
+            c = self._coerce(other)
+            return self._new({a: v * c for a, v in self.terms.items()})
+        if self.nvars != other.nvars:
+            raise ValueError("polynomials live in different variable counts")
+        zero = self._coerce(0)
+        terms: dict = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                key = tuple(map(add, a, b))
+                terms[key] = terms.get(key, zero) + ca * cb
+        return self._new(terms, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = self.constant(self.nvars, 1)
+        out = self._new({(0,) * self.nvars: self._scalar(1)})
         base = self
         while k:
             if k & 1:
@@ -280,7 +296,7 @@ class _Polynomial:
                 if ai >= 2:
                     key = a[:i] + (ai - 2,) + a[i + 1 :]
                     terms[key] = terms.get(key, zero) + c * ai * (ai - 1)
-        return type(self)(self.nvars, terms)
+        return self._new(terms)
 
     # -- evaluation ------------------------------------------------------
     def evaluate(self, x):
@@ -385,13 +401,11 @@ class ExactPolynomial(_Polynomial):
             if a[i]:
                 key = a[:i] + (a[i] - 1,) + a[i + 1 :]
                 terms[key] = terms.get(key, Fraction(0)) + c * a[i]
-        return ExactPolynomial(self.nvars, terms)
+        return self._new(terms)
 
     def euler_apply(self) -> "ExactPolynomial":
         """Apply sum_i x_i d/dx_i; equals n*q exactly for homogeneous q of degree n."""
-        return ExactPolynomial(
-            self.nvars, {a: c * sum(a) for a, c in self.terms.items()}
-        )
+        return self._new({a: c * sum(a) for a, c in self.terms.items()})
 
     # -- conversion and io ------------------------------------------
     def to_float(self) -> "FloatPolynomial":

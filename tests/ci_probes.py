@@ -7,7 +7,10 @@
   n_max 6, then 50 one-point `series_eval` calls at |x| = 0.8), timed over 20 ops after one warm-up;
 - series: warm one-point calls, the median microseconds of a `series_eval` at the warm probe's (4, 6)
   and the ball probe's (5, 4), and of a `poisson_eval` on the ball probe's data, over 15 repeats of
-  50 points each.
+  50 points each;
+- poly: the one polynomial core, the median milliseconds of 5 cold calls, every cache cleared before
+  each: `legendre_coeffs(3, 300)`, `legendre_harmonic(5, 10)`, `_rodrigues_poly(5, 40)` and
+  `verify orthogonality recurrence harmonicity`.
 
 Run from the root of a checkout:
 
@@ -101,7 +104,30 @@ def series() -> str:
     return f"warm one-point calls, median of 15 x 50: {', '.join(figures)}"
 
 
-PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series}
+def poly() -> str:
+    from hyperharm import bvp, cli, geometry, harmonic, legendre, orthopoly, polyalg
+
+    calls = (("legendre_coeffs(3, 300)", lambda: legendre.legendre_coeffs(3, 300)),
+             ("legendre_harmonic(5, 10)", lambda: harmonic.legendre_harmonic(5, 10)),
+             ("_rodrigues_poly(5, 40)", lambda: legendre._rodrigues_poly(5, 40)),
+             ("verify orthogonality recurrence harmonicity",
+              lambda: cli.run(["verify", "orthogonality", "recurrence", "harmonicity"])))
+    caches = [f for m in (bvp, cli, geometry, harmonic, legendre, orthopoly, polyalg)
+              for f in vars(m).values() if hasattr(f, "cache_clear")]
+    figures = []
+    for name, call in calls:
+        times = []
+        for _ in range(5):
+            for f in caches:
+                f.cache_clear()
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        figures.append(f"{name} {1e3 * statistics.median(times):.1f} ms")
+    return f"cold polynomial calls, median of 5: {', '.join(figures)}"
+
+
+PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series, "poly": poly}
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:

@@ -54,6 +54,30 @@ def test_poly1d_deriv_and_monic():
         Poly1D().monic()
 
 
+def test_poly1d_is_the_one_variable_case_of_the_core():
+    from hyperharm.legendre import legendre_coeffs
+    from hyperharm.polyalg import ExactPolynomial, FloatPolynomial, _Polynomial
+
+    assert issubclass(Poly1D, _Polynomial)
+    ring = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__", "__eq__", "__hash__"}
+    assert not ring & set(vars(Poly1D))
+    assert not hasattr(orthopoly, "ONE")
+    # every zero below the leading coefficient is that coefficient's own zero
+    row = legendre_coeffs(3, 6).coeffs
+    assert [type(c) for c in row] == [Fraction] * 7 and row[1] == row[3] == 0
+    family = (Poly1D.x_power(2).as_float() + 1.0) * Poly1D((0.0, 1.0))
+    assert family.coeffs == (0.0, 1.0, 0.0, 1.0) and all(type(c) is float for c in family.coeffs)
+    # a scalar minus a polynomial, for the one-variable case and both multivariate kinds
+    assert (1 - Poly1D((1, -2, 3))).coeffs == (0, 2, -3)
+    q = ExactPolynomial(2, {(1, 0): Fraction(1, 3), (0, 0): Fraction(1)})
+    assert 1 - q == ExactPolynomial(2, {(1, 0): Fraction(-1, 3)})
+    assert 1 - q.to_float() == FloatPolynomial(2, {(1, 0): -1 / 3})
+    # equal polynomials from ints and from Fractions hash equal
+    ints, fracs = Poly1D((0, 1, 2)), Poly1D((Fraction(0), Fraction(1), Fraction(2)))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert hash(ints * ints) == hash(fracs**2)
+
+
 def test_weight_validation_and_mass():
     with pytest.raises(ValueError):
         Weight(-1, 0)

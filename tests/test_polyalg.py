@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -241,6 +242,61 @@ def test_exact_and_float_kinds_share_one_core():
     assert (f + 1).terms[(0, 0, 0)] == 1.0
     assert f * f == f**2
     assert q.max_abs_coeff() == Fraction(2)
+
+
+def _random_polynomial(kind, rng, p):
+    """Up to 6 seeded terms of degree at most 3 per variable; repeated draws of one exponent overwrite."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 7))):
+        alpha = tuple(int(a) for a in rng.integers(0, 4, size=p))
+        num, den = int(rng.integers(-4, 5)), int(rng.integers(1, 4))
+        terms[alpha] = {int: num, Fraction: Fraction(num, den), float: num / den}[kind]
+    return terms
+
+
+def _ring_results(a, b, k):
+    return a + b, a - b, a * b, a**k, a + 2, a - 1, 3 * a, -a
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_ring_results_equal_their_checked_construction(p):
+    # ring results skip the constructor's checks; each must be what the constructor makes of its terms
+    rng = np.random.default_rng(20261021 + p)
+    for kind, coeff in ((ExactPolynomial, Fraction), (FloatPolynomial, float)):
+        for _ in range(40):
+            a, b = (kind(p, _random_polynomial(coeff, rng, p)) for _ in range(2))
+            calculus = [a.laplacian()]
+            if kind is ExactPolynomial:
+                calculus += [a.euler_apply(), *(a.partial(i) for i in range(p))]
+            for r in (*_ring_results(a, b, int(rng.integers(0, 4))), *calculus):
+                rebuilt = type(r)(r.nvars, r.terms)
+                assert type(r) is kind and r == rebuilt and list(r.terms) == list(rebuilt.terms)
+                assert all(type(c) is coeff and c for c in r.terms.values())
+
+
+def test_poly1d_ring_results_equal_their_checked_construction():
+    from hyperharm.orthopoly import Poly1D
+
+    rng = np.random.default_rng(20261022)
+    for _ in range(60):
+        kinds = rng.choice([int, Fraction, float], size=2)
+        a, b = (Poly1D([c for _, c in sorted(_random_polynomial(kind, rng, 1).items())]) for kind in kinds)
+        for r in _ring_results(a, b, int(rng.integers(0, 4))):
+            rebuilt = Poly1D(r.coeffs)
+            assert r == rebuilt and hash(r) == hash(rebuilt) and r.coeffs == rebuilt.coeffs
+            assert [type(c) for c in r.coeffs] == [type(c) for c in rebuilt.coeffs]
+
+
+def test_mixed_exact_and_float_operands_raise_where_they_did():
+    e = ExactPolynomial(2, {(1, 0): Fraction(1, 3), (0, 0): Fraction(2)})
+    f = FloatPolynomial(2, {(0, 1): 0.5, (1, 0): 0.25})
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(e, f)
+        r = op(f, e)  # the left operand fixes the kind
+        assert type(r) is FloatPolynomial and all(type(c) is float for c in r.terms.values())
+    with pytest.raises(TypeError):
+        e * 0.5
 
 
 def _single_monomials(pts, exps):
