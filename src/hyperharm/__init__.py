@@ -82,61 +82,5 @@ from .polyalg import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BoundaryData",
-    "BvpSolution",
-    "ExactPolynomial",
-    "FloatPolynomial",
-    "HarmonicBasis",
-    "LegendreTable",
-    "PiRational",
-    "Poly1D",
-    "QuadratureRule",
-    "RecurrenceCoeffs",
-    "SphericalPoint",
-    "Weight",
-    "addition_theorem_eval",
-    "bernstein",
-    "best_approximation",
-    "builtin_boundary",
-    "cartesian_to_spherical",
-    "check_orthogonal",
-    "count_harmonic",
-    "count_homogeneous",
-    "dimension_shift",
-    "funk_hecke_coeff",
-    "gamma_half",
-    "gauss_rule",
-    "generating_function_closed",
-    "generating_function_consistency",
-    "generating_function_partial",
-    "gram_schmidt",
-    "green_function",
-    "harmonic_basis_raw",
-    "inner_product",
-    "integral_representation_eval",
-    "jacobi_rodrigues",
-    "legendre_coeffs",
-    "legendre_eval",
-    "legendre_harmonic",
-    "legendre_norm_sq",
-    "legendre_norm_sq_exact",
-    "line_element_coeffs",
-    "monomial_sphere_integral",
-    "ode_residual",
-    "orthonormalize",
-    "parseval_report",
-    "poisson_eval",
-    "project_boundary",
-    "random_orthogonal",
-    "recurrence_coeffs",
-    "recurrence_residual",
-    "rodrigues_eval",
-    "series_eval",
-    "solid_angle",
-    "solid_angle_exact",
-    "sphere_quadrature",
-    "spherical_to_cartesian",
-    "zonal_integral",
-]
+# every public name imported above that is not a module
+__all__ = ["__version__"] + sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, type(cli)))

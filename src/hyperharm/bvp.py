@@ -23,8 +23,8 @@ from . import orthopoly
 from .geometry import PiRational, solid_angle, sphere_quadrature
 from .harmonic import _gram_scale, _member_integrals, _member_values, _norms, _plan, _sqrt_pi, sphere_transform
 from .legendre import generating_function_closed, generating_function_partial
-from .orthopoly import _values_on
-from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, count_harmonic
+from .orthopoly import _priced, _values_on
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _members_upto
 
 __all__ = [
     "BoundaryData",
@@ -42,9 +42,6 @@ DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of member
 # nodes takes ~1.6 s); `poisson_eval` sizes its blocks by `polyalg.CHUNK_ELEMENTS`
 KERNEL_TOL = 1e-15
 MAX_T_NODES = 2048
-# a bound on n_max alone: no route builds the C(n_max + p, p) monomials of degree <= n_max that it counts
-# (p = 4, n_max = 30 has 46,376), but it bounds `sphere_transform`'s tables (`harmonic._transform_tables`)
-MONOMIAL_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -141,12 +138,17 @@ def _exact_transform(poly: ExactPolynomial, n_max: int):
     Coefficient i of degree n is <f, raw_i> / sqrt(gram_scale N_i), <f, raw_i> summed over f's terms from
     `harmonic._member_integrals` (|f|^2 over f^2's, at degree 0).  f|_S is a sum of harmonics of degree <= deg f
     (P_n = H_n + |x|^2 P_{n-2}), so every coefficient above that degree is 0.0 and nothing is formed for it."""
-    p, memo = poly.nvars, {}
+    p, memo, d = poly.nvars, {}, max(min(n_max, poly.degree()), 0)
+    # priced first at a floor of the integers the loop keeps: per degree n <= d, `_slices`' n + 1 (p = 2) or
+    # (n + 2)^2 // 4 of n / 2 bits and more, at 32 bytes of slot and header; per member a norm and a slot per term
+    s1, s2, s3 = d * (d + 1) // 2, d * (d + 1) * (2 * d + 1) // 6, (d * (d + 1) // 2) ** 2  # sums of n, n^2, n^3
+    _priced(f"the exact integrals of degree <= {d} in {p} variables", (32 * s1 + s2 // 16 if p == 2 else
+            8 * s2 + s3 // 64) + (32 + 8 * len(poly.terms)) * _members_upto(p, d))
     pi_half = _gram_scale(p, 0).pi_half  # every nonzero sphere integral's
     f_norm_sq = sum(c * _member_integrals(p, 0, beta, memo)[0] for beta, c in (poly * poly).terms.items())
-    flat, top = np.zeros(sum(count_harmonic(p, n) for n in range(n_max + 1))), 0
+    flat, top = np.zeros(_members_upto(p, n_max)), 0  # priced by `project_boundary`
     for n in range(min(n_max, poly.degree()) + 1):
-        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # no member matrix, so MONOMIAL_BUDGET bounds it
+        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # integers alone: no member matrix
         columns = [(c, _member_integrals(p, n, beta, memo)) for beta, c in poly.terms.items()]
         for i, v in enumerate(norms):
             a = sum(c * m[i] for c, m in columns if m[i])
@@ -165,18 +167,14 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
     rule exact for the products) is only checked against that least degree.  Callable data goes
     through `harmonic.sphere_transform` on the product rule of degree quad_degree (default
     max(DEFAULT_CALLABLE_DEGREE, 2 n_max + 2)); projection_error is the largest coefficient change
-    on the rule of degree quad_degree + 2, and coeff_sq_sum past f_norm_sq is a ValueError.  More
-    than MONOMIAL_BUDGET graded monomials is a ValueError, before any work.
+    on the rule of degree quad_degree + 2, and coeff_sq_sum past f_norm_sq is a ValueError.  Each table,
+    the coefficients first, is priced against RULE_BYTES_LIMIT before it is made, and refused by name.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    # C(n_max + p, k) grows with k up to min(n_max, p), so huge inputs stop within a few steps
-    count = 1
-    for k in range(1, min(n_max, f.p) + 1):
-        count = count * (n_max + f.p + 1 - k) // k
-        if count > MONOMIAL_BUDGET:
-            raise ValueError(f"n_max = {n_max} at p = {f.p} needs more than the budget of "
-                             f"{MONOMIAL_BUDGET} graded monomials")
+    # per coefficient: `flat`, a Python float in `coeffs` and its row's list, `BvpSolution._vector`; per degree, a row
+    _priced(f"the coefficient output of degree <= {n_max} in {f.p} variables",
+            56 * _members_upto(f.p, n_max) + 256 * (n_max + 1))
     projection_error = 0.0
     if f.polynomial is None:
         quad_degree = max(DEFAULT_CALLABLE_DEGREE, 2 * n_max + 2) if quad_degree is None else quad_degree
@@ -189,8 +187,7 @@ def project_boundary(f: BoundaryData, n_max: int, quad_degree: int | None = None
             raise ValueError(f"quadrature degree {quad_degree} cannot integrate the products "
                              f"exactly; need at least {required}")
         flat, f_norm_sq = _exact_transform(f.polynomial, n_max)
-    ends = np.cumsum([count_harmonic(f.p, n) for n in range(n_max + 1)])
-    coeffs = tuple(tuple(row.tolist()) for row in np.split(flat, ends[:-1]))
+    coeffs = tuple(tuple(row.tolist()) for row in np.split(flat, [_members_upto(f.p, n) for n in range(n_max)]))
     coeff_sq_sum = float(sum(c * c for row in coeffs for c in row))
     if f.polynomial is None and coeff_sq_sum > f_norm_sq + 1e-8:
         raise ValueError(f"projection coefficients violate the norm bound: coeff_sq_sum {coeff_sq_sum!r} > "

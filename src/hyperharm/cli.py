@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # argparse's gettext imports it at the first parser build; load it with the CLI
+import math
 import sys
 from fractions import Fraction
 
@@ -27,12 +28,7 @@ from .harmonic import (
     legendre_harmonic,
     orthonormalize,
 )
-from .legendre import (
-    LegendreTable,
-    funk_hecke_coeff,
-    legendre_coeffs,
-    legendre_eval,
-)
+from .legendre import LegendreTable, funk_hecke_coeff, legendre_coeffs, legendre_eval
 from .orthopoly import Weight, gram_schmidt, inner_product, recurrence_coeffs, recurrence_residual
 from .polyalg import ExactPolynomial
 
@@ -83,8 +79,12 @@ def _render(args, doc, header, rows, meta=None) -> None:
 
 
 def _cmd_count(args) -> int:
-    K = count_homogeneous(args.p, args.n)
-    N = count_harmonic(args.p, args.n)
+    a, k, limit = args.n + args.p - 1, min(args.n, args.p - 1, 2**20), getattr(sys, "get_int_max_str_digits", int)()
+    if k > 0 and limit:  # limit 0: none, as before Python 3.10.7; log C(a, k) from floats, a floor if k is capped
+        ln = k * math.log(a) if a >= 2**40 else math.lgamma(a + 1) - math.lgamma(a - k + 1)  # k ln(a): within 1
+        if (digits := (ln - math.lgamma(k + 1)) / math.log(10)) > limit:
+            raise ValueError(f"count --p {args.p} --n {args.n} has {int(digits)}+ digits, past the {limit}-digit limit")
+    K, N = count_homogeneous(args.p, args.n), count_harmonic(args.p, args.n)
     doc = {"p": args.p, "n": args.n, "K": K, "N": N}
     _render(args, doc, ["p", "n", "K", "N"], [[args.p, args.n, K, N]])
     return 0

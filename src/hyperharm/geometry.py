@@ -340,10 +340,10 @@ def sphere_quadrature(p: int, degree: int) -> QuadratureRule:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     m = (degree + 2) // 2
-    count = 2 * m ** (p - 1)
-    if count * (p + 1) * 8 > RULE_BYTES_LIMIT:  # float64 nodes plus weights
-        raise ValueError(f"a degree-{degree} rule on S^{p - 1} needs {count} nodes, more than "
-                         f"{RULE_BYTES_LIMIT >> 20} MiB of nodes and weights")
+    huge = (p - 1) * math.log2(m) > 64  # past 2^64 nodes 2 m^(p-1) is not formed: at p = 10^6 it has 10^8 digits
+    if huge or 2 * m ** (p - 1) * (p + 1) * 8 > RULE_BYTES_LIMIT:  # float64 nodes plus weights
+        raise ValueError(f"a degree-{degree} rule on S^{p - 1} needs {f'2 * {m}^{p - 1}' if huge else 2 * m ** (p - 1)}"
+                         f" nodes, more than {RULE_BYTES_LIMIT >> 20} MiB of nodes and weights")
     axes = _rule_axes(p, degree)
     if p == 2:
         [(phi, weights)] = axes

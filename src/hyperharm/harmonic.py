@@ -32,8 +32,8 @@ import numpy as np
 
 from . import legendre as _legendre
 from .geometry import PiRational, _rule_axes, gamma_half, solid_angle
-from .orthopoly import RULE_BYTES_LIMIT, _jacobi_alpha_beta
-from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows
+from .orthopoly import _jacobi_alpha_beta, _priced
+from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _degree_rows, _members_upto
 from .polyalg import count_harmonic, count_homogeneous  # re-exported
 
 __all__ = [
@@ -140,9 +140,7 @@ def _norms(p: int, n: int) -> tuple:
 
 def _basis_norms(p: int, n: int) -> tuple:
     """`_norms`, after refusing a basis in p > 1 variables whose matrix passes RULE_BYTES_LIMIT at 8 bytes an entry."""
-    if 8 * count_harmonic(p, n) * count_homogeneous(p, n) > RULE_BYTES_LIMIT:
-        raise ValueError(f"a degree-{n} basis in {p} variables needs more than {RULE_BYTES_LIMIT >> 20} MiB at "
-                         "8 bytes per coefficient, a floor: coefficients kept as Python ints take more")
+    _priced(f"a degree-{n} basis in {p} variables", 8 * count_harmonic(p, n) * count_homogeneous(p, n))
     return _norms(p, n)
 
 
@@ -261,6 +259,12 @@ def _plan(p: int, n_max: int, n_min: int):
     n_min..n_max at p, all below), and per top member its rows and its scale, with S^0's 1/sqrt(2).  Last, the
     table rows of each step and the points a chunk holds."""
     width = 2 if p == 2 else n_max + 1
+    gathered = [_members_upto(q, n_max) for q in range(2, p + 1)]  # each level's gather, degrees n_min..n_max at p
+    gathered[-1] -= _members_upto(p, n_min - 1) if n_min else 0
+    point = (2 * n_max + 4) * width * (p - 1) + p * gathered[-1]  # one point's working set: see `step`
+    # gathers at 64 bytes an entry, the step and scale tables with temporaries, top rows twice, a point, 512 a step
+    _priced(f"the degree-{n_max} evaluation plan in {p} variables", 64 * sum(gathered) + 512 * n_max
+            + 8 * (4 * (n_max + 1) * width * (p - 1) + 2 * (p - 1) * gathered[-1] + point))
     steps, scales = np.zeros((2, n_max + 1, width, p - 1, 1))
     signs = np.where(np.arange(n_max + 1) % 4 < 2, 1.0, -1.0)
     gathers, members = [], None
@@ -272,7 +276,7 @@ def _plan(p: int, n_max: int, n_min: int):
         counts = [int(j < 2) if q == 2 else count_harmonic(q - 1, j) for j in range(n_max + 1)]
         starts, src, rows = np.cumsum([0] + counts), [], []
         for n in range(n_min if q == p else 0, n_max + 1):
-            for j in range(n + 1):
+            for j in range(n + 1 if q > 2 else min(n, 1) + 1):  # at q = 2 only j <= 1 has members
                 src += range(starts[j], starts[j + 1])
                 rows += [((n - j) * width + j) * (p - 1) + q - 2] * counts[j]
         gathers.append((np.array(src, dtype=np.intp), np.array(rows, dtype=np.intp)))
@@ -281,7 +285,7 @@ def _plan(p: int, n_max: int, n_min: int):
     tops = [slice(None, n_max - k) for k in range(n_max)]
     index = tuple(((k - 1, top) if k else (), (k, top), (k + 1, top), top) for k, top in enumerate(tops))
     # per point: the table, its steps times |x|^2, 2 x_q and a step's product, then each member's rows and their product
-    step = max(1, CHUNK_ELEMENTS // ((2 * n_max + 4) * steps[0].size + p * len(scale)))
+    step = max(1, CHUNK_ELEMENTS // point)
     for array in sum(gathers, (steps, scales, members, scale)):
         array.flags.writeable = False  # cached, so shared by every call
     return steps, scales, tuple(gathers), members, scale, index, step
@@ -311,21 +315,30 @@ def harmonic_chunks(points, p: int, n_max: int, n_min: int = 0):
 @lru_cache(maxsize=4)  # the two rules of a callable projection, for two (p, n_max, degree)
 def _transform_tables(p: int, n_max: int, degree: int):
     """`sphere_transform`'s read-only tables on the degree-`degree` product rule, m = (degree + 2) // 2: S^1's members
-    at the phi nodes, (2m, 2 n_max + 1), then per t level its columns of the level below and its scaled factors at the
-    t nodes, (members, m).  An entry is m (4 n_max + 2 + sum_q sum_{n <= n_max} dim H_{<=n}(R^(q-1))) floats: 36 kB
-    at (4, 6, 40), and at most 7.6 MB, at (5, 23, 48), at the default degree of any n_max in `bvp.MONOMIAL_BUDGET`."""
+    at the phi nodes, (2m, 2 n_max + 1), then per t level q its columns below and scaled factors at the t nodes,
+    (rows_q, m), rows_q = dim H_{<=n_max}(R^q); 36 kB at (4, 6, 40).  Each is priced before any array is made, with the
+    S^1 chunks, the t-factor table they are cut from (and `_profiles`' temporaries) and `sphere_transform`'s gathers."""
+    m, sizes = (degree + 2) // 2, [_members_upto(q, n_max) for q in range(3, p + 1)]
+    gather = max((m ** (p - q + 1) * size for q, size in enumerate(sizes, 3)), default=0)
+    chunk = min(2 * m, _plan(2, n_max, 0)[-1]) * (10 * n_max + 11)  # 8 n_max + 10 a node (`_plan`), the values before
+    for what, entries in (("S^1 table", (2 * n_max + 1) * 2 * m + chunk),
+                          ("t-factor build", (n_max + 4) * (n_max + 1) * (p - 1) * m * (p > 2)),
+                          ("t level tables", sum(sizes) * m), ("largest gather", 2 * gather)):
+        _priced(f"the {what} of a degree-{n_max} transform on the degree-{degree} rule on S^{p - 1}", 8 * entries)
     axes = [nodes for nodes, _ in _rule_axes(p, degree)]
-    phi, levels = axes[-1], ()
-    circle = np.hstack([v for _, v in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max)]).T
+    phi, levels, circle = axes[-1], (), np.empty((2 * n_max + 1, 2 * m))
+    for rows, values in harmonic_chunks(np.column_stack([np.cos(phi), np.sin(phi)]), 2, n_max):
+        circle[:, rows] = values
     if p > 2:
         t = np.array([np.zeros(len(axes[0]))] + axes[-2::-1])  # level 2's row is unused
         steps, scales, gathers, _, _, index, _ = _plan(p, n_max, 0)
-        powers = np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
-        factors = (_profiles(t, 1.0, 0.0, steps, index) * scales * powers).reshape(-1, t.shape[1])
-        levels = tuple((src, factors[rows]) for src, rows in gathers[1:])
+        factors = _profiles(t, 1.0, 0.0, steps, index)
+        factors *= scales  # in place, then times (1 - t^2)^(j/2): no temporary beside the table
+        factors *= np.sqrt(1.0 - t * t) ** np.arange(steps.shape[1])[:, None, None]
+        levels = tuple((src, factors.reshape(-1, t.shape[1])[rows]) for src, rows in gathers[1:])
     for array in (circle,) + tuple(f for _, f in levels):
         array.flags.writeable = False  # cached, so shared by every projection
-    return circle, levels
+    return circle.T, levels
 
 
 def sphere_transform(values: np.ndarray, p: int, n_max: int, degree: int) -> np.ndarray:

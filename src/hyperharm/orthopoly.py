@@ -31,7 +31,13 @@ __all__ = [
     "parseval_report",
 ]
 
-RULE_BYTES_LIMIT = 1 << 28  # largest rule build: sphere nodes plus weights, or a Gauss eigenproblem
+RULE_BYTES_LIMIT = 1 << 28  # largest build: sphere nodes plus weights, a Gauss eigenproblem, a basis, a table
+
+
+def _priced(what: str, nbytes: int) -> None:
+    """Refuse a build of `nbytes` bytes past RULE_BYTES_LIMIT, before any of it is made."""
+    if nbytes > RULE_BYTES_LIMIT:
+        raise ValueError(f"{what} needs more than {RULE_BYTES_LIMIT >> 20} MiB")
 
 
 class Poly1D(_Polynomial):
@@ -59,6 +65,7 @@ class Poly1D(_Polynomial):
             for (k,), c in terms.items():
                 coeffs[k] = c
         self.coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def x_power(cls, k: int) -> "Poly1D":
@@ -201,9 +208,7 @@ def gauss_rule(w: Weight, m: int):
     """
     if m < 1:
         raise ValueError("a Gauss rule needs at least one node")
-    if 16 * m * m > RULE_BYTES_LIMIT:
-        raise ValueError(f"a {m}-node Gauss rule needs more than {RULE_BYTES_LIMIT >> 20} MiB "
-                         "for its eigenproblem")
+    _priced(f"the eigenproblem of a {m}-node Gauss rule", 16 * m * m)
     return _gauss_rule_cached(float(w.alpha), float(w.beta), int(m))
 
 

@@ -61,6 +61,11 @@ def count_harmonic(p: int, n: int) -> int:
     return (2 * n + p - 2) * math.comb(n + p - 3, n - 1) // n
 
 
+def _members_upto(p: int, n: int):
+    """dim H_{<=n}(R^p), n >= 0; a binomial with both sides past 64 (millions of digits at p = 10^6) counts as 2^64."""
+    return sum(math.comb(a, p - 1) if min(p - 1, a - p + 1) < 64 else 2**64 for a in (n + p - 1, n + p - 2))
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(
@@ -194,6 +199,7 @@ class _Polynomial:
 
     def _set(self, nvars: int, terms: dict):
         self.nvars, self.terms, self._float_cache = nvars, terms, None
+        return self
 
     def _new(self, terms: dict, other=None):
         """A ring result.  Terms formed from this kind's own coefficients were checked when those were,
@@ -203,18 +209,17 @@ class _Polynomial:
             terms = _validated_terms(self.nvars, terms, self._coerce)
         else:
             terms = {k: terms[k] for k in sorted(terms) if terms[k]}
-        out = object.__new__(type(self))
-        out._set(self.nvars, terms)
-        return out
+        return object.__new__(type(self))._set(self.nvars, terms)
 
     # -- constructors ------------------------------------------------
     @classmethod
     def zero(cls, nvars: int):
-        return cls(nvars, {})
+        return cls.constant(nvars, 0)
 
     @classmethod
-    def constant(cls, nvars: int, c):
-        return cls(nvars, {(0,) * nvars: cls._scalar(c)})
+    def constant(cls, nvars: int, c):  # without the constructor, which `Poly1D` replaces, but with its checks
+        nvars = int(nvars)
+        return object.__new__(cls)._set(nvars, _validated_terms(nvars, {(0,) * nvars: cls._scalar(c)}, cls._coerce))
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):

@@ -10,7 +10,11 @@
   50 points each;
 - poly: the one polynomial core, the median milliseconds of 5 cold calls, every cache cleared before
   each: `legendre_coeffs(3, 300)`, `legendre_harmonic(5, 10)`, `_rodrigues_poly(5, 40)` and
-  `verify orthogonality recurrence harmonicity`.
+  `verify orthogonality recurrence harmonicity`;
+- high_degree: cold projections past the monomial count once used as a budget, each priced by its tables: builtin
+  `exponential` data at (p, n_max) = (3, 80) and (3, 120) and `coordinate` data at (2, 5000), each with its time,
+  its tracemalloc peak (a second cold call) and its `projection_error`; at (3, 80) also `series_eval` on the
+  13,448 nodes of its degree-162 rule scaled to |x| = 0.8.
 
 Run from the root of a checkout:
 
@@ -25,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -127,7 +132,35 @@ def poly() -> str:
     return f"cold polynomial calls, median of 5: {', '.join(figures)}"
 
 
-PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series, "poly": poly}
+def high_degree() -> str:
+    from hyperharm import bvp, geometry, harmonic
+
+    def cold(f, n_max):
+        for cache in (geometry.sphere_quadrature, harmonic._transform_tables, harmonic._plan):
+            cache.cache_clear()
+        return bvp.project_boundary(f, n_max)
+
+    figures = []
+    for p, n_max, kind in ((3, 80, "exponential"), (3, 120, "exponential"), (2, 5000, "coordinate")):
+        f = bvp.builtin_boundary(p, kind)
+        start = time.perf_counter()
+        cold(f, n_max)
+        seconds = time.perf_counter() - start
+        tracemalloc.start()  # a second call: tracemalloc slows the first several times over
+        sol = cold(f, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        figures.append(f"{kind} ({p}, {n_max}) {seconds:.2f} s, peak {peak / 2**20:.0f} MiB, "
+                       f"projection_error {sol.projection_error:.1e}")
+        if (p, n_max) == (3, 80):
+            pts = 0.8 * geometry.sphere_quadrature(3, 162).nodes
+            start = time.perf_counter()
+            bvp.series_eval(sol, pts)
+            figures.append(f"series_eval on {len(pts)} points {time.perf_counter() - start:.2f} s")
+    return f"high-degree projections, cold: {'; '.join(figures)}"
+
+
+PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series, "poly": poly, "high_degree": high_degree}
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:

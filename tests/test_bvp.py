@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -427,19 +428,109 @@ def test_high_degree_callable_solve_matches_the_kernel():
     assert np.max(np.abs(poisson_eval(f, pts, quad_degree=64) - series_eval(sol, pts))) <= 1e-12
 
 
-def test_projection_beyond_the_monomial_budget_is_refused_up_front(bases_built):
-    # C(n_max + p, p) graded monomials; the basis builder is never reached
+def test_projection_past_the_byte_limit_is_refused_up_front(bases_built):
+    # the C(n_max + p - 1, p - 1) + C(n_max + p - 2, p - 1) coefficients are priced first; no basis is built
     f = builtin_boundary(3, "exponential")
-    with pytest.raises(ValueError, match=f"budget of {bvp.MONOMIAL_BUDGET}"):
+    with pytest.raises(ValueError, match="coefficient output .* more than 256 MiB"):
         project_boundary(f, 10**400)
-    n_max = next(n for n in range(200) if math.comb(n + 4, 4) > bvp.MONOMIAL_BUDGET)
-    assert math.comb(30 + 4, 4) <= bvp.MONOMIAL_BUDGET
-    with pytest.raises(ValueError, match="budget"):
-        project_boundary(builtin_boundary(4, "exponential"), n_max)
+    # p = 4 at n_max 37, the first past the C(n_max + 4, 4) <= 100,000 monomials once counted, solves
+    assert math.comb(37 + 4, 4) > 100_000 >= math.comb(36 + 4, 4)
+    assert project_boundary(builtin_boundary(4, "exponential"), 37).projection_error <= 1e-13
     assert not bases_built
-    # a huge p and a huge n_max: the count stops as soon as it passes the budget
-    with pytest.raises(ValueError, match="budget"):
+    # a huge p and a huge n_max: neither binomial is formed
+    with pytest.raises(ValueError, match="coefficient output"):
         project_boundary(BoundaryData.from_callable(10**6, lambda x: x[:, 0]), 10**400)
+
+
+@pytest.mark.parametrize("n_max", [83, 100, 120])
+def test_callable_data_past_the_old_monomial_count_solves(n_max):
+    # p = 3 from n_max 83 on was refused by a count of C(n_max + 3, 3) monomials that no route builds
+    rng = np.random.default_rng(n_max)
+    f = builtin_boundary(3, "exponential")
+    sol = project_boundary(f, n_max)
+    assert sol.projection_error <= 1e-13
+    pts = oracles.unit_vectors(rng, 3, 10) * rng.uniform(0.0, 0.8, size=(10, 1))
+    assert np.max(np.abs(poisson_eval(f, pts, quad_degree=64) - series_eval(sol, pts))) <= 1e-12
+
+
+def test_polynomial_data_at_a_high_degree_in_two_variables_solves_at_once():
+    # `_plan`'s gather loop visits only the j <= 1 that have members at p = 2
+    harmonic._plan.cache_clear()
+    start = time.perf_counter()
+    sol = project_boundary(builtin_boundary(2, "coordinate"), 5000)
+    assert series_eval(sol, np.array([[0.3, 0.4], [-0.5, 0.1]])) == pytest.approx([0.3, -0.5], abs=1e-12)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p, kind, n_max, table", [(p, kind, 10**400, "coefficient output") for p in range(2, 7)
+                                                   for kind in ("exponential", "coordinate")]
+                         + [(10**6, None, 10**400, "coefficient output"), (3, "exponential", 300, "t-factor build")])
+def test_oversized_projections_are_refused_at_once_naming_the_table(p, kind, n_max, table):
+    f = builtin_boundary(p, kind) if kind else BoundaryData.from_callable(p, lambda x: x[:, 0])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"the {table} .* needs more than 256 MiB"):
+        project_boundary(f, n_max)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p, degree", [(2, 5000), (3, 400)])
+def test_polynomial_data_of_a_high_degree_is_refused_at_once_naming_its_integrals(p, degree):
+    # the exact route keeps each degree's profile integers up to deg f, and their floor passes 256 MiB
+    f = BoundaryData.from_polynomial(ExactPolynomial.monomial(p, (degree,) + (0,) * (p - 1), 1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"the exact integrals of degree <= {degree} in {p} variables needs more "
+                                         "than 256 MiB"):
+        project_boundary(f, degree)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (40, 80)), (3, (20, 40)), (4, (12, 20)), (5, (8, 12))])
+def test_exact_integrals_price_is_a_floor_within_four_of_the_peak(monkeypatch, p, degrees):
+    prices, rng = [], np.random.default_rng(p)
+    monkeypatch.setattr(bvp, "_priced", lambda what, nbytes: prices.append(nbytes))
+    for d in degrees:
+        four = {tuple(map(int, rng.multinomial(d, [1 / p] * p))): int(rng.integers(1, 9)) for _ in range(4)}
+        for terms in ({(d,) + (0,) * (p - 1): 1}, four):
+            harmonic._norms.cache_clear()  # the norms the loop keeps are part of its floor
+            prices.clear()
+            tracemalloc.start()
+            try:
+                bvp._exact_transform(ExactPolynomial(p, terms), d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert prices == [prices[0]] and prices[0] <= peak <= 4 * prices[0]
+
+
+@pytest.mark.parametrize("p, sizes", [(2, (200, 600)), (3, (40, 80)), (4, (15, 30)), (5, (8, 16))])
+def test_each_priced_build_peaks_at_one_quarter_to_all_of_its_price(monkeypatch, p, sizes):
+    # each price checked against RULE_BYTES_LIMIT, against the tracemalloc peak of the work it prices: `_plan` with
+    # one point, `_transform_tables` with `sphere_transform`'s gathers, and a projection's coefficient output
+    prices = []
+    for module in (bvp, harmonic):
+        monkeypatch.setattr(module, "_priced", lambda what, nbytes: prices.append(nbytes))
+
+    def price_and_peak(work):
+        prices.clear()
+        tracemalloc.start()
+        try:
+            work()
+            return sum(prices), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in sizes:
+        degree = max(bvp.DEFAULT_CALLABLE_DEGREE, 2 * n + 2)
+        rule = sphere_quadrature(p, degree)
+        values = rule.weights * np.exp(rule.nodes[:, 0])
+        harmonic._plan.cache_clear()
+        plan = price_and_peak(lambda: list(harmonic_chunks(np.full((1, p), 0.5 / math.sqrt(p)), p, n)))
+        harmonic._plan(2, n, 0)  # S^1's plan, which the circle table reads
+        harmonic._transform_tables.cache_clear()
+        tables = price_and_peak(lambda: sphere_transform(values, p, n, degree))
+        output = price_and_peak(lambda: project_boundary(builtin_boundary(p, "coordinate"), n)._vector)
+        for price, peak in (plan, tables, output):
+            assert peak <= price <= 4 * peak
 
 
 def test_cross_method_agreement():
@@ -844,7 +935,7 @@ def test_polynomial_projection_builds_no_member_matrix(monkeypatch):
 
 def test_polynomial_data_past_the_basis_byte_limit_solves():
     # a degree-20 basis matrix at p = 5 would pass RULE_BYTES_LIMIT, but the exact route forms none:
-    # MONOMIAL_BUDGET bounds it, and x_1^20 at n_max 20 is within it
+    # only its coefficient output is priced, and x_1^20 at n_max 20 is within it
     assert 8 * harmonic.count_harmonic(5, 20) * math.comb(24, 4) > orthopoly.RULE_BYTES_LIMIT
     with pytest.raises(ValueError, match="MiB"):
         orthonormalize(5, 20)

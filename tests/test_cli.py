@@ -16,7 +16,7 @@ import pytest
 import hyperharm
 import oracles
 from hyperharm import harmonic
-from hyperharm.bvp import MONOMIAL_BUDGET, BoundaryData, poisson_eval, project_boundary, series_eval
+from hyperharm.bvp import BoundaryData, poisson_eval, project_boundary, series_eval
 from hyperharm.cli import run
 from hyperharm.geometry import QuadratureRule
 from hyperharm.legendre import funk_hecke_coeff
@@ -608,14 +608,44 @@ def test_mutated_problem_exits_0_or_2(tmp_path, capsys):
     check()
 
 
+@pytest.mark.parametrize("size", ["100000", "1000000"])
+def test_count_past_the_printable_digits_exits_2_at_once(size, capsys):
+    # C(n + p - 1, n) is priced in digits from lgamma before it is formed
+    start = time.perf_counter()
+    assert run(["count", "--p", size, "--n", size]) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = _out(capsys)
+    assert out == "" and err.startswith(f"error: count --p {size} --n {size} has ")
+    assert err.count("\n") == 1
+    assert err.endswith(f" digits, past the {sys.get_int_max_str_digits()}-digit limit\n")
+    assert run(["count", "--p", "3", "--n", "2"]) == 0
+    assert _out(capsys)[0] == "p,n,K,N\n3,2,6,5\n"
+
+
 def test_oversized_n_max_exits_2_at_once(tmp_path, capsys):
-    # refused by the monomial budget before any basis is built
+    # the coefficient output is priced before any rule or basis is built
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(dict(README_PROBLEM, n_max=10**400)))
     start = time.perf_counter()
     assert run(["solve", "--problem", str(path)]) == 2
     assert time.perf_counter() - start < 0.1
-    assert f"budget of {MONOMIAL_BUDGET} graded monomials" in capsys.readouterr().err
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    needs = f"needs more than {RULE_BYTES_LIMIT >> 20} MiB"
+    assert f"coefficient output of degree <= {10**400} in 3 variables {needs}" in err
+
+
+def test_high_degree_polynomial_problem_exits_2_at_once(tmp_path, capsys):
+    # x_1^5000 at n_max 5000: its coefficient output fits, but the exact integrals up to degree 5000 do not
+    boundary = {"type": "polynomial", "terms": [{"alpha": [5000, 0], "num": 1, "den": 1}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"p": 2, "n_max": 5000, "boundary": boundary, "eval_points": [[0.1, 0.2]]}))
+    start = time.perf_counter()
+    assert run(["solve", "--problem", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = _out(capsys)
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the exact integrals of degree <= 5000 in 2 variables needs more than 256 MiB")
 
 
 def test_solve_with_a_deeply_nested_problem_file_exits_2(tmp_path, capsys):
@@ -711,3 +741,12 @@ def test_solve_columns_match_single_point_solvers(tmp_path, capsys):
     path.write_text(json.dumps(dict(problem, eval_points=[])))
     assert run(["solve", "--problem", str(path), "--format", "json"]) == 0
     assert json.loads(_out(capsys)[0])["rows"] == []
+
+
+def test_star_import_binds_the_56_public_names_and_no_module():
+    names = {}
+    exec("from hyperharm import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(hyperharm.__all__) and len(names) == 56
+    assert names["__version__"] == "0.1.0" and {"project_boundary", "Poly1D", "count_harmonic"} <= set(names)
+    assert not any(inspect.ismodule(v) for v in names.values())

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +217,14 @@ def test_sphere_quadrature_refuses_an_oversized_rule(monkeypatch):
     assert len(build(3, 11).weights) == 72
     with pytest.raises(ValueError, match="98 nodes"):
         build(3, 12)
+
+
+def test_sphere_quadrature_prices_a_huge_rule_without_forming_its_count():
+    # 2 m^(p-1) nodes at p = 10^6 and m = 10^400 + 2 would have 4 * 10^8 digits; logarithms refuse it at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"needs 2 \* {10**400 + 2}\^999999 nodes, more than 256 MiB"):
+        sphere_quadrature(10**6, 2 * 10**400 + 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rule_json_round_trip():

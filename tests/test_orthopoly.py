@@ -78,6 +78,18 @@ def test_poly1d_is_the_one_variable_case_of_the_core():
     assert hash(ints * ints) == hash(fracs**2)
 
 
+def test_zero_and_constant_are_built_without_the_constructor():
+    from hyperharm.polyalg import ExactPolynomial
+
+    assert Poly1D.zero(1) == Poly1D() and Poly1D.constant(1, 2) == Poly1D((2,))
+    assert Poly1D.constant(1, 2).coeffs == (2,) and Poly1D.zero(1).coeffs == ()
+    # the nvars check of user input stays, and a scalar converts as `+` converts it
+    with pytest.raises(ValueError):
+        ExactPolynomial.zero(0)
+    half = ExactPolynomial.constant(2, 0.5)
+    assert half == ExactPolynomial(2, {(0, 0): Fraction(1, 2)}) == ExactPolynomial.zero(2) + 0.5
+
+
 def test_weight_validation_and_mass():
     with pytest.raises(ValueError):
         Weight(-1, 0)
