@@ -4,10 +4,10 @@ Two independent solution routes are implemented.  The spherical-harmonic series 
 `series_eval`) sums the orthonormal members, evaluated by their own recurrence, with coefficients from exact
 sphere integrals of polynomial data against the members, by a recursion in the dimension with no member matrix,
 or from the semi-naive transform of callable data on a product rule.  The kernel integral is zonal about
-x0 / |x0|, so it runs on a per-point rule aligned with that pole: Gauss-Gegenbauer in t = <xi, x0 / |x0|>
-times a rule on S^{p-2}, in one array pass over the points of each t rule (`poisson_eval`).  The kernel route
-uses no harmonic basis, so the routes share no machinery beyond quadrature building blocks and their agreement
-is a meaningful end-to-end check.
+x0 / |x0|, so it runs on a per-point rule aligned with that pole: Gauss panels in u = 1 - t, t = <xi, x0 / |x0|>,
+graded toward the kernel's pole, times a rule on S^{p-2}, in one array pass over the points of each t rule
+(`poisson_eval`).  The kernel route uses no harmonic basis, so the routes share no machinery beyond quadrature
+building blocks and their agreement is a meaningful end-to-end check.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import orthopoly
 from .geometry import PiRational, solid_angle, sphere_quadrature
-from .harmonic import _gram_scale, _member_integrals, _member_values, _norms, _plan, _sqrt_pi, sphere_transform
+from .harmonic import (_gram_scale, _member_integrals, _member_values, _plan, _slice_norms, _slices, _sqrt_pi,
+                       sphere_transform)
 from .legendre import generating_function_closed, generating_function_partial
 from .orthopoly import _priced, _values_on
 from .polyalg import CHUNK_ELEMENTS, ExactPolynomial, FloatPolynomial, _members_upto
@@ -38,10 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_CALLABLE_DEGREE = 40  # raised to 2 n_max + 2 so that products of members integrate exactly
-# kernel rule: error target relative to the kernel's peak and a cap on the t nodes (one Gauss rule of 2048
-# nodes takes ~1.6 s); `poisson_eval` sizes its blocks by `polyalg.CHUNK_ELEMENTS`
-KERNEL_TOL = 1e-15
-MAX_T_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,9 @@ def _exact_transform(poly: ExactPolynomial, n_max: int):
     f_norm_sq = sum(c * _member_integrals(p, 0, beta, memo)[0] for beta, c in (poly * poly).terms.items())
     flat, top = np.zeros(_members_upto(p, n_max)), 0  # priced by `project_boundary`
     for n in range(min(n_max, poly.degree()) + 1):
-        norms, scale = _norms(p, n), _gram_scale(p, n).coeff  # integers alone: no member matrix
+        memo[p, n] = slices = _slices(p, n)  # built once: the integrals read it from `memo`
         columns = [(c, _member_integrals(p, n, beta, memo)) for beta, c in poly.terms.items()]
+        norms, scale = _slice_norms(p, slices), _gram_scale(p, n).coeff  # integers alone: no member matrix
         for i, v in enumerate(norms):
             a = sum(c * m[i] for c, m in columns if m[i])
             root = _sqrt_pi(a.numerator**2 * scale.denominator, a.denominator**2 * scale.numerator * v, pi_half)
@@ -253,22 +251,36 @@ def _slice_rule(p: int, degree: int):
     return rule.nodes, rule.weights
 
 
-def _t_rule(p: int, r: float, degree: int):
-    """Gauss-Gegenbauer rule in t = <xi, u> for the kernel about a point at radius r.
+@lru_cache(maxsize=64)  # k <= 54 for every float r < 1, so the rules of one (p, degree) all fit
+def _graded_rule(a: float, n: int, k: int):
+    """Nodes u = 1 - t in [0, 2] and weights of a rule for the weight (u (2 - u))^a, read-only: an n-node Gauss
+    panel on each of [0, u_k], [u_k, u_(k-1)], ..., [u_1, 2], u_j = 2 4^-j.  The end panels take their end's
+    factor into the Jacobi weight (Weight(0, a) at u = 0, Weight(a, 0) at u = 2), and the rest of (u (2 - u))^a
+    goes into the weights; k = 0 is the one panel [0, 2], the n-node Gauss-Gegenbauer rule."""
+    cuts = [0.0] + [2.0 * 4.0**-j for j in range(k, 0, -1)] + [2.0]
+    nodes, weights = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        rule = orthopoly.gauss_rule(orthopoly.Weight(a if hi == 2.0 else 0.0, 0.0 if lo else a), n)
+        half = (hi - lo) / 2
+        u = lo + half * (1.0 + rule.nodes)
+        nodes.append(u)
+        weights.append(rule.weights * half * (u if lo else half) ** a * (2.0 - u if hi < 2.0 else half) ** a)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    The kernel's pole t* = (1 + r^2) / (2r) sets the Bernstein ellipse 1/r,
-    so m nodes leave an error of order r^(2m).  m brings it under KERNEL_TOL
-    times the kernel's peak (1 + r) / (1 - r)^(p-1), adds (degree + 2) // 2
-    nodes for the data's polynomial part, is rounded up to a multiple of 8
-    (few distinct rules to cache) and is capped at MAX_T_NODES, which only
-    points within about 0.01 of the sphere reach.
-    """
-    m = (degree + 2) // 2
-    if r > 0.0:
-        m += math.ceil(math.log(KERNEL_TOL * (1.0 - r) ** (p - 1) / (1.0 + r)) / (2.0 * math.log(r)))
-    m = min(-(-m // 8) * 8, MAX_T_NODES)
-    half = (p - 3) / 2  # a float: exact, and cheaper to check and key than a Fraction
-    return orthopoly.gauss_rule(orthopoly.Weight(half, half), m)
+
+def _t_rule(p: int, r: float, degree: int):
+    """The rule in u = 1 - t for the kernel about a point at radius r: `_graded_rule` with a = (p - 3) / 2, n nodes
+    a panel and k panels graded toward the kernel's pole, which sits delta = (1 - r)^2 / (2r) beyond u = 0.
+
+    n = 16 + (degree + 1) // 2: a panel is exact to degree 2n - 1, so after the data's polynomial part at least 31
+    orders are left for the kernel.  k is the least with u_k <= 2 delta, 0 for delta >= 1: every panel is then at
+    least a third of its width from the pole, so those orders leave a relative error near 3^-32 (Schwab,
+    Computing 53, 1994), and one (p, degree) reuses at most four Gauss rules of n nodes for every radius."""
+    n, gap_sq = 16 + (degree + 1) // 2, (1.0 - r) ** 2
+    k = 0 if gap_sq >= 2.0 * r else math.ceil(math.log(2.0 * r / gap_sq, 4))
+    return _graded_rule((p - 3) / 2, n, k)  # a float exponent: exact, and cheaper to check and key than a Fraction
 
 
 def _complement_frames(u: np.ndarray) -> np.ndarray:
@@ -287,12 +299,13 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
 
     x0 of shape (p,) returns a float; shape (m, p) returns an array.  The
     Poisson kernel (1 - r^2) / (1 + r^2 - 2rt)^(p/2) depends on a boundary
-    point xi only through t = <xi, u>, r = |x0|, u = x0 / r (u = e_p at
-    r = 0).  The sphere is sliced about u with the measure identity
-    dsigma_{p-1} = (1 - t^2)^((p-3)/2) dt dsigma_{p-2}: a Gauss-Gegenbauer
-    rule in t (see `_t_rule`) times a degree-d rule on S^{p-2} placed in
-    u's complement by `_complement_frames`, with nodes
-    xi = t u + sqrt(1 - t^2) H [eta; 0].
+    point xi only through t = <xi, e>, r = |x0|, e = x0 / r (e = e_p at
+    r = 0).  The sphere is sliced about e with the measure identity
+    dsigma_{p-1} = (1 - t^2)^((p-3)/2) dt dsigma_{p-2}: a rule in u = 1 - t
+    graded toward the kernel's pole (see `_t_rule`) times a degree-d rule on
+    S^{p-2} placed in e's complement by `_complement_frames`, with nodes
+    xi = (1 - u) e + sqrt(u (2 - u)) H [eta; 0] and the distance formed as
+    (1 - r)^2 + 2ru, so that nothing is subtracted from t.
 
     For polynomial data d is the data's degree, so the S^{p-2} rule is
     exact for every t; quad_degree, if given, must be at least that degree
@@ -302,11 +315,10 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     point's sums are BLAS calls on its own nodes, so a batch equals one call
     per point, bit for bit, unless callable data's values depend on the call.
 
-    The t rule is capped at MAX_T_NODES, so accuracy falls within about 0.01
-    of the sphere.  For data x_1 + x_1 x_2 the largest error against the
-    series over 32 random directions is, at |x0| = 0.99, 0.995 and 0.999,
-    1.6e-12, 1.7e-8 and 9e-2 for p = 3 and 4.5e-13, 1.4e-7 and 0.15 for p = 5.
-    No error estimate is returned.
+    For data x_1 + x_1 x_2 the largest error against the series over 32
+    random directions is at most 1.3e-15 for p = 2..6 at every |x0| from
+    0.3 to 1 - 1e-9, where a point of degree 3 takes 576 t nodes.  No
+    error estimate is returned.
     """
     deg = f.degree
     if quad_degree is not None and quad_degree < 0:
@@ -329,29 +341,28 @@ def poisson_eval(f: BoundaryData, x0, quad_degree: int | None = None):
     size = len(eta_weights) * p  # entries of one t node's ring of nodes
     groups = {}  # the points of each t rule, by its size
     for i, rule in enumerate(_t_rule(p, r, degree) for r in radii):
-        groups.setdefault(len(rule.nodes), (rule, []))[1].append(i)
+        groups.setdefault(len(rule[1]), (rule, []))[1].append(i)
     gap_sq = np.array([(1.0 - r) ** 2 for r in radii])  # Python's pow: np.square differs in ~0.1% of last bits
     radii = np.array(radii)
     out = np.empty(len(pts))
-    for rule, index in groups.values():
-        t = rule.nodes
-        rows = max(1, min(len(t), CHUNK_ELEMENTS // size))  # t nodes per block
+    for (u, u_weights), index in groups.values():
+        rows = max(1, min(len(u), CHUNK_ELEMENTS // size))  # t nodes per block
         step = max(1, CHUNK_ELEMENTS // (rows * size))  # points per data call
         for at in range(0, len(index), step):
             idx = index[at : at + step]
             r = radii[idx][:, None]
-            u = np.divide(pts[idx], r, out=np.eye(1, p, p - 1).repeat(len(idx), 0), where=r > 0.0)  # e_p at r = 0
-            # the S^{p-2} nodes as unit vectors orthogonal to u
-            ring = (eta @ _complement_frames(u).transpose(0, 2, 1))[:, None]
-            # 1 + r^2 - 2rt, written so that it keeps its digits as r, t -> 1
-            dist_sq = gap_sq[idx, None] + 2.0 * r * (1.0 - t)
-            weights = rule.weights * ((1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0))
+            axis = np.divide(pts[idx], r, out=np.eye(1, p, p - 1).repeat(len(idx), 0), where=r > 0.0)  # e_p at 0
+            # the S^{p-2} nodes as unit vectors orthogonal to the axis
+            ring = (eta @ _complement_frames(axis).transpose(0, 2, 1))[:, None]
+            # 1 + r^2 - 2rt from u = 1 - t, so that it keeps its digits as r -> 1 and u -> 0
+            dist_sq = gap_sq[idx, None] + 2.0 * r * u
+            weights = u_weights * ((1.0 - r) * (1.0 + r) / dist_sq ** (p / 2.0))
             ring_sums = np.empty_like(weights)
-            for start in range(0, len(t), rows):
-                tc = t[start : start + rows, None, None]
-                nodes = np.sqrt(1.0 - tc * tc) * ring
-                nodes += tc * u[:, None, None]
-                vals = f.values_at(nodes.reshape(-1, p)).reshape(len(idx), len(tc), -1)
+            for start in range(0, len(u), rows):
+                uc = u[start : start + rows, None, None]
+                nodes = np.sqrt(uc * (2.0 - uc)) * ring  # sqrt(1 - t^2), with nothing subtracted from t
+                nodes += (1.0 - uc) * axis[:, None, None]
+                vals = f.values_at(nodes.reshape(-1, p)).reshape(len(idx), len(uc), -1)
                 ring_sums[:, start : start + rows] = vals @ eta_weights
             out[idx] = (weights[:, None] @ ring_sums[:, :, None])[:, 0, 0]
     out /= solid_angle(p)

@@ -86,17 +86,17 @@ def _slices(p: int, n: int) -> tuple:
     (n-j-j0)/2, as coprime integers, and its norm over h's.  c_t is (-1)^t j0!/(j0+2t)! times the factor R_K/R_(K-t)
     of Lap'^t(|x'|^2K h), R_s = prod_{i<=s} 2i(2i+2j+p-3) the norm of |x'|^2s h over h's (`_ladder`), so c_t
     (j0+2t)! R_(K-t) is +-(n-j)! c_K and the norm, sum_t c_t^2 (j0+2t)! R_(K-t), is (n-j)! |c_K| sum_t |c_t|."""
-    fact, out = [math.factorial(k) for k in range(n + 1)], []
+    out = []
     for j in range(n + 1 if p > 2 else min(n, 1) + 1):  # at p = 2 only j <= 1 has members
-        j0, half = (n - j) % 2, (n - j) // 2
-        ints, factor, ratio = [], 1, fact[n - j]  # ratio = (n-j)!/(j0+2t)!, as j0! = 1
+        j0, half, top = (n - j) % 2, (n - j) // 2, math.factorial(n - j)
+        ints, factor, ratio = [], 1, top  # ratio = (n-j)!/(j0+2t)!, as j0! = 1
         for t in range(half + 1):
             ints.append((-1) ** t * ratio * factor)
             factor *= 2 * (half - t) * (2 * (half - t) + 2 * j + p - 3)
             ratio //= (j0 + 2 * t + 1) * (j0 + 2 * t + 2)
         divisor = math.gcd(*ints)
         ints = tuple(c // divisor for c in ints)
-        out.append((j, j0, ints, fact[n - j] * abs(ints[-1]) * sum(map(abs, ints))))
+        out.append((j, j0, ints, top * abs(ints[-1]) * sum(map(abs, ints))))
     return tuple(out)
 
 
@@ -132,10 +132,13 @@ def _member_integrals(p: int, n: int, beta: tuple, memo: dict) -> tuple:
 
 @lru_cache(maxsize=4096)  # (p - 1, j) is read by every degree n >= j, and (p, n) again by `_members`
 def _norms(p: int, n: int) -> tuple:
-    """The degree-n members' Fischer norms in p variables, with no matrix: (j, h)'s is h's times `_slices`' for j."""
-    if p == 1:
-        return (1,) * (n < 2)
-    return tuple(weight * v for j, _, _, weight in _slices(p, n) for v in _norms(p - 1, j))
+    """The degree-n members' Fischer norms in p variables, with no matrix (`_slice_norms`)."""
+    return (1,) * (n < 2) if p == 1 else _slice_norms(p, _slices(p, n))
+
+
+def _slice_norms(p: int, slices: tuple) -> tuple:
+    """The Fischer norms of the members that `_slices(p, n)` gives: (j, h)'s is h's times the slice's for j."""
+    return tuple(weight * v for j, _, _, weight in slices for v in _norms(p - 1, j))
 
 
 def _basis_norms(p: int, n: int) -> tuple:

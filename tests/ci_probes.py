@@ -14,7 +14,9 @@
 - high_degree: cold projections past the monomial count once used as a budget, each priced by its tables: builtin
   `exponential` data at (p, n_max) = (3, 80) and (3, 120) and `coordinate` data at (2, 5000), each with its time,
   its tracemalloc peak (a second cold call) and its `projection_error`; at (3, 80) also `series_eval` on the
-  13,448 nodes of its degree-162 rule scaled to |x| = 0.8.
+  13,448 nodes of its degree-162 rule scaled to |x| = 0.8;
+- near_sphere: a cold kernel point at p = 3 for the data x1 + x1 x2, whose harmonic extension is itself, at
+  |x| = 0.99 and at 0.999, each with every rule cache cleared first: its time, the peak RSS so far and its error.
 
 Run from the root of a checkout:
 
@@ -160,7 +162,27 @@ def high_degree() -> str:
     return f"high-degree projections, cold: {'; '.join(figures)}"
 
 
-PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series, "poly": poly, "high_degree": high_degree}
+def near_sphere() -> str:
+    from fractions import Fraction
+
+    from hyperharm import bvp, geometry, orthopoly
+    from hyperharm.polyalg import ExactPolynomial
+
+    f = bvp.BoundaryData.from_polynomial(ExactPolynomial(3, {(1, 0, 0): Fraction(1), (1, 1, 0): Fraction(1)}))
+    figures = []
+    for radius in (0.99, 0.999):
+        for cache in (bvp._graded_rule, orthopoly._gauss_rule_cached, geometry.sphere_quadrature):
+            cache.cache_clear()
+        x = radius * np.array([0.6, 0.48, 0.64])
+        start = time.perf_counter()
+        value = bvp.poisson_eval(f, x)
+        figures.append(f"|x| = {radius} {1e3 * (time.perf_counter() - start):.1f} ms, {_peak_rss()}, "
+                       f"error {abs(value - (x[0] + x[0] * x[1])):.1e}")
+    return f"cold kernel points near the sphere, p = 3: {'; '.join(figures)}"
+
+
+PROBES = {"verify": verify, "ball": ball, "warm": warm, "series": series, "poly": poly, "high_degree": high_degree,
+          "near_sphere": near_sphere}
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:

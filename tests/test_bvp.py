@@ -257,7 +257,7 @@ def _kernel_points(rng, p):
     pts = np.zeros((8, p))
     pts[1:4] = 0.5 * oracles.unit_vectors(rng, p, 3)
     pts[4, -1], pts[5, -1] = 0.3, -0.3
-    pts[6:] = oracles.unit_vectors(rng, p, 2) * np.array([[0.2], [0.7]])
+    pts[6:] = oracles.unit_vectors(rng, p, 2) * np.array([[0.7], [0.9]])
     return pts
 
 
@@ -267,14 +267,14 @@ def test_callable_batch_matches_single_points(p, quad_degree):
     f = BoundaryData.from_callable(p, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
     pts = _kernel_points(np.random.default_rng(86), p)
     degree = quad_degree or bvp.DEFAULT_CALLABLE_DEGREE
-    sizes = [len(bvp._t_rule(p, float(r), degree)) for r in np.linalg.norm(pts, axis=1)]
+    sizes = [len(bvp._t_rule(p, float(r), degree)[1]) for r in np.linalg.norm(pts, axis=1)]
     assert sizes[1] == sizes[2] == sizes[3] and len(set(sizes)) >= 4
     batch = poisson_eval(f, pts, quad_degree=quad_degree)
     assert [poisson_eval(f, x, quad_degree=quad_degree) for x in pts] == batch.tolist()
 
 
 def test_near_sphere_callable_batch_stays_within_the_chunk_budget():
-    # p = 4, degree 64: 2048 t nodes times 2178 ring nodes a point, 4.5M boundary nodes, evaluated in blocks
+    # p = 4, degree 64: 432 t nodes (9 panels of 48) times 2178 ring nodes a point, 5.6M boundary nodes in blocks
     p, degree = 4, 64
     f = builtin_boundary(p, "exponential")
     pts = 0.99 * oracles.unit_vectors(np.random.default_rng(87), p, 6)
@@ -290,7 +290,7 @@ def test_near_sphere_callable_batch_stays_within_the_chunk_budget():
 
 def test_a_small_chunk_budget_splits_t_blocks_and_data_calls(monkeypatch):
     # p = 3, degree 2: 4 ring nodes, 12 entries a t node.  At 2^9 entries a block holds 42 t nodes, so the
-    # 192-node rule at |x| = 0.9 takes 5 blocks, and two of the 16-node rules at |x| = 0.1 share a data call
+    # 85-node rule at |x| = 0.9 takes 3 blocks, and two of the 17-node rules at |x| = 0.1 share a data call
     p = 3
     f = BoundaryData.from_polynomial(ExactPolynomial(p, {(1, 1, 0): Fraction(1), (0, 0, 2): Fraction(-3, 2)}))
     rng = np.random.default_rng(88)
@@ -308,7 +308,7 @@ def test_a_small_chunk_budget_splits_t_blocks_and_data_calls(monkeypatch):
     for pts, few, many in ((near, 2, 3), (far, 3, 10)):
         calls.clear()
         poisson_eval(f, pts)
-        sizes = [len(bvp._t_rule(p, float(r), 2)) for r in np.linalg.norm(pts, axis=1)]
+        sizes = [len(bvp._t_rule(p, float(r), 2)[1]) for r in np.linalg.norm(pts, axis=1)]
         assert len(set(sizes)) == 1 and sum(calls) == sum(sizes) * ring
         assert max(calls) <= (1 << 9) // p and few <= len(calls) <= many, (calls, sizes)
     got = poisson_eval(f, np.vstack([near, far]))
@@ -363,17 +363,29 @@ def test_kernel_on_the_circle_and_at_the_center():
         assert poisson_eval(f, np.zeros(p)) == pytest.approx(mean, rel=1e-14)
 
 
-def test_kernel_accuracy_at_the_documented_radius():
-    # the t rule reaches MAX_T_NODES at |x| = 0.99 and still holds there;
-    # farther out the documented error grows to 1e-8 and then 1e-1
+def test_kernel_accuracy_up_to_the_sphere():
+    # the graded t rule keeps every panel a third of its width from the kernel's pole, however close it comes
     rng = np.random.default_rng(71)
-    for p in (3, 5):
+    for p in range(2, 7):
         x1, x1x2 = (1,) + (0,) * (p - 1), (1, 1) + (0,) * (p - 2)
         f = BoundaryData.from_polynomial(ExactPolynomial(p, {x1: Fraction(1), x1x2: Fraction(1)}))
-        pts = 0.99 * oracles.unit_vectors(rng, p, 8)
-        assert len(bvp._t_rule(p, 0.99, f.degree).nodes) == bvp.MAX_T_NODES
-        err = np.abs(poisson_eval(f, pts) - series_eval(project_boundary(f, 2), pts))
-        assert np.max(err) <= 1e-10, p
+        sol = project_boundary(f, 2)
+        for radius in (0.99, 0.999, 0.9999, 1 - 1e-6):
+            assert all(len(bvp._t_rule(p, radius, degree)[1]) <= 512 for degree in range(4))
+            pts = radius * oracles.unit_vectors(rng, p, 8)
+            assert np.max(np.abs(poisson_eval(f, pts) - series_eval(sol, pts))) <= 1e-13, (p, radius)
+
+
+def test_kernel_accuracy_for_high_degree_data():
+    # a panel's nodes cover the data's degree and the kernel's orders both, so a zonal harmonic of degree 30
+    # or 16, of value r^n P_n, keeps its digits at every radius
+    rng = np.random.default_rng(72)
+    for p, n in ((3, 30), (4, 16)):
+        f = BoundaryData.from_polynomial(legendre_harmonic(p, n))
+        sol = project_boundary(f, n)
+        for radius in (0.2, 0.5, 0.9, 0.999):
+            pts = radius * oracles.unit_vectors(rng, p, 8)
+            assert np.max(np.abs(poisson_eval(f, pts) - series_eval(sol, pts))) <= 1e-12, (p, radius)
 
 
 def test_kernel_degree_below_the_data_degree_is_an_error():
@@ -385,7 +397,7 @@ def test_kernel_degree_below_the_data_degree_is_an_error():
     assert poisson_eval(f, np.zeros(3), quad_degree=2) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_kernel_sweep_builds_one_gauss_rule_per_distinct_t_size(monkeypatch):
+def test_kernel_sweep_builds_at_most_four_gauss_rules(monkeypatch):
     p, degree = 4, 2
     f = BoundaryData.from_polynomial(ExactPolynomial(p, {(1, 1, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(2)}))
     rng = np.random.default_rng(79)
@@ -395,9 +407,10 @@ def test_kernel_sweep_builds_one_gauss_rule_per_distinct_t_size(monkeypatch):
     built, cached = [], orthopoly._gauss_rule_cached
     monkeypatch.setattr(orthopoly, "_gauss_rule_cached",
                         lru_cache(maxsize=None)(lambda a, b, m: built.append(m) or cached.__wrapped__(a, b, m)))
+    monkeypatch.setattr(bvp, "_graded_rule", lru_cache(maxsize=None)(bvp._graded_rule.__wrapped__))
     poisson_eval(f, pts)
-    sizes = {len(bvp._t_rule(p, float(r), degree)) for r in np.linalg.norm(pts, axis=1)}
-    assert sorted(built) == sorted(sizes)
+    # every radius's panels come from the Gauss rules of (0, a), (a, 0), (0, 0) and (a, a), a = 1/2, of 17 nodes
+    assert built == [17] * 4 and len({len(bvp._t_rule(p, r, degree)[1]) for r in radii}) == 7
 
 
 def test_kernel_rule_stays_small_for_polynomial_data():
@@ -406,7 +419,7 @@ def test_kernel_rule_stays_small_for_polynomial_data():
     for degree in range(11):
         slice_nodes = len(bvp._slice_rule(5, degree)[1])
         for r in np.linspace(0.0, 0.9, 46):
-            assert len(bvp._t_rule(5, r, degree)) * slice_nodes <= 100_000, (degree, r)
+            assert len(bvp._t_rule(5, r, degree)[1]) * slice_nodes <= 100_000, (degree, r)
 
 
 def test_kernel_with_callable_data_matches_the_series():
